@@ -78,6 +78,8 @@ class Certificate:
 
 
 def _check_series_domain(alpha: float, c: float, w: float) -> None:
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     if not (w > 0.0) or not math.isfinite(w):
         raise DomainError(f"series shift w must be positive and finite, got {w}")
     if c < 0.0 or not math.isfinite(c):
@@ -142,8 +144,28 @@ def _partial_abs_sum(alpha: float, x: float, j_count: int) -> float:
     return total
 
 
+def _first_chunk(x: float) -> int:
+    """Length of the first summation chunk at decay rate ``x``.
+
+    Far out the term ratio tends to ``x``.  After ``n`` terms with
+    ``x**n = TAIL_TERM_CUTOFF * (1 - x)``, the last term and the geometric
+    remainder it leaves, ``x / (1 - x)`` times it, are both about
+    ``TAIL_TERM_CUTOFF`` of the first.
+    """
+    if x <= 0.0:
+        return 1
+    if x >= 1.0:
+        return _CHUNK
+    terms = math.log(TAIL_TERM_CUTOFF * (1.0 - x)) / math.log(x)
+    return min(_CHUNK, max(1, math.ceil(terms)))
+
+
 def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
-    """``sum_{j >= j_start} |C(alpha, j)| x**j`` summed term by term."""
+    """``sum_{j >= j_start} |C(alpha, j)| x**j`` summed term by term.
+
+    Chunks start at the length the decay rate ``x`` calls for and double up
+    to ``_CHUNK`` while the terms have not yet fallen below the cutoff.
+    """
     # Leading term |C(alpha, j_start)| x**j_start, built without cancellation.
     term = 1.0
     for i in range(1, j_start + 1):
@@ -152,9 +174,10 @@ def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
             return 0.0
     total = 0.0
     j = j_start
+    chunk = _first_chunk(x)
     while j - j_start < MAX_TAIL_TERMS:
-        block_idx = np.arange(j, j + _CHUNK, dtype=np.float64)
-        ratios = np.empty(_CHUNK)
+        block_idx = np.arange(j, j + chunk, dtype=np.float64)
+        ratios = np.empty(chunk)
         ratios[0] = 1.0
         ratios[1:] = np.abs(alpha - block_idx[:-1]) * x / (block_idx[:-1] + 1.0)
         terms = term * np.cumprod(ratios)
@@ -162,8 +185,9 @@ def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
         last = float(terms[-1])
         if last <= TAIL_TERM_CUTOFF * total:
             return total
-        term = last * abs(alpha - (j + _CHUNK - 1)) * x / (j + _CHUNK)
-        j += _CHUNK
+        term = last * abs(alpha - (j + chunk - 1)) * x / (j + chunk)
+        j += chunk
+        chunk = min(2 * chunk, _CHUNK)
     raise NumericalFailureError(
         f"direct tail summation for alpha={alpha}, x={x} did not converge "
         f"within {MAX_TAIL_TERMS} terms"
@@ -198,6 +222,17 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
     return 2.0 * w ** alpha * tail
 
 
+def certified_bound(
+    alpha: float,
+    envelope: SpectralEnvelope,
+    depth: TruncationDepth,
+) -> float:
+    """The bound ``certify`` attaches at ``depth``: zero when saturated."""
+    if depth.saturated:
+        return 0.0
+    return tail_bound(alpha, envelope.c, envelope.w, depth.j_pq)
+
+
 def certify(
     value: complex,
     alpha: float,
@@ -210,15 +245,11 @@ def certify(
     value.  A saturated depth (support closed inside the window) certifies
     the element exactly, with bound zero.
     """
-    if depth.saturated:
-        bound = 0.0
-    else:
-        bound = tail_bound(alpha, envelope.c, envelope.w, depth.j_pq)
     return Certificate(
         value=complex(value),
         window=depth.window,
         depth=depth,
-        bound=bound,
+        bound=certified_bound(alpha, envelope, depth),
         envelope_used=envelope,
         alpha=alpha,
     )

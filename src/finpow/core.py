@@ -8,6 +8,7 @@ add a Hermitian boundary correction at the four window corners.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -137,6 +138,10 @@ class InfiniteMatrixSpec:
             if col in entries:
                 raise MalformedSpecError(
                     f"row {m} lists column {col} more than once"
+                )
+            if not cmath.isfinite(value):
+                raise MalformedSpecError(
+                    f"row {m} has the non-finite entry {value} at column {col}"
                 )
             entries[int(col)] = value
         if len(entries) > self.sparsity_bound_k:
@@ -300,6 +305,26 @@ class ValidationReport:
     def passed(self) -> bool:
         return self.lower_ok and self.upper_ok
 
+    @classmethod
+    def from_eigenvalues(
+        cls,
+        eigenvalues: np.ndarray,
+        envelope: SpectralEnvelope,
+        tol: float,
+    ) -> "ValidationReport":
+        """Check ascending eigenvalues against ``[c - tol, w + tol]``."""
+        lo = float(eigenvalues[0])
+        hi = float(eigenvalues[-1])
+        return cls(
+            min_eigenvalue=lo,
+            max_eigenvalue=hi,
+            lower_limit=envelope.c,
+            upper_limit=envelope.w,
+            tol=tol,
+            lower_ok=lo >= envelope.c - tol,
+            upper_ok=hi <= envelope.w + tol,
+        )
+
 
 def truncate(
     spec: InfiniteMatrixSpec,
@@ -369,16 +394,4 @@ def validate_truncation(
         eigenvalues = np.linalg.eigvalsh(matrix.data)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    lo = float(eigenvalues[0])
-    hi = float(eigenvalues[-1])
-    lower_limit = envelope.c
-    upper_limit = envelope.w
-    return ValidationReport(
-        min_eigenvalue=lo,
-        max_eigenvalue=hi,
-        lower_limit=lower_limit,
-        upper_limit=upper_limit,
-        tol=tol,
-        lower_ok=lo >= lower_limit - tol,
-        upper_ok=hi <= upper_limit + tol,
-    )
+    return ValidationReport.from_eigenvalues(eigenvalues, envelope, tol)

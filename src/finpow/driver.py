@@ -1,32 +1,48 @@
-"""Tolerance-driven window growth and local solves.
+"""Tolerance-driven window choice and local solves.
 
-The driver evaluates the full pipeline (truncate, validate, spectral power,
-depth, certificate) on a deterministic schedule of symmetric windows and
-stops at the first certificate meeting the target bound.  Local solutions of
-``W x = f`` for finitely supported ``f`` reduce to certified elements of the
-inverse.
+Each answer is planned, then solved.  The a-priori bound at a window depends
+only on the truncation depth, which the sparsity structure alone decides, so
+the plan walks a deterministic schedule of symmetric windows computing just
+the depth and the bound, and picks the first window whose bound meets the
+target (or, failing that, the best one).  The solve then does the dense work
+once, at that window: truncate, one eigendecomposition, the envelope check on
+its eigenvalues, and an O(N) read of each requested element.  Local solutions
+of ``W x = f`` for finitely supported ``f`` reduce to certified elements of
+the inverse, grouped so that each distinct window is factored once.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .certificates import Certificate, certify
+import numpy as np
+
+from .certificates import Certificate, certified_bound, certify
 from .core import (
     BoundarySpec,
     InfiniteMatrixSpec,
+    ValidationReport,
     Window,
     truncate,
-    validate_truncation,
+    validate_truncation,  # noqa: F401 - perfbench/tracer.py wraps it by this name
 )
 from .errors import (
     DivergentSeriesError,
+    DomainError,
+    FinpowError,
     InvalidBoundaryError,
     NotConvergedError,
+    NumericalFailureError,
     SingularOperatorError,
 )
-from .powers import finite_power
+from .powers import (
+    finite_power,  # noqa: F401 - perfbench/tracer.py wraps it by this name
+    power_eigenvalues,
+    spectral_element,
+)
 from .series import truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
@@ -54,11 +70,65 @@ DEFAULT_LIMITS = DriverLimits()
 
 
 def _check_premises(spec: InfiniteMatrixSpec, alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     if spec.envelope.c == 0.0 and alpha < 0.0:
         raise DivergentSeriesError(
             f"alpha={alpha} < 0 requires a strictly positive lower spectral "
             f"bound, but the envelope has c = 0"
         )
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+
+
+def _window_elements(
+    spec: InfiniteMatrixSpec,
+    boundary_policy: BoundaryPolicy,
+    alpha: float,
+    window: Window,
+    elements: Sequence[tuple[int, int]],
+    limits: DriverLimits,
+) -> list:
+    """Elements of the truncation's ``alpha`` power at ``window``, one ``eigh``.
+
+    Raises
+    ------
+    DomainError
+        An element lies outside the window.
+    InvalidBoundaryError
+        The truncation's eigenvalues leave the envelope.
+    NumericalFailureError
+        The eigendecomposition failed.
+    """
+    for m, n in elements:
+        if not (window.contains(m) and window.contains(n)):
+            raise DomainError(
+                f"element ({m}, {n}) lies outside window [-{window.P}, {window.Q}]"
+            )
+    envelope = spec.envelope
+    matrix = truncate(spec, window, boundary_policy(window))
+    try:
+        evals, vecs = np.linalg.eigh(matrix.data)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    report = ValidationReport.from_eigenvalues(
+        evals, envelope, limits.spectrum_tol * max(envelope.w, 1.0)
+    )
+    if not report.passed:
+        raise InvalidBoundaryError(
+            f"truncation at window [-{window.P}, {window.Q}] violates the "
+            f"envelope: eigenvalues in [{report.min_eigenvalue:.6g}, "
+            f"{report.max_eigenvalue:.6g}], required "
+            f"[{report.lower_limit:.6g}, {report.upper_limit:.6g}]"
+        )
+    powered = power_eigenvalues(evals, alpha)
+    return [
+        spectral_element(vecs, powered, window.offset(m), window.offset(n))
+        for m, n in elements
+    ]
 
 
 def evaluate_window(
@@ -72,22 +142,9 @@ def evaluate_window(
 ) -> Certificate:
     """One-shot pipeline evaluation at a fixed window."""
     _check_premises(spec, alpha)
-    envelope = spec.envelope
-    boundary = boundary_policy(window)
-    matrix = truncate(spec, window, boundary)
-    report = validate_truncation(
-        matrix, envelope, limits.spectrum_tol * max(envelope.w, 1.0)
-    )
-    if not report.passed:
-        raise InvalidBoundaryError(
-            f"truncation at window [-{window.P}, {window.Q}] violates the "
-            f"envelope: eigenvalues in [{report.min_eigenvalue:.6g}, "
-            f"{report.max_eigenvalue:.6g}], required "
-            f"[{report.lower_limit:.6g}, {report.upper_limit:.6g}]"
-        )
-    value = finite_power(matrix, alpha).element(m, n)
+    [value] = _window_elements(spec, boundary_policy, alpha, window, [(m, n)], limits)
     depth = truncation_depth(spec, window, m, n)
-    return certify(value, alpha, envelope, depth)
+    return certify(value, alpha, spec.envelope, depth)
 
 
 def growth_windows(m: int, n: int, max_dim: int):
@@ -102,6 +159,45 @@ def growth_windows(m: int, n: int, max_dim: int):
         margin *= 2
 
 
+def _plan(
+    spec: InfiniteMatrixSpec,
+    boundary_policy: BoundaryPolicy,
+    alpha: float,
+    m: int,
+    n: int,
+    tol: float,
+    limits: DriverLimits,
+) -> tuple[Window, float]:
+    """First scheduled window whose bound meets ``tol``, and that bound.
+
+    Uses depths and bounds alone, no dense algebra.
+
+    Raises
+    ------
+    NotConvergedError
+        No window under ``max_dim`` meets ``tol``; carries the certificate
+        at the window with the smallest bound (the first one on ties), or
+        none when no window fits.
+    """
+    best: tuple[Window, float] | None = None
+    for window in growth_windows(m, n, limits.max_dim):
+        depth = truncation_depth(spec, window, m, n)
+        bound = certified_bound(alpha, spec.envelope, depth)
+        if bound <= tol:
+            return window, bound
+        if best is None or bound < best[1]:
+            best = window, bound
+    message = (
+        f"dimension limit {limits.max_dim} reached before the bound fell "
+        f"below tol={tol:g}"
+    )
+    if best is None:
+        raise NotConvergedError(message)
+    cert = evaluate_window(spec, boundary_policy, alpha, m, n, best[0], limits)
+    message += f"; best bound {cert.bound:g} at window [-{cert.window.P}, {cert.window.Q}]"
+    raise NotConvergedError(message, best_certificate=cert)
+
+
 def approximate_element(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
@@ -111,39 +207,29 @@ def approximate_element(
     tol: float,
     limits: DriverLimits = DEFAULT_LIMITS,
 ) -> Certificate:
-    """Grow the window until the certified bound drops below ``tol``.
+    """Certified element at the first window whose bound meets ``tol``.
 
     Windows follow ``P = Q = max(|m|, |n|) + g`` with the margin ``g``
-    doubling from 2.  Returns the first certificate whose bound meets the
-    tolerance; the value it carries is exactly the one-shot evaluation at
-    that window.
+    doubling from 2.  The window is chosen from the a-priori bounds alone;
+    the returned certificate is exactly the one-shot evaluation there, and
+    only that window is truncated, eigendecomposed and validated.
 
     Raises
     ------
     NotConvergedError
-        Dimension limit reached first; carries the best certificate.
+        Dimension limit reached first; carries the certificate at the
+        window with the best bound.
     DivergentSeriesError
         ``alpha < 0`` with an envelope touching zero.
+    DomainError
+        ``alpha`` not finite, or ``tol`` not positive and finite.
     InvalidBoundaryError
-        A truncation failed the spectrum validation.
+        The chosen truncation failed the spectrum validation.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     _check_premises(spec, alpha)
-    best: Certificate | None = None
-    for window in growth_windows(m, n, limits.max_dim):
-        cert = evaluate_window(spec, boundary_policy, alpha, m, n, window, limits)
-        if best is None or cert.bound < best.bound:
-            best = cert
-        if cert.bound <= tol:
-            return cert
-    message = (
-        f"dimension limit {limits.max_dim} reached before the bound fell "
-        f"below tol={tol:g}"
-    )
-    if best is not None:
-        message += f"; best bound {best.bound:g} at window [-{best.window.P}, {best.window.Q}]"
-    raise NotConvergedError(message, best_certificate=best)
+    window, _ = _plan(spec, boundary_policy, alpha, m, n, tol, limits)
+    return evaluate_window(spec, boundary_policy, alpha, m, n, window, limits)
 
 
 @dataclass(frozen=True)
@@ -175,7 +261,7 @@ def convergence_table(
             rows.append(
                 WindowResult(window.P, window.Q, cert.value, cert.depth.j_pq, cert.bound)
             )
-        except Exception as exc:  # noqa: BLE001 - row-level error reporting
+        except FinpowError as exc:
             rows.append(WindowResult(window.P, window.Q, None, None, None, str(exc)))
     return rows
 
@@ -193,32 +279,52 @@ def local_solve(
     Each requested component ``x_m = sum_n (W**-1)_{mn} f_n`` is assembled
     from certified inverse elements, with the tolerance split uniformly in
     the ``|f_n|`` weighting so the accumulated bound stays below ``tol``.
+    Every element is planned as in ``approximate_element``, and each distinct
+    chosen window is truncated and eigendecomposed once for all the elements
+    that chose it.
 
     Raises
     ------
     SingularOperatorError
         The envelope does not bound the spectrum away from zero.
+    DomainError
+        ``tol`` not positive and finite.
+    NotConvergedError
+        Some element cannot meet its share of ``tol``; raised for the first
+        such element, as ``approximate_element`` raises it.
     """
     if spec.envelope.c <= 0.0:
         raise SingularOperatorError(
             f"local solve requires c > 0, envelope has c = {spec.envelope.c}"
         )
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     support = {int(k): complex(v) for k, v in f.items() if complex(v) != 0}
     if not support:
         return {int(m): (0.0 + 0.0j, 0.0) for m in out_indices}
     weight = sum(abs(v) for v in support.values())
     per_element_tol = tol / weight
+    bounds = {}
+    by_window: dict[Window, list[tuple[int, int]]] = defaultdict(list)
+    for m in out_indices:
+        for n in support:
+            element = (int(m), n)
+            if element in bounds:
+                continue
+            window, bounds[element] = _plan(
+                spec, boundary_policy, -1.0, *element, per_element_tol, limits
+            )
+            by_window[window].append(element)
+    values = {}
+    for window, elements in by_window.items():
+        found = _window_elements(spec, boundary_policy, -1.0, window, elements, limits)
+        values.update(zip(elements, found))
     result: dict[int, tuple[complex, float]] = {}
     for m in out_indices:
         total = 0.0 + 0.0j
         bound = 0.0
         for n, fn in support.items():
-            cert = approximate_element(
-                spec, boundary_policy, -1.0, m, n, per_element_tol, limits
-            )
-            total += cert.value * fn
-            bound += cert.bound * abs(fn)
+            element = (int(m), n)
+            total += complex(values[element]) * fn
+            bound += bounds[element] * abs(fn)
         result[int(m)] = (total, bound)
     return result

@@ -47,8 +47,7 @@ def binomial_coefficients(alpha: float, count: int) -> np.ndarray:
 
 
 def _check_spectrum(evals, alpha, tol):
-    alpha_is_integer = float(alpha) == int(alpha)
-    if evals[0] < -tol and not alpha_is_integer:
+    if evals[0] < -tol and not float(alpha).is_integer():
         raise DomainError(
             f"matrix has eigenvalue {evals[0]:.6g} < -tol; non-integer power "
             f"{alpha} is undefined"
@@ -60,6 +59,44 @@ def _check_spectrum(evals, alpha, tol):
         )
 
 
+def power_eigenvalues(
+    evals: np.ndarray,
+    alpha: float,
+    eig_tol: float | None = None,
+) -> np.ndarray:
+    """``evals**alpha`` for the ascending eigenvalues of a Hermitian matrix.
+
+    Eigenvalues in ``[-tol, 0)`` are clamped to zero for ``alpha >= 0`` as
+    round-off protection; ``tol`` defaults to ``EIG_CLAMP_FACTOR`` times the
+    spectral radius.
+
+    Raises
+    ------
+    DomainError
+        Eigenvalue below ``-tol`` with non-integer ``alpha``.
+    SingularityError
+        (Near-)zero eigenvalue with ``alpha < 0``.
+    """
+    scale = max(abs(evals[0]), abs(evals[-1]), np.finfo(float).tiny)
+    tol = EIG_CLAMP_FACTOR * scale if eig_tol is None else eig_tol
+    _check_spectrum(evals, alpha, tol)
+    if alpha >= 0:
+        evals = np.where((evals < 0.0) & (evals >= -tol), 0.0, evals)
+    return evals.astype(np.float64) ** float(alpha)
+
+
+def spectral_element(vecs: np.ndarray, powered: np.ndarray, i: int, j: int):
+    """Entry ``(i, j)`` of ``vecs @ diag(powered) @ vecs^H`` in O(N).
+
+    Averages the ``(i, j)`` read with the conjugate of the ``(j, i)`` read,
+    as ``FiniteHermitian`` symmetrizes, so swapping ``i`` and ``j`` gives the
+    exact conjugate.
+    """
+    upper = (vecs[i] * powered) @ vecs[j].conj()
+    lower = (vecs[j] * powered) @ vecs[i].conj()
+    return (upper + np.conj(lower)) / 2.0
+
+
 def finite_power(
     matrix: FiniteHermitian,
     alpha: float,
@@ -67,9 +104,8 @@ def finite_power(
 ) -> FiniteHermitian:
     """Spectral power ``matrix**alpha`` of a finite Hermitian matrix.
 
-    Eigendecomposes, raises the eigenvalues to ``alpha`` and reassembles.
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero for ``alpha >= 0`` as
-    round-off protection; for ``alpha < 0`` they are a hard error.
+    Eigendecomposes, raises the eigenvalues to ``alpha`` with
+    ``power_eigenvalues`` and reassembles.
 
     Raises
     ------
@@ -79,12 +115,7 @@ def finite_power(
         (Near-)zero eigenvalue with ``alpha < 0``.
     """
     evals, vecs = np.linalg.eigh(matrix.data)
-    scale = max(abs(evals[0]), abs(evals[-1]), np.finfo(float).tiny)
-    tol = EIG_CLAMP_FACTOR * scale if eig_tol is None else eig_tol
-    _check_spectrum(evals, alpha, tol)
-    if alpha >= 0:
-        evals = np.where((evals < 0.0) & (evals >= -tol), 0.0, evals)
-    powered = evals.astype(np.float64) ** float(alpha)
+    powered = power_eigenvalues(evals, alpha, eig_tol)
     result = (vecs * powered) @ vecs.conj().T
     return FiniteHermitian(matrix.window, result)
 

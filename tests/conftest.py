@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from finpow import LatticeModelParams, lattice_spec, periodic_policy
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def pytest_configure(config):
+    # Subprocesses such as `python -m finpow` import the same tree the tests do.
+    paths = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    os.environ["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(paths))
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from finpow import (
     full_series_sum,
     tail_bound,
 )
+from finpow.certificates import _first_chunk
 
 from oracles import mp_abs_binom_partial, mp_abs_binom_tail
 
@@ -100,6 +101,18 @@ class TestTailBound:
         scaled = tail_bound(alpha, scale * 1.0, scale * 2.0, j_start)
         assert scaled == pytest.approx(scale**alpha * base, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", (-1.5, 0.5))
+    @pytest.mark.parametrize("c", (0.2, 0.01))
+    @pytest.mark.parametrize("offset", (-40, -1, 0, 1, 40))
+    def test_direct_summation_around_first_chunk(self, alpha, c, offset):
+        # deep tails cancel in full - partial and are summed term by term,
+        # in chunks whose first length follows the decay rate x
+        x = 1.0 - c
+        j_start = _first_chunk(x) + offset
+        mine = tail_bound(alpha, c, 1.0, j_start)
+        oracle = 2.0 * float(mp_abs_binom_tail(alpha, x, j_start))
+        assert mine == pytest.approx(oracle, rel=1e-12)
+
     def test_divergent_for_negative_alpha_c_zero(self):
         with pytest.raises(DivergentSeriesError):
             tail_bound(-0.5, 0.0, 1.0, 0)
@@ -113,6 +126,9 @@ class TestTailBound:
             tail_bound(0.5, -0.5, 2.0, 0)
         with pytest.raises(DomainError):
             tail_bound(0.5, 1.0, 2.0, -1)
+        for alpha in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DomainError):
+                tail_bound(alpha, 1.0, 2.0, 3)
 
 
 class TestCertify:

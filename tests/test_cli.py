@@ -86,6 +86,19 @@ class TestApprox:
         assert out == ""
         assert "c = 0" in err
 
+    @pytest.mark.parametrize(
+        "alpha,tol",
+        [("nan", "1e-6"), ("inf", "1e-6"), ("0.5", "-1"), ("0.5", "nan"), ("0.5", "inf")],
+    )
+    def test_non_finite_or_negative_input_exit_3(self, capsys, lattice_config, alpha, tol):
+        code, out, err = run_cli(
+            capsys, "approx", lattice_config,
+            "--alpha", alpha, "--m", "0", "--n", "0", "--tol", tol,
+        )
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
+
     def test_not_converged_exit_2_with_best(self, capsys, lattice_config):
         code, out, err = run_cli(
             capsys, "approx", lattice_config,
@@ -181,6 +194,17 @@ class TestSolve:
         )
         assert code == 3
         assert "c > 0" in err
+
+    def test_negative_tol_exit_3(self, capsys, lattice_config, tmp_path):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("0,1.0,0.0\n")
+        code, out, err = run_cli(
+            capsys, "solve", lattice_config,
+            "--rhs", str(rhs), "--out", "0", "--tol", "-1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "tol" in err
 
     def test_malformed_rhs_exit_3(self, capsys, lattice_config, tmp_path):
         rhs = tmp_path / "rhs.txt"

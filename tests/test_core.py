@@ -79,6 +79,15 @@ class TestRowGenerator:
         with pytest.raises(MalformedSpecError):
             spec.row(0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+    def test_non_finite_entry_rejected(self, bad):
+        def poisoned_row(m):
+            return [(m, 1.0), (m + 1, bad)]
+
+        spec = InfiniteMatrixSpec(poisoned_row, 2, IDENTITY_ENV)
+        with pytest.raises(MalformedSpecError, match="non-finite"):
+            spec.row(0)
+
     def test_duplicate_column(self):
         spec = InfiniteMatrixSpec(lambda m: [(m, 1.0), (m, 2.0)], 3, IDENTITY_ENV)
         with pytest.raises(MalformedSpecError):

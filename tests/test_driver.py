@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpow import driver
 from finpow import (
+    DomainError,
     LatticeModelParams,
     BoundarySpec,
     DivergentSeriesError,
@@ -17,6 +19,7 @@ from finpow import (
     convergence_table,
     dispersion_integral_element,
     evaluate_window,
+    finite_power,
     lattice_spec,
     local_solve,
     periodic_policy,
@@ -24,7 +27,21 @@ from finpow import (
     zero_boundary,
 )
 
-from oracles import mp_abs_binom_tail
+from oracles import mp_abs_binom_tail, random_banded_spec
+
+
+def count_linalg(monkeypatch):
+    """Count calls of numpy's dense Hermitian eigensolvers from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def free_laplacian_spec():
@@ -127,6 +144,25 @@ class TestApproximateElement:
         )
         assert abs(cert.value - ambient.value) <= cert.bound
 
+    def test_one_eigensolve_per_answer(self, unit_lattice, monkeypatch):
+        _, spec, policy = unit_lattice
+        calls = count_linalg(monkeypatch)
+        cert = approximate_element(spec, policy, -0.5, 0, 1, 1e-12)
+        assert cert.bound <= 1e-12
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, unit_lattice, alpha):
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError):
+            approximate_element(spec, policy, alpha, 0, 0, 1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, unit_lattice, tol):
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError):
+            approximate_element(spec, policy, 0.5, 0, 0, tol)
+
     def test_validation_failure_raises_invalid_boundary(self, unit_lattice):
         _, spec, _ = unit_lattice
 
@@ -136,6 +172,34 @@ class TestApproximateElement:
 
         with pytest.raises(InvalidBoundaryError):
             approximate_element(spec, inflating, 0.5, 0, 0, 1e-3)
+
+
+class TestEvaluateWindow:
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 1.5])
+    def test_matches_reassembled_power(self, rng, allow_complex, alpha):
+        spec = random_banded_spec(rng, 2, allow_complex=allow_complex)
+        window = Window(7, 9)
+        dense = finite_power(truncate(spec, window), alpha)
+        for m, n in [(0, 0), (-3, 2), (4, -7), (9, 9)]:
+            cert = evaluate_window(spec, zero_boundary, alpha, m, n, window)
+            assert abs(cert.value - dense.element(m, n)) <= 1e-13
+
+    def test_complex_elements_bitwise_hermitian(self):
+        spec = banded_spec(
+            [-1, 0, 1], [0.5 - 0.25j, 3.0, 0.5 + 0.25j], SpectralEnvelope(1.5, 4.5)
+        )
+        window = Window(6, 6)
+        for m, n in [(0, 1), (-2, 3), (5, -6)]:
+            upper = evaluate_window(spec, zero_boundary, -0.5, m, n, window).value
+            lower = evaluate_window(spec, zero_boundary, -0.5, n, m, window).value
+            assert upper.imag != 0.0
+            assert upper == lower.conjugate()
+
+    def test_element_outside_window_is_domain_error(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError):
+            evaluate_window(spec, policy, 0.5, 5, 0, Window(4, 4))
 
 
 class TestConvergenceTable:
@@ -164,6 +228,15 @@ class TestConvergenceTable:
         assert all(row.error is not None for row in rows)
         assert all(row.value is None for row in rows)
         assert [row.P for row in rows] == [4, 8]
+
+    def test_programming_errors_propagate(self, unit_lattice):
+        _, spec, _ = unit_lattice
+
+        def broken(window):
+            raise RuntimeError("boundary policy bug")
+
+        with pytest.raises(RuntimeError):
+            convergence_table(spec, broken, 0.5, 0, 0, [Window(4, 4)])
 
 
 class TestLocalSolve:
@@ -214,6 +287,59 @@ class TestLocalSolve:
         spec = free_laplacian_spec()
         with pytest.raises(SingularOperatorError):
             local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-6)
+
+    def test_each_distinct_window_factored_once(self, unit_lattice, monkeypatch):
+        _, spec, policy = unit_lattice
+        f = {0: 0.5, 2: -0.25, -4: 0.25j}
+        outs = [0, 1, -3, 5, 6]
+        tol = 1e-10  # |f|_1 = 1, so each element gets the whole of tol
+        expected = {
+            approximate_element(spec, policy, -1.0, m, n, tol).window
+            for m in outs
+            for n in f
+        }
+        assert 1 < len(expected) < len(outs) * len(f)
+        truncated = []
+        real_truncate = driver.truncate
+
+        def recording(spec, window, boundary=None):
+            truncated.append(window)
+            return real_truncate(spec, window, boundary)
+
+        monkeypatch.setattr(driver, "truncate", recording)
+        calls = count_linalg(monkeypatch)
+        result = local_solve(spec, policy, f, outs, tol)
+        assert sorted(truncated, key=lambda w: w.P) == sorted(expected, key=lambda w: w.P)
+        assert calls == {"eigh": len(expected), "eigvalsh": 0}
+        assert all(bound <= tol for _, bound in result.values())
+
+    def test_matches_per_element_certificates(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        f = {-1: 0.75, 2: -0.25j}
+        tol = 1e-8
+        result = local_solve(spec, policy, f, [0, 3], tol)
+        for m in (0, 3):
+            total = 0.0 + 0.0j
+            bound = 0.0
+            for n, fn in f.items():
+                cert = approximate_element(spec, policy, -1.0, m, n, tol)
+                total += cert.value * fn
+                bound += cert.bound * abs(fn)
+            assert result[m] == (total, bound)
+
+    def test_not_converged_carries_best(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        limits = DriverLimits(max_dim=65)
+        with pytest.raises(NotConvergedError) as err:
+            local_solve(spec, policy, {0: 1.0}, [0, 1], 1e-30, limits)
+        expected = evaluate_window(spec, policy, -1.0, 0, 0, Window(32, 32))
+        assert err.value.best_certificate == expected
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, unit_lattice, tol):
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError):
+            local_solve(spec, policy, {0: 1.0}, [0], tol)
 
     def test_zero_rhs(self, unit_lattice):
         _, spec, policy = unit_lattice
