@@ -45,19 +45,13 @@ from .errors import (
 )
 from .lattice import (
     LatticeModelParams,
-    circulant_power_element,
     dispersion_integral_element,
     fourier_symbol,
     lattice_spec,
     periodic_boundary,
     periodic_policy,
 )
-from .powers import (
-    binomial_coefficient,
-    binomial_coefficients,
-    finite_power,
-    finite_power_series,
-)
+from .powers import binomial_coefficients, finite_power
 from .series import (
     TruncationDepth,
     banded_depth_closed_form,
@@ -94,15 +88,12 @@ __all__ = [
     "approximate_element",
     "banded_depth_closed_form",
     "banded_spec",
-    "binomial_coefficient",
     "binomial_coefficients",
     "certify",
-    "circulant_power_element",
     "convergence_table",
     "dispersion_integral_element",
     "evaluate_window",
     "finite_power",
-    "finite_power_series",
     "fourier_symbol",
     "full_series_sum",
     "integer_power_element",

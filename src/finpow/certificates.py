@@ -9,7 +9,6 @@ cancellation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,8 @@ from .series import TruncationDepth
 
 # Direct tail summation stops once a term drops below this fraction of the
 # running total; the chunked loop gives up (and reports failure) beyond
-# MAX_TAIL_TERMS terms.
+# MAX_TAIL_TERMS terms.  The closed-form sums of a positive alpha take O(alpha)
+# terms, so alpha is capped at MAX_TAIL_TERMS too.
 TAIL_TERM_CUTOFF = 1e-18
 CANCELLATION_GUARD = 1e-6
 MAX_TAIL_TERMS = 10_000_000
@@ -71,13 +71,30 @@ class Certificate:
                 parts.append(f'"{key}": {format(float(val), ".17g")}')
         return "{" + ", ".join(parts) + "}"
 
-    @staticmethod
-    def from_json(text: str) -> dict:
-        """Parse a serialized record back into a plain dictionary."""
-        return json.loads(text)
+
+def _is_nonneg_integer(alpha: float) -> bool:
+    return alpha >= 0.0 and float(alpha) == int(alpha)
 
 
-def _check_series_domain(alpha: float, c: float, w: float) -> None:
+def full_series_sum(alpha: float, c: float, w: float) -> float:
+    """Closed form of ``sum_{j>=0} |C(alpha, j)| ((w - c)/w)**j``.
+
+    Negative ``alpha`` (requires c > 0) sums to ``(c/w)**alpha``.  Positive
+    non-integer ``alpha`` sums to a short alternating-sign finite sum plus a
+    ``(c/w)**alpha`` remainder.  Nonnegative integer ``alpha`` is a finite sum
+    evaluated directly.  This is the premise check of every bound; the driver
+    runs it before it plans any window.
+
+    Raises
+    ------
+    DivergentSeriesError
+        ``alpha < 0`` with ``c = 0``.
+    DomainError
+        ``alpha`` not finite, or ``c > w``, ``c < 0`` or ``w <= 0``.
+    NumericalFailureError
+        ``alpha`` above ``MAX_TAIL_TERMS``, or the largest bound, ``2 w**alpha``
+        times this sum, is not a finite float.
+    """
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     if not (w > 0.0) or not math.isfinite(w):
@@ -90,54 +107,58 @@ def _check_series_domain(alpha: float, c: float, w: float) -> None:
         raise DivergentSeriesError(
             f"the bounding series diverges for alpha={alpha} < 0 with c = 0"
         )
-
-
-def _is_nonneg_integer(alpha: float) -> bool:
-    return alpha >= 0.0 and float(alpha) == int(alpha)
-
-
-def full_series_sum(alpha: float, c: float, w: float) -> float:
-    """Closed form of ``sum_{j>=0} |C(alpha, j)| ((w - c)/w)**j``.
-
-    Negative ``alpha`` (requires c > 0) sums to ``(c/w)**alpha``.  Positive
-    non-integer ``alpha`` sums to a short alternating-sign finite sum plus a
-    ``(c/w)**alpha`` remainder.  Nonnegative integer ``alpha`` is a finite sum
-    evaluated directly.
-    """
-    _check_series_domain(alpha, c, w)
+    if alpha > MAX_TAIL_TERMS:
+        raise NumericalFailureError(
+            f"alpha={alpha} needs more than {MAX_TAIL_TERMS} series terms"
+        )
     x = (w - c) / w
-    if alpha < 0.0:
-        return (c / w) ** alpha
-    if _is_nonneg_integer(alpha):
-        # the series terminates: C(alpha, j) = 0 exactly for j > alpha
-        return _partial_abs_sum(alpha, x, int(alpha) + 1)
-    fl = int(math.floor(alpha))
-    coeffs = binomial_coefficients(alpha, fl + 2)
-    total = 0.0
-    sign = -1.0 if fl % 2 else 1.0
-    for j in range(fl + 2):
-        total += coeffs[j] * (x ** j + sign * (-x) ** j)
-    total += -sign * (c / w) ** alpha
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if alpha < 0.0:
+                total = (c / w) ** alpha
+            elif _is_nonneg_integer(alpha):
+                # the series terminates: C(alpha, j) = 0 exactly for j > alpha
+                total = _partial_abs_sum(alpha, x, int(alpha) + 1)
+            else:
+                fl = int(math.floor(alpha))
+                coeffs = binomial_coefficients(alpha, fl + 2)
+                total = 0.0
+                sign = -1.0 if fl % 2 else 1.0
+                for j in range(fl + 2):
+                    total += coeffs[j] * (x ** j + sign * (-x) ** j)
+                total += -sign * (c / w) ** alpha
+            largest_bound = 2.0 * w ** alpha * total
+    except OverflowError:
+        largest_bound = math.inf
+    if not math.isfinite(largest_bound):
+        raise NumericalFailureError(
+            f"the bound 2 w**alpha sum |C(alpha, j)| x**j overflows for "
+            f"alpha={alpha}, c={c}, w={w}"
+        )
     return total
+
+
+def _abs_terms(alpha: float, x: float, j: int, term: float, count: int):
+    """``count`` terms ``|C(alpha, i)| x**i`` from ``i = j``, the first being
+    ``term``, by the ratio recurrence; and the term after them."""
+    idx = np.arange(j, j + count, dtype=np.float64)
+    ratios = np.empty(count)
+    ratios[0] = 1.0
+    ratios[1:] = np.abs(alpha - idx[:-1]) * x / (idx[:-1] + 1.0)
+    terms = term * np.cumprod(ratios)
+    after = float(terms[-1]) * abs(alpha - (j + count - 1)) * x / (j + count)
+    return terms, after
 
 
 def _partial_abs_sum(alpha: float, x: float, j_count: int) -> float:
     """``sum_{j < j_count} |C(alpha, j)| x**j`` by the stable recurrence."""
-    if j_count <= 0:
-        return 0.0
     total = 0.0
     term = 1.0
     j = 0
     while j < j_count:
         block = min(_CHUNK, j_count - j)
-        idx = np.arange(j, j + block, dtype=np.float64)
-        ratios = np.empty(block)
-        ratios[0] = 1.0
-        if block > 1:
-            ratios[1:] = np.abs(alpha - idx[:-1]) * x / (idx[:-1] + 1.0)
-        terms = term * np.cumprod(ratios)
+        terms, term = _abs_terms(alpha, x, j, term, block)
         total += float(terms.sum())
-        term = float(terms[-1]) * abs(alpha - (j + block - 1)) * x / (j + block)
         j += block
         if term == 0.0:
             break
@@ -176,16 +197,10 @@ def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
     j = j_start
     chunk = _first_chunk(x)
     while j - j_start < MAX_TAIL_TERMS:
-        block_idx = np.arange(j, j + chunk, dtype=np.float64)
-        ratios = np.empty(chunk)
-        ratios[0] = 1.0
-        ratios[1:] = np.abs(alpha - block_idx[:-1]) * x / (block_idx[:-1] + 1.0)
-        terms = term * np.cumprod(ratios)
+        terms, term = _abs_terms(alpha, x, j, term, chunk)
         total += float(terms.sum())
-        last = float(terms[-1])
-        if last <= TAIL_TERM_CUTOFF * total:
+        if float(terms[-1]) <= TAIL_TERM_CUTOFF * total:
             return total
-        term = last * abs(alpha - (j + chunk - 1)) * x / (j + chunk)
         j += chunk
         chunk = min(2 * chunk, _CHUNK)
     raise NumericalFailureError(
@@ -200,22 +215,23 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
     Computed as full closed-form sum minus the partial sum of the leading
     ``j_start`` terms; when that difference cancels to below a 1e-6 relative
     guard, the tail is re-summed directly until terms fall below 1e-18 of the
-    running total.
+    running total.  The bound is finite or the call raises.
 
     Raises
     ------
-    DivergentSeriesError
-        ``alpha < 0`` with ``c = 0``.
     DomainError
-        ``c > w``, ``c < 0`` or ``w <= 0``.
+        As ``full_series_sum`` (``DivergentSeriesError`` included), or
+        ``j_start < 0``.
+    NumericalFailureError
+        As ``full_series_sum``, or the direct tail sum did not converge
+        within ``MAX_TAIL_TERMS`` terms.
     """
-    _check_series_domain(alpha, c, w)
+    full = full_series_sum(alpha, c, w)
     if j_start < 0:
         raise DomainError(f"j_start must be >= 0, got {j_start}")
     if _is_nonneg_integer(alpha) and j_start > int(alpha):
         return 0.0
     x = (w - c) / w
-    full = full_series_sum(alpha, c, w)
     tail = full - _partial_abs_sum(alpha, x, j_start)
     if tail < CANCELLATION_GUARD * full:
         tail = _direct_tail_sum(alpha, x, j_start)

@@ -33,8 +33,6 @@ class ModelConfig:
 
     spec: InfiniteMatrixSpec
     boundary_policy: BoundaryPolicy
-    kind: str
-    lattice_params: LatticeModelParams | None = None
 
 
 def _require(data: dict, field: str, context: str):
@@ -113,7 +111,7 @@ def parse_config(data: dict) -> ModelConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         policy = boundary if boundary is not None else periodic_policy(params)
-        return ModelConfig(lattice_spec(params), policy, kind, params)
+        return ModelConfig(lattice_spec(params), policy)
 
     if kind == "banded":
         offsets = _require(data, "offsets", "banded config")
@@ -129,7 +127,7 @@ def parse_config(data: dict) -> ModelConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid banded spec: {exc}") from exc
         policy = boundary if boundary is not None else zero_boundary
-        return ModelConfig(spec, policy, kind)
+        return ModelConfig(spec, policy)
 
     raise ConfigError(f"unknown model kind {kind!r}")
 

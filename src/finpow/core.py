@@ -84,9 +84,6 @@ class Window:
     def is_corner(self, i: int) -> bool:
         return i == -self.P or i == self.Q
 
-    def strictly_inside(self, i: int) -> bool:
-        return -self.P < i < self.Q
-
     def indices(self) -> range:
         return range(-self.P, self.Q + 1)
 
@@ -269,10 +266,6 @@ class FiniteHermitian:
         sym.setflags(write=False)
         object.__setattr__(self, "data", sym)
 
-    @classmethod
-    def identity(cls, window: Window) -> "FiniteHermitian":
-        return cls(window, np.eye(window.dim))
-
     @property
     def dim(self) -> int:
         return self.window.dim
@@ -283,10 +276,6 @@ class FiniteHermitian:
         if not (w.contains(m) and w.contains(n)):
             raise IndexError(f"({m},{n}) outside window [-{w.P}, {w.Q}]")
         return self.data[w.offset(m), w.offset(n)]
-
-    def to_array(self) -> np.ndarray:
-        """Writable copy of the dense array (row/col 0 is logical index -P)."""
-        return self.data.copy()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, certified_bound, certify
+from .certificates import Certificate, certified_bound, certify, full_series_sum
 from .core import (
     BoundarySpec,
     InfiniteMatrixSpec,
@@ -30,7 +30,6 @@ from .core import (
     validate_truncation,  # noqa: F401 - perfbench/tracer.py wraps it by this name
 )
 from .errors import (
-    DivergentSeriesError,
     DomainError,
     FinpowError,
     InvalidBoundaryError,
@@ -47,6 +46,10 @@ from .series import truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
 
+# Relative slack allowed when checking truncation eigenvalues against the
+# envelope, scaled by the envelope's upper bound w (at least 1).
+SPECTRUM_TOL = 1e-9
+
 
 def zero_boundary(window: Window) -> BoundarySpec:
     """Boundary policy that applies no corner correction."""
@@ -55,28 +58,21 @@ def zero_boundary(window: Window) -> BoundarySpec:
 
 @dataclass(frozen=True)
 class DriverLimits:
-    """Resource and validation limits for the adaptive driver.
+    """Resource limits for the adaptive driver.
 
-    ``max_dim`` caps the truncation dimension; ``spectrum_tol`` is the
-    relative slack allowed when checking truncation eigenvalues against the
-    envelope (scaled by the envelope's upper bound).
+    ``max_dim`` caps the truncation dimension.
     """
 
     max_dim: int = 2049
-    spectrum_tol: float = 1e-9
 
 
 DEFAULT_LIMITS = DriverLimits()
 
 
 def _check_premises(spec: InfiniteMatrixSpec, alpha: float) -> None:
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
-    if spec.envelope.c == 0.0 and alpha < 0.0:
-        raise DivergentSeriesError(
-            f"alpha={alpha} < 0 requires a strictly positive lower spectral "
-            f"bound, but the envelope has c = 0"
-        )
+    # The bounding series' own check: finite alpha, c > 0 for alpha < 0, and
+    # a largest bound that is a finite float.
+    full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
 
 
 def _check_tol(tol: float) -> None:
@@ -90,7 +86,6 @@ def _window_elements(
     alpha: float,
     window: Window,
     elements: Sequence[tuple[int, int]],
-    limits: DriverLimits,
 ) -> list:
     """Elements of the truncation's ``alpha`` power at ``window``, one ``eigh``.
 
@@ -115,7 +110,7 @@ def _window_elements(
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
     report = ValidationReport.from_eigenvalues(
-        evals, envelope, limits.spectrum_tol * max(envelope.w, 1.0)
+        evals, envelope, SPECTRUM_TOL * max(envelope.w, 1.0)
     )
     if not report.passed:
         raise InvalidBoundaryError(
@@ -138,11 +133,10 @@ def evaluate_window(
     m: int,
     n: int,
     window: Window,
-    limits: DriverLimits = DEFAULT_LIMITS,
 ) -> Certificate:
     """One-shot pipeline evaluation at a fixed window."""
     _check_premises(spec, alpha)
-    [value] = _window_elements(spec, boundary_policy, alpha, window, [(m, n)], limits)
+    [value] = _window_elements(spec, boundary_policy, alpha, window, [(m, n)])
     depth = truncation_depth(spec, window, m, n)
     return certify(value, alpha, spec.envelope, depth)
 
@@ -193,7 +187,7 @@ def _plan(
     )
     if best is None:
         raise NotConvergedError(message)
-    cert = evaluate_window(spec, boundary_policy, alpha, m, n, best[0], limits)
+    cert = evaluate_window(spec, boundary_policy, alpha, m, n, best[0])
     message += f"; best bound {cert.bound:g} at window [-{cert.window.P}, {cert.window.Q}]"
     raise NotConvergedError(message, best_certificate=cert)
 
@@ -223,13 +217,16 @@ def approximate_element(
         ``alpha < 0`` with an envelope touching zero.
     DomainError
         ``alpha`` not finite, or ``tol`` not positive and finite.
+    NumericalFailureError
+        The bound at ``alpha`` overflows a float, or ``alpha`` is above
+        ``MAX_TAIL_TERMS``; raised before any window is planned.
     InvalidBoundaryError
         The chosen truncation failed the spectrum validation.
     """
     _check_tol(tol)
     _check_premises(spec, alpha)
     window, _ = _plan(spec, boundary_policy, alpha, m, n, tol, limits)
-    return evaluate_window(spec, boundary_policy, alpha, m, n, window, limits)
+    return evaluate_window(spec, boundary_policy, alpha, m, n, window)
 
 
 @dataclass(frozen=True)
@@ -251,13 +248,12 @@ def convergence_table(
     m: int,
     n: int,
     windows: Sequence[Window],
-    limits: DriverLimits = DEFAULT_LIMITS,
 ) -> list[WindowResult]:
     """Evaluate the pipeline at each requested window, row order preserved."""
     rows = []
     for window in windows:
         try:
-            cert = evaluate_window(spec, boundary_policy, alpha, m, n, window, limits)
+            cert = evaluate_window(spec, boundary_policy, alpha, m, n, window)
             rows.append(
                 WindowResult(window.P, window.Q, cert.value, cert.depth.j_pq, cert.bound)
             )
@@ -288,7 +284,8 @@ def local_solve(
     SingularOperatorError
         The envelope does not bound the spectrum away from zero.
     DomainError
-        ``tol`` not positive and finite.
+        ``tol`` not positive and finite, or ``f`` has a non-finite value or
+        a non-finite ``sum |f_n|``.
     NotConvergedError
         Some element cannot meet its share of ``tol``; raised for the first
         such element, as ``approximate_element`` raises it.
@@ -302,6 +299,8 @@ def local_solve(
     if not support:
         return {int(m): (0.0 + 0.0j, 0.0) for m in out_indices}
     weight = sum(abs(v) for v in support.values())
+    if not math.isfinite(weight):
+        raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
     per_element_tol = tol / weight
     bounds = {}
     by_window: dict[Window, list[tuple[int, int]]] = defaultdict(list)
@@ -316,7 +315,7 @@ def local_solve(
             by_window[window].append(element)
     values = {}
     for window, elements in by_window.items():
-        found = _window_elements(spec, boundary_policy, -1.0, window, elements, limits)
+        found = _window_elements(spec, boundary_policy, -1.0, window, elements)
         values.update(zip(elements, found))
     result: dict[int, tuple[complex, float]] = {}
     for m in out_indices:

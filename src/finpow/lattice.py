@@ -3,10 +3,9 @@
 The model matrix generates the quadratic form
 ``a * sum |x_n|^2 + b * sum |x_n - x_{n-1}|^2``, i.e. a tridiagonal stencil
 ``{-1: -b, 0: a+2b, +1: -b}``.  With the periodic wrap term the truncation is
-a circulant, diagonalized by the discrete Fourier basis, so every power has a
-closed-form element sum; the infinite-matrix element is the corresponding
-dispersion integral.  Both are independently checkable against the generic
-truncation pipeline.
+a circulant, diagonalized by the discrete Fourier basis; the infinite-matrix
+element of every power is the corresponding dispersion integral, which is
+independently checkable against the generic truncation pipeline.
 """
 
 from __future__ import annotations
@@ -22,9 +21,13 @@ from .core import (
     SpectralEnvelope,
     Window,
     banded_spec,
-    truncate,
 )
-from .errors import DegenerateWindowError, DomainError, NumericalFailureError, SingularityError
+from .errors import DegenerateWindowError, DomainError, NumericalFailureError
+
+# Constants of dispersion_integral_element's Romberg quadrature.
+QUADRATURE_POINTS = 16
+QUADRATURE_TOL = 1e-12
+QUADRATURE_MAX_REFINEMENTS = 18
 
 
 @dataclass(frozen=True)
@@ -88,59 +91,26 @@ def fourier_symbol(params: LatticeModelParams, kappa):
     return total
 
 
-def circulant_power_element(
-    window: Window,
-    params: LatticeModelParams,
-    alpha: float,
-    m: int,
-    n: int,
-) -> float:
-    """Element ``(m, n)`` of the periodic truncation raised to ``alpha``.
-
-    Diagonalizes the assembled circulant by FFT of its first row and sums
-    ``(1/N) * sum_k lambda_k**alpha cos(2 pi k (m - n) / N)``.  Agrees with
-    the generic spectral power of the same truncation.
-    """
-    if not (window.contains(m) and window.contains(n)):
-        raise DomainError(
-            f"indices ({m}, {n}) outside window [-{window.P}, {window.Q}]"
-        )
-    matrix = truncate(lattice_spec(params), window, periodic_boundary(window, params))
-    first_row = np.asarray(matrix.data[0], dtype=np.float64)
-    eigenvalues = np.fft.fft(first_row).real
-    if alpha < 0.0 and eigenvalues.min() <= 0.0:
-        raise SingularityError(
-            f"circulant has eigenvalue {eigenvalues.min():.6g} <= 0; "
-            f"negative power {alpha} is singular"
-        )
-    N = window.dim
-    k = np.arange(N)
-    weights = np.cos(2.0 * np.pi * k * (m - n) / N)
-    return float((eigenvalues ** alpha) @ weights / N)
-
-
 def dispersion_integral_element(
     params: LatticeModelParams,
     alpha: float,
     m: int,
     n: int,
-    quadrature_points: int = 16,
-    tol: float = 1e-12,
-    max_refinements: int = 18,
 ) -> float:
     """Infinite-matrix element by quadrature of the dispersion integral.
 
     Integrates ``symbol(kappa)**alpha * cos(2 pi kappa (m - n))`` over one
-    period with the trapezoid rule, doubling ``quadrature_points`` and
-    Richardson-extrapolating until successive estimates agree to ``tol``.
+    period with the periodic trapezoid rule on ``QUADRATURE_POINTS`` points,
+    doubling the points and Richardson-extrapolating (a Romberg table) until
+    two successive estimates agree to ``QUADRATURE_TOL`` relative, or
+    absolute when the estimate is below one.
 
     Raises
     ------
     NumericalFailureError
-        If the refinement limit is reached before convergence.
+        If ``QUADRATURE_MAX_REFINEMENTS`` refinements pass before
+        convergence.
     """
-    if quadrature_points < 2:
-        raise DomainError(f"quadrature_points must be >= 2, got {quadrature_points}")
     delta = m - n
 
     def mean_of_samples(points: int) -> float:
@@ -150,20 +120,20 @@ def dispersion_integral_element(
 
     # Romberg table over successive doublings of the periodic trapezoid rule.
     rows: list[list[float]] = []
-    points = quadrature_points
+    points = QUADRATURE_POINTS
     previous = math.inf
-    for level in range(max_refinements):
+    for level in range(QUADRATURE_MAX_REFINEMENTS):
         row = [mean_of_samples(points)]
         for k in range(1, level + 1):
             factor = 4.0 ** k
             row.append(row[k - 1] + (row[k - 1] - rows[level - 1][k - 1]) / (factor - 1.0))
         rows.append(row)
         estimate = row[-1]
-        if level > 0 and abs(estimate - previous) <= tol * max(1.0, abs(estimate)):
+        if level > 0 and abs(estimate - previous) <= QUADRATURE_TOL * max(1.0, abs(estimate)):
             return estimate
         previous = estimate
         points *= 2
     raise NumericalFailureError(
-        f"dispersion quadrature did not reach tol={tol} within "
-        f"{max_refinements} refinements"
+        f"dispersion quadrature did not reach tol={QUADRATURE_TOL} within "
+        f"{QUADRATURE_MAX_REFINEMENTS} refinements"
     )

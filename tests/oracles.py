@@ -4,14 +4,104 @@ Everything here deliberately avoids the library code paths it is used to
 check: dense sections are assembled straight from the row generator, series
 sums run in mpmath arbitrary precision, and random banded specs derive their
 spectral envelopes from the Fourier symbol of their own stencil.
+
+The cross-checks of the spectral pipeline live here too, outside the
+library's public API: the scalar ``binomial_coefficient`` recurrence, the
+partial binomial series of a finite matrix (``finite_power_series``) and the
+FFT-diagonalized power of the periodic lattice truncation
+(``circulant_power_element``).
 """
 
 import mpmath as mp
 import numpy as np
 
-from finpow import SpectralEnvelope, banded_spec
+from finpow import (
+    DomainError,
+    FiniteHermitian,
+    SingularityError,
+    SpectralEnvelope,
+    banded_spec,
+    binomial_coefficients,
+    lattice_spec,
+    periodic_boundary,
+    truncate,
+)
+from finpow.powers import _check_spectrum
 
 mp.mp.dps = 40
+
+
+def binomial_coefficient(alpha, j):
+    """Generalized binomial coefficient C(alpha, j) for real alpha.
+
+    Uses the multiplicative recurrence C(a, j) = C(a, j-1) * (a - j + 1) / j,
+    which is exact for integer alpha in range and avoids the cancellation of
+    gamma-function formulas.
+    """
+    if j < 0:
+        raise DomainError(f"binomial index j must be >= 0, got {j}")
+    value = 1.0
+    for i in range(1, j + 1):
+        # single subtraction: (alpha - i) + 1 would cancel for small alpha
+        value *= (alpha - (i - 1)) / i
+    return value
+
+
+def finite_power_series(matrix, alpha, w, terms):
+    """Partial binomial series for ``matrix**alpha`` around the shift ``w``.
+
+    Returns ``w**alpha * sum_{j<terms} C(alpha, j) ((M - w I) / w)**j``.  The
+    spectrum must lie inside ``[0, w]``; if it touches zero, ``alpha`` must be
+    nonnegative for the full series to converge.  It converges to the
+    spectral power as ``terms`` grows.
+    """
+    if terms < 1:
+        raise DomainError(f"terms must be >= 1, got {terms}")
+    if w <= 0:
+        raise DomainError(f"series shift w must be positive, got {w}")
+    evals = np.linalg.eigvalsh(matrix.data)
+    tol = _check_spectrum(evals, alpha)
+    if evals[0] < -tol or evals[-1] > w + tol:
+        raise DomainError(
+            f"spectrum [{evals[0]:.6g}, {evals[-1]:.6g}] is not inside "
+            f"[0, {w}]; the binomial series does not apply"
+        )
+
+    dim = matrix.dim
+    ratio = (matrix.data - w * np.eye(dim, dtype=matrix.data.dtype)) / w
+    coeffs = binomial_coefficients(alpha, terms)
+    total = np.zeros_like(ratio)
+    power = np.eye(dim, dtype=ratio.dtype)
+    for j in range(terms):
+        total += coeffs[j] * power
+        if j + 1 < terms:
+            power = power @ ratio
+    return FiniteHermitian(matrix.window, (w ** alpha) * total)
+
+
+def circulant_power_element(window, params, alpha, m, n):
+    """Element ``(m, n)`` of the periodic truncation raised to ``alpha``.
+
+    Diagonalizes the assembled circulant by FFT of its first row and sums
+    ``(1/N) * sum_k lambda_k**alpha cos(2 pi k (m - n) / N)``.  Agrees with
+    the generic spectral power of the same truncation.
+    """
+    if not (window.contains(m) and window.contains(n)):
+        raise DomainError(
+            f"indices ({m}, {n}) outside window [-{window.P}, {window.Q}]"
+        )
+    matrix = truncate(lattice_spec(params), window, periodic_boundary(window, params))
+    first_row = np.asarray(matrix.data[0], dtype=np.float64)
+    eigenvalues = np.fft.fft(first_row).real
+    if alpha < 0.0 and eigenvalues.min() <= 0.0:
+        raise SingularityError(
+            f"circulant has eigenvalue {eigenvalues.min():.6g} <= 0; "
+            f"negative power {alpha} is singular"
+        )
+    N = window.dim
+    k = np.arange(N)
+    weights = np.cos(2.0 * np.pi * k * (m - n) / N)
+    return float((eigenvalues ** alpha) @ weights / N)
 
 
 def dense_section(spec, radius):

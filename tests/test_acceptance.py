@@ -48,7 +48,7 @@ def test_criterion_1_lattice_convergence():
     worst = 0.0
     for alpha in (-1.0, -0.5, 0.5):
         cert = evaluate_window(spec, policy, alpha, 0, 0, window)
-        reference = dispersion_integral_element(UNIT, alpha, 0, 0, tol=1e-12)
+        reference = dispersion_integral_element(UNIT, alpha, 0, 0)
         gap = abs(cert.value.real - reference)
         assert gap <= 1e-8, f"alpha={alpha}: |value - integral| = {gap:.3e} > 1e-8"
         worst = max(worst, gap)
@@ -117,7 +117,7 @@ def test_criterion_3_exactness_depth():
             }
         )
         depth = truncation_depth(spec, window, m, n)
-        shifted = truncate(spec, window, corner).to_array() - w * np.eye(window.dim)
+        shifted = truncate(spec, window, corner).data - w * np.eye(window.dim)
         radius = max(p, q) + 2 * (depth.j_pq + 2)
         ambient = dense_section(spec, radius) - w * np.eye(2 * radius + 1)
         for j in range(depth.j_pq):

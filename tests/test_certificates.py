@@ -1,12 +1,13 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finpow import (
-    Certificate,
     DivergentSeriesError,
     DomainError,
+    NumericalFailureError,
     SpectralEnvelope,
     TruncationDepth,
     Window,
@@ -14,7 +15,7 @@ from finpow import (
     full_series_sum,
     tail_bound,
 )
-from finpow.certificates import _first_chunk
+from finpow.certificates import _CHUNK, _first_chunk, _partial_abs_sum
 
 from oracles import mp_abs_binom_partial, mp_abs_binom_tail
 
@@ -130,6 +131,33 @@ class TestTailBound:
             with pytest.raises(DomainError):
                 tail_bound(alpha, 1.0, 2.0, 3)
 
+    @pytest.mark.parametrize(
+        "alpha,c,w,j_start",
+        [
+            (441.5, 1.0, 5.0, 0),  # w**alpha overflows
+            (-2000.0, 1.0, 5.0, 10),  # (c/w)**alpha overflows
+            (440.5, 1.0, 5.0, 5),  # 2 w**alpha times the full sum overflows
+            (440.5, 1.0, 5.0, 5000),  # ... and so every tail is rejected
+            (1e300, 0.5, 1.0, 0),  # O(alpha) finite sum, beyond MAX_TAIL_TERMS
+            (5000.5, 0.5, 1.0, 0),  # the coefficients themselves overflow
+        ],
+    )
+    def test_overflowing_alpha_raises_promptly(self, alpha, c, w, j_start):
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailureError):
+            tail_bound(alpha, c, w, j_start)
+        with pytest.raises(NumericalFailureError):
+            full_series_sum(alpha, c, w)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("alpha", (-1.5, -0.5, 0.5))
+    def test_partial_sum_across_chunk_boundary(self, alpha):
+        # the second block of terms starts from the term the first one carries
+        j_count = _CHUNK + 5
+        mine = _partial_abs_sum(alpha, 1.0, j_count)
+        oracle = float(mp_abs_binom_partial(alpha, 1.0, j_count))
+        assert mine == pytest.approx(oracle, rel=1e-10)
+
 
 class TestCertify:
     def _depth(self, j_pq, window=None, saturated=False):
@@ -172,8 +200,7 @@ class TestCertify:
         assert record["P"] == 9 and record["Q"] == 9
         assert record["value"] == [0.25, -0.125]
         assert record["c"] == 1.0 and record["w"] == 5.0
-        parsed = Certificate.from_json(cert.to_json())
-        assert parsed == json.loads(cert.to_json())
+        parsed = json.loads(cert.to_json())
         assert parsed["bound"] == cert.bound
         assert parsed["value"] == [cert.value.real, cert.value.imag]
         assert parsed["alpha"] == cert.alpha

@@ -99,6 +99,19 @@ class TestApprox:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "alpha,tol,extra",
+        [("441.5", "1e-6", []), ("-2000", "1e-6", []), ("440.5", "1e-300", ["--max-dim", "65"])],
+    )
+    def test_overflowing_bound_exit_3(self, capsys, lattice_config, alpha, tol, extra):
+        code, out, err = run_cli(
+            capsys, "approx", lattice_config,
+            "--alpha", alpha, "--m", "0", "--n", "0", "--tol", tol, *extra,
+        )
+        assert code == 3
+        assert out == ""
+        assert "overflows" in err
+
     def test_not_converged_exit_2_with_best(self, capsys, lattice_config):
         code, out, err = run_cli(
             capsys, "approx", lattice_config,
@@ -205,6 +218,18 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert "tol" in err
+
+    @pytest.mark.parametrize("lines", ["0,nan,0\n", "0,1e308,0\n1,1e308,0\n"])
+    def test_non_finite_rhs_exit_3(self, capsys, lattice_config, tmp_path, lines):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text(lines)
+        code, out, err = run_cli(
+            capsys, "solve", lattice_config,
+            "--rhs", str(rhs), "--out", "0", "--tol", "1e-6",
+        )
+        assert code == 3
+        assert out == ""
+        assert "rhs must be finite" in err
 
     def test_malformed_rhs_exit_3(self, capsys, lattice_config, tmp_path):
         rhs = tmp_path / "rhs.txt"

@@ -156,7 +156,7 @@ class TestTruncate:
         result = truncate(spec, window, periodic_boundary(window, params))
         for m in range(-3, 6):
             for n in range(-4, 7):
-                if window.strictly_inside(m) or window.strictly_inside(n):
+                if -window.P < m < window.Q or -window.P < n < window.Q:
                     assert result.element(m, n) == spec.entry(m, n)
 
     def test_corner_entries_get_correction(self, unit_lattice):
@@ -187,14 +187,14 @@ class TestTruncate:
         assert np.abs(result.data - result.data.conj().T).max() == 0.0
         for m in window.indices():
             for n in window.indices():
-                if window.strictly_inside(m) or window.strictly_inside(n):
+                if -window.P < m < window.Q or -window.P < n < window.Q:
                     assert result.element(m, n) == spec.entry(m, n)
 
 
 class TestValidateTruncation:
     def test_identity_passes(self):
         report = validate_truncation(
-            FiniteHermitian.identity(Window(1, 1)), IDENTITY_ENV, 1e-12
+            FiniteHermitian(Window(1, 1), np.eye(3)), IDENTITY_ENV, 1e-12
         )
         assert report.passed
         assert report.min_eigenvalue == pytest.approx(1.0)
@@ -205,7 +205,7 @@ class TestValidateTruncation:
         window = Window(1, 1)
         matrix = truncate(spec, window, periodic_boundary(window, params))
         # brute-force oracle for the 3x3 circulant
-        oracle = np.sort(np.linalg.eigvalsh(matrix.to_array()))
+        oracle = np.sort(np.linalg.eigvalsh(matrix.data))
         np.testing.assert_allclose(oracle, [1.0, 4.0, 4.0], atol=1e-12)
         report = validate_truncation(matrix, SpectralEnvelope(1.0, 5.0, 0.0), 1e-9)
         assert report.passed

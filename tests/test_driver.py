@@ -11,6 +11,7 @@ from finpow import (
     DriverLimits,
     InvalidBoundaryError,
     NotConvergedError,
+    NumericalFailureError,
     SingularOperatorError,
     SpectralEnvelope,
     Window,
@@ -163,6 +164,19 @@ class TestApproximateElement:
         with pytest.raises(DomainError):
             approximate_element(spec, policy, 0.5, 0, 0, tol)
 
+    @pytest.mark.parametrize("alpha", [400.5, 440.5, 441.5, -2000.0])
+    def test_overflowing_bound_rejected_before_any_window(
+        self, unit_lattice, monkeypatch, alpha
+    ):
+        _, spec, policy = unit_lattice
+
+        def no_window(*args):
+            raise AssertionError("a window was planned")
+
+        monkeypatch.setattr(driver, "truncation_depth", no_window)
+        with pytest.raises(NumericalFailureError):
+            approximate_element(spec, policy, alpha, 0, 0, 1e-6)
+
     def test_validation_failure_raises_invalid_boundary(self, unit_lattice):
         _, spec, _ = unit_lattice
 
@@ -253,7 +267,7 @@ class TestLocalSolve:
         result = local_solve(spec, policy, {0: 1.0}, [0, 1, 2], tol)
         # dense oracle: direct solve on a very large plain section
         big = Window(500, 500)
-        dense = truncate(spec, big).to_array()
+        dense = truncate(spec, big).data
         rhs = np.zeros(big.dim)
         rhs[big.offset(0)] = 1.0
         oracle = np.linalg.solve(dense, rhs)
@@ -340,6 +354,15 @@ class TestLocalSolve:
         _, spec, policy = unit_lattice
         with pytest.raises(DomainError):
             local_solve(spec, policy, {0: 1.0}, [0], tol)
+
+    @pytest.mark.parametrize(
+        "f",
+        [{0: float("nan")}, {0: 1.0, 3: complex(0.0, float("inf"))}, {0: 1e308, 1: 1e308}],
+    )
+    def test_non_finite_rhs_rejected(self, unit_lattice, f):
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError):
+            local_solve(spec, policy, f, [0], 1e-6)
 
     def test_zero_rhs(self, unit_lattice):
         _, spec, policy = unit_lattice

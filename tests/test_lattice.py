@@ -8,7 +8,6 @@ from finpow import (
     LatticeModelParams,
     SingularityError,
     Window,
-    circulant_power_element,
     dispersion_integral_element,
     finite_power,
     fourier_symbol,
@@ -18,7 +17,7 @@ from finpow import (
     validate_truncation,
 )
 
-from oracles import mp_dispersion_integral
+from oracles import circulant_power_element, mp_dispersion_integral
 
 # Frozen by the arbitrary-precision quadrature oracle (a=1, b=1, diagonal):
 #   integral of (3 - 2 cos 2 pi k)**alpha over one period.
@@ -73,7 +72,7 @@ class TestPeriodicBoundary:
         params, spec, _ = unit_lattice
         window = Window(P, Q)
         matrix = truncate(spec, window, periodic_boundary(window, params))
-        eigenvalues = np.linalg.eigvalsh(matrix.to_array())
+        eigenvalues = np.linalg.eigvalsh(matrix.data)
         # the constant vector is the ground mode at exactly a
         assert eigenvalues[0] == pytest.approx(params.a, abs=1e-10)
         assert eigenvalues[-1] <= params.a + 4.0 * params.b + 1e-10
@@ -101,7 +100,7 @@ class TestCirculantPowerElement:
         window = Window(1, 1)
         value = circulant_power_element(window, params, -1.0, 0, 0)
         assert value == pytest.approx(0.5, rel=1e-13)
-        dense = truncate(spec, window, periodic_boundary(window, params)).to_array()
+        dense = truncate(spec, window, periodic_boundary(window, params)).data
         assert np.linalg.inv(dense)[0, 0] == pytest.approx(value, rel=1e-13)
 
     def test_out_of_window_rejected(self, unit_lattice):

@@ -190,7 +190,7 @@ class TestExactnessBelowDepth:
                 }
             )
             depth = truncation_depth(spec, window, m, n)
-            shifted = truncate(spec, window, corner).to_array() - w * np.eye(window.dim)
+            shifted = truncate(spec, window, corner).data - w * np.eye(window.dim)
             radius = max(p, q) + 2 * (depth.j_pq + 2)
             ambient = dense_section(spec, radius) - w * np.eye(2 * radius + 1)
             for j in range(depth.j_pq):
