@@ -21,8 +21,6 @@ from .core import (
     validate_truncation,
 )
 from .driver import (
-    DriverLimits,
-    WindowResult,
     approximate_element,
     convergence_table,
     evaluate_window,
@@ -69,7 +67,6 @@ __all__ = [
     "DegenerateWindowError",
     "DivergentSeriesError",
     "DomainError",
-    "DriverLimits",
     "FiniteHermitian",
     "FinpowError",
     "InfiniteMatrixSpec",
@@ -84,7 +81,6 @@ __all__ = [
     "TruncationDepth",
     "ValidationReport",
     "Window",
-    "WindowResult",
     "approximate_element",
     "banded_depth_closed_form",
     "banded_spec",

@@ -27,6 +27,7 @@ TAIL_TERM_CUTOFF = 1e-18
 CANCELLATION_GUARD = 1e-6
 MAX_TAIL_TERMS = 10_000_000
 _CHUNK = 65_536
+_LOG_DBL_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,9 @@ class Certificate:
     """A truncated power element together with its a-priori error bound.
 
     Under the spectral premises of the envelope, the unknown infinite-matrix
-    element differs from ``value`` by strictly less than ``bound``.
+    element differs from ``value`` by strictly less than ``bound``, apart
+    from round-off: the bound covers the truncation error only, not the
+    floating-point error of computing ``value``.
     """
 
     value: complex
@@ -113,6 +116,15 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
         )
     x = (w - c) / w
     try:
+        # For alpha > 0 the sum is at least (1 + x)**floor(alpha).  When
+        # that puts the sum, or the largest bound, a factor e or more past
+        # the float range, the sums below would overflow: take the overflow
+        # exit now, without their O(alpha) work.
+        if alpha > 0.0 and (
+            math.floor(alpha) * math.log1p(x) + max(0.0, math.log(2.0) + alpha * math.log(w))
+            > _LOG_DBL_MAX + 1.0
+        ):
+            raise OverflowError
         with np.errstate(over="ignore", invalid="ignore"):
             if alpha < 0.0:
                 total = (c / w) ** alpha

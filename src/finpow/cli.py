@@ -16,7 +16,7 @@ import sys
 from .config import load_config
 from .core import Window
 from .driver import (
-    DriverLimits,
+    MAX_DIM,
     approximate_element,
     convergence_table,
     evaluate_window,
@@ -78,6 +78,11 @@ def _parse_windows(text: str) -> list[Window]:
                 windows.append(Window(size, size))
         except ValueError as exc:
             raise _UsageError(f"bad window token {token!r}: {exc}") from exc
+        if windows[-1].dim > MAX_DIM:
+            raise _UsageError(
+                f"window {token!r} has dimension {windows[-1].dim}, above the "
+                f"limit {MAX_DIM}"
+            )
     if not windows:
         raise _UsageError("--windows must list at least one window")
     return windows
@@ -114,9 +119,9 @@ def _read_rhs(path: str) -> dict[int, complex]:
 
 def cmd_approx(args) -> int:
     model = load_config(args.config)
-    limits = DriverLimits(max_dim=args.max_dim)
     cert = approximate_element(
-        model.spec, model.boundary_policy, args.alpha, args.m, args.n, args.tol, limits
+        model.spec, model.boundary_policy, args.alpha, args.m, args.n, args.tol,
+        max_dim=args.max_dim,
     )
     print(cert.to_json())
     return 0
@@ -129,14 +134,14 @@ def cmd_table(args) -> int:
         model.spec, model.boundary_policy, args.alpha, args.m, args.n, windows
     )
     print(TABLE_HEADER)
-    for row in rows:
-        if row.error is not None:
-            print(f"{row.P},{row.Q},nan,nan,nan,nan")
-            print(f"# window [-{row.P}, {row.Q}] failed: {row.error}", file=sys.stderr)
+    for window, row in zip(windows, rows):
+        if isinstance(row, FinpowError):
+            print(f"{window.P},{window.Q},nan,nan,nan,nan")
+            print(f"# window [-{window.P}, {window.Q}] failed: {row}", file=sys.stderr)
         else:
             print(
-                f"{row.P},{row.Q},{_fmt(row.value.real)},{_fmt(row.value.imag)},"
-                f"{row.j_pq},{_fmt(row.bound)}"
+                f"{window.P},{window.Q},{_fmt(row.value.real)},{_fmt(row.value.imag)},"
+                f"{row.depth.j_pq},{_fmt(row.bound)}"
             )
     return 0
 
@@ -145,9 +150,9 @@ def cmd_solve(args) -> int:
     model = load_config(args.config)
     rhs = _read_rhs(args.rhs)
     out_indices = _parse_indices(args.out)
-    limits = DriverLimits(max_dim=args.max_dim)
     solution = local_solve(
-        model.spec, model.boundary_policy, rhs, out_indices, args.tol, limits
+        model.spec, model.boundary_policy, rhs, out_indices, args.tol,
+        max_dim=args.max_dim,
     )
     print(SOLVE_HEADER)
     for idx in out_indices:
@@ -162,19 +167,22 @@ def cmd_example(args) -> int:
     for size in sizes:
         if size < 3 or size % 2 == 0:
             raise ConfigError(f"sizes must be odd integers >= 3, got {size}")
+        if size > MAX_DIM:
+            raise ConfigError(f"size {size} is above the dimension limit {MAX_DIM}")
     spec = lattice_spec(params)
     policy = periodic_policy(params)
     reference = dispersion_integral_element(params, args.alpha, 0, 0)
-    print(EXAMPLE_HEADER)
+    lines = [EXAMPLE_HEADER]
     for size in sizes:
         half = (size - 1) // 2
         window = Window(half, half)
         cert = evaluate_window(spec, policy, args.alpha, 0, 0, window)
         value = cert.value.real
-        print(
+        lines.append(
             f"{size},{_fmt(value)},{_fmt(reference)},"
             f"{_fmt(abs(value - reference))},{_fmt(cert.bound)}"
         )
+    print("\n".join(lines))
     return 0
 
 
@@ -195,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--n", type=int, required=True, help="column index")
     approx.add_argument("--tol", type=float, required=True, help="target bound")
     approx.add_argument(
-        "--max-dim", type=int, default=DriverLimits().max_dim,
+        "--max-dim", type=int, default=MAX_DIM,
         help="largest truncation dimension to try",
     )
     approx.set_defaults(func=cmd_approx)
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", required=True, help="comma-separated output indices")
     solve.add_argument("--tol", type=float, required=True, help="total bound target")
     solve.add_argument(
-        "--max-dim", type=int, default=DriverLimits().max_dim,
+        "--max-dim", type=int, default=MAX_DIM,
         help="largest truncation dimension per element",
     )
     solve.set_defaults(func=cmd_solve)

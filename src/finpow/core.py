@@ -131,16 +131,22 @@ class InfiniteMatrixSpec:
             return cached
         raw = self.row_generator(m)
         entries = {}
-        for col, value in raw:
-            if col in entries:
-                raise MalformedSpecError(
-                    f"row {m} lists column {col} more than once"
-                )
-            if not cmath.isfinite(value):
-                raise MalformedSpecError(
-                    f"row {m} has the non-finite entry {value} at column {col}"
-                )
-            entries[int(col)] = value
+        try:
+            for col, value in raw:
+                key = int(col)
+                if key != col:
+                    raise MalformedSpecError(f"row {m} has the non-integral column {col!r}")
+                if key in entries:
+                    raise MalformedSpecError(
+                        f"row {m} lists column {col} more than once"
+                    )
+                if not cmath.isfinite(value):
+                    raise MalformedSpecError(
+                        f"row {m} has the non-finite entry {value} at column {col}"
+                    )
+                entries[key] = value
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedSpecError(f"row {m} has a malformed entry: {exc}") from exc
         if len(entries) > self.sparsity_bound_k:
             raise MalformedSpecError(
                 f"row {m} has {len(entries)} nonzeros, exceeding the declared "

@@ -3,19 +3,18 @@
 Each answer is planned, then solved.  The a-priori bound at a window depends
 only on the truncation depth, which the sparsity structure alone decides, so
 the plan walks a deterministic schedule of symmetric windows computing just
-the depth and the bound, and picks the first window whose bound meets the
-target (or, failing that, the best one).  The solve then does the dense work
-once, at that window: truncate, one eigendecomposition, the envelope check on
-its eigenvalues, and an O(N) read of each requested element.  Local solutions
-of ``W x = f`` for finitely supported ``f`` reduce to certified elements of
-the inverse, grouped so that each distinct window is factored once.
+the depth and the bound, and picks the depth at the first window whose bound
+meets the target (or, failing that, the best one).  The solve takes planned
+depths and does the dense work once per distinct window: truncate, one
+eigendecomposition, the envelope check on its eigenvalues, and an O(N) read
+of each requested element, which ``certify`` pairs with its bound.  Local
+solutions of ``W x = f`` for finitely supported ``f`` reduce to certified
+elements of the inverse, solved together.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ from .powers import (
     power_eigenvalues,
     spectral_element,
 )
-from .series import truncation_depth
+from .series import TruncationDepth, truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
 
@@ -50,29 +49,13 @@ BoundaryPolicy = Callable[[Window], BoundarySpec]
 # envelope, scaled by the envelope's upper bound w (at least 1).
 SPECTRUM_TOL = 1e-9
 
+# Default cap on the truncation dimension of the adaptive driver.
+MAX_DIM = 2049
+
 
 def zero_boundary(window: Window) -> BoundarySpec:
     """Boundary policy that applies no corner correction."""
     return BoundarySpec.zero()
-
-
-@dataclass(frozen=True)
-class DriverLimits:
-    """Resource limits for the adaptive driver.
-
-    ``max_dim`` caps the truncation dimension.
-    """
-
-    max_dim: int = 2049
-
-
-DEFAULT_LIMITS = DriverLimits()
-
-
-def _check_premises(spec: InfiniteMatrixSpec, alpha: float) -> None:
-    # The bounding series' own check: finite alpha, c > 0 for alpha < 0, and
-    # a largest bound that is a finite float.
-    full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
 
 
 def _check_tol(tol: float) -> None:
@@ -126,6 +109,31 @@ def _window_elements(
     ]
 
 
+def _solve(
+    spec: InfiniteMatrixSpec,
+    boundary_policy: BoundaryPolicy,
+    alpha: float,
+    depths: Sequence[TruncationDepth],
+) -> list[Certificate]:
+    """Certificates at the planned ``depths``, in their order.
+
+    Depths are grouped by window in first-seen order, and each window is
+    truncated, eigendecomposed and checked once for all of its elements;
+    the first window that fails raises as ``_window_elements`` does.
+    """
+    groups: dict[Window, list[TruncationDepth]] = {}
+    for depth in depths:
+        groups.setdefault(depth.window, []).append(depth)
+    certs = {}
+    for window, group in groups.items():
+        values = _window_elements(
+            spec, boundary_policy, alpha, window, [(d.m, d.n) for d in group]
+        )
+        for depth, value in zip(group, values):
+            certs[depth] = certify(value, alpha, spec.envelope, depth)
+    return [certs[depth] for depth in depths]
+
+
 def evaluate_window(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
@@ -135,10 +143,9 @@ def evaluate_window(
     window: Window,
 ) -> Certificate:
     """One-shot pipeline evaluation at a fixed window."""
-    _check_premises(spec, alpha)
-    [value] = _window_elements(spec, boundary_policy, alpha, window, [(m, n)])
+    full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
     depth = truncation_depth(spec, window, m, n)
-    return certify(value, alpha, spec.envelope, depth)
+    return _solve(spec, boundary_policy, alpha, [depth])[0]
 
 
 def growth_windows(m: int, n: int, max_dim: int):
@@ -160,9 +167,9 @@ def _plan(
     m: int,
     n: int,
     tol: float,
-    limits: DriverLimits,
-) -> tuple[Window, float]:
-    """First scheduled window whose bound meets ``tol``, and that bound.
+    max_dim: int,
+) -> TruncationDepth:
+    """Depth at the first scheduled window whose bound meets ``tol``.
 
     Uses depths and bounds alone, no dense algebra.
 
@@ -173,21 +180,21 @@ def _plan(
         at the window with the smallest bound (the first one on ties), or
         none when no window fits.
     """
-    best: tuple[Window, float] | None = None
-    for window in growth_windows(m, n, limits.max_dim):
+    best: tuple[TruncationDepth, float] | None = None
+    for window in growth_windows(m, n, max_dim):
         depth = truncation_depth(spec, window, m, n)
         bound = certified_bound(alpha, spec.envelope, depth)
         if bound <= tol:
-            return window, bound
+            return depth
         if best is None or bound < best[1]:
-            best = window, bound
+            best = depth, bound
     message = (
-        f"dimension limit {limits.max_dim} reached before the bound fell "
+        f"dimension limit {max_dim} reached before the bound fell "
         f"below tol={tol:g}"
     )
     if best is None:
         raise NotConvergedError(message)
-    cert = evaluate_window(spec, boundary_policy, alpha, m, n, best[0])
+    cert = _solve(spec, boundary_policy, alpha, [best[0]])[0]
     message += f"; best bound {cert.bound:g} at window [-{cert.window.P}, {cert.window.Q}]"
     raise NotConvergedError(message, best_certificate=cert)
 
@@ -199,14 +206,16 @@ def approximate_element(
     m: int,
     n: int,
     tol: float,
-    limits: DriverLimits = DEFAULT_LIMITS,
+    *,
+    max_dim: int = MAX_DIM,
 ) -> Certificate:
     """Certified element at the first window whose bound meets ``tol``.
 
     Windows follow ``P = Q = max(|m|, |n|) + g`` with the margin ``g``
-    doubling from 2.  The window is chosen from the a-priori bounds alone;
-    the returned certificate is exactly the one-shot evaluation there, and
-    only that window is truncated, eigendecomposed and validated.
+    doubling from 2, up to the dimension ``max_dim``.  The window is chosen
+    from the a-priori bounds alone; the returned certificate is exactly the
+    one-shot evaluation there, and only that window is truncated,
+    eigendecomposed and validated.
 
     Raises
     ------
@@ -224,21 +233,9 @@ def approximate_element(
         The chosen truncation failed the spectrum validation.
     """
     _check_tol(tol)
-    _check_premises(spec, alpha)
-    window, _ = _plan(spec, boundary_policy, alpha, m, n, tol, limits)
-    return evaluate_window(spec, boundary_policy, alpha, m, n, window)
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    """One row of a convergence table; ``error`` records a per-window failure."""
-
-    P: int
-    Q: int
-    value: complex | None
-    j_pq: int | None
-    bound: float | None
-    error: str | None = None
+    full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
+    depth = _plan(spec, boundary_policy, alpha, m, n, tol, max_dim)
+    return _solve(spec, boundary_policy, alpha, [depth])[0]
 
 
 def convergence_table(
@@ -248,17 +245,18 @@ def convergence_table(
     m: int,
     n: int,
     windows: Sequence[Window],
-) -> list[WindowResult]:
-    """Evaluate the pipeline at each requested window, row order preserved."""
+) -> list[Certificate | FinpowError]:
+    """Evaluate the pipeline at each requested window, in order.
+
+    Each entry is the window's certificate, or the ``FinpowError`` its
+    evaluation raised.
+    """
     rows = []
     for window in windows:
         try:
-            cert = evaluate_window(spec, boundary_policy, alpha, m, n, window)
-            rows.append(
-                WindowResult(window.P, window.Q, cert.value, cert.depth.j_pq, cert.bound)
-            )
+            rows.append(evaluate_window(spec, boundary_policy, alpha, m, n, window))
         except FinpowError as exc:
-            rows.append(WindowResult(window.P, window.Q, None, None, None, str(exc)))
+            rows.append(exc)
     return rows
 
 
@@ -268,7 +266,8 @@ def local_solve(
     f: Mapping[int, complex],
     out_indices: Sequence[int],
     tol: float,
-    limits: DriverLimits = DEFAULT_LIMITS,
+    *,
+    max_dim: int = MAX_DIM,
 ) -> dict[int, tuple[complex, float]]:
     """Certified components of the solution of ``W x = f``.
 
@@ -302,28 +301,22 @@ def local_solve(
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
     per_element_tol = tol / weight
-    bounds = {}
-    by_window: dict[Window, list[tuple[int, int]]] = defaultdict(list)
+    depths: dict[tuple[int, int], TruncationDepth] = {}
     for m in out_indices:
         for n in support:
             element = (int(m), n)
-            if element in bounds:
-                continue
-            window, bounds[element] = _plan(
-                spec, boundary_policy, -1.0, *element, per_element_tol, limits
-            )
-            by_window[window].append(element)
-    values = {}
-    for window, elements in by_window.items():
-        found = _window_elements(spec, boundary_policy, -1.0, window, elements)
-        values.update(zip(elements, found))
+            if element not in depths:
+                depths[element] = _plan(
+                    spec, boundary_policy, -1.0, *element, per_element_tol, max_dim
+                )
+    certs = dict(zip(depths, _solve(spec, boundary_policy, -1.0, list(depths.values()))))
     result: dict[int, tuple[complex, float]] = {}
     for m in out_indices:
         total = 0.0 + 0.0j
         bound = 0.0
         for n, fn in support.items():
-            element = (int(m), n)
-            total += complex(values[element]) * fn
-            bound += bounds[element] * abs(fn)
+            cert = certs[int(m), n]
+            total += cert.value * fn
+            bound += cert.bound * abs(fn)
         result[int(m)] = (total, bound)
     return result

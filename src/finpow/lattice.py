@@ -42,6 +42,11 @@ class LatticeModelParams:
             raise DomainError(
                 f"lattice model requires a > 0 and b > 0, got a={self.a}, b={self.b}"
             )
+        if not math.isfinite(self.a + 4.0 * self.b):
+            raise DomainError(
+                f"lattice model requires a finite norm bound a + 4b, got "
+                f"a={self.a}, b={self.b}"
+            )
 
 
 def lattice_spec(params: LatticeModelParams) -> InfiniteMatrixSpec:

@@ -15,6 +15,7 @@ from finpow import (
     full_series_sum,
     tail_bound,
 )
+from finpow import certificates
 from finpow.certificates import _CHUNK, _first_chunk, _partial_abs_sum
 
 from oracles import mp_abs_binom_partial, mp_abs_binom_tail
@@ -149,6 +150,24 @@ class TestTailBound:
         with pytest.raises(NumericalFailureError):
             full_series_sum(alpha, c, w)
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "alpha,c,w",
+        [
+            (9999999.5, 0.0, 1.0),  # the bound 2 w**alpha (1 + x)**floor(alpha)
+            (1000000.5, 0.5, 1.0),
+            (5000.0, 1.0, 5.0),  # an integer alpha
+            (9999999.5, 0.0, 0.5),  # the sum alone, with w**alpha below one
+        ],
+    )
+    def test_overflow_rejected_before_summing(self, monkeypatch, alpha, c, w):
+        def no_sum(*args):
+            raise AssertionError("summed an overflowing series")
+
+        monkeypatch.setattr(certificates, "binomial_coefficients", no_sum)
+        monkeypatch.setattr(certificates, "_partial_abs_sum", no_sum)
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            full_series_sum(alpha, c, w)
 
     @pytest.mark.parametrize("alpha", (-1.5, -0.5, 0.5))
     def test_partial_sum_across_chunk_boundary(self, alpha):

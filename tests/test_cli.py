@@ -13,7 +13,9 @@ from finpow import (
     local_solve,
     periodic_policy,
 )
-from finpow.cli import main
+from finpow import driver
+from finpow.cli import _parse_windows, main
+from finpow.driver import MAX_DIM
 
 LATTICE_CONFIG = '{"kind": "lattice", "a": 1.0, "b": 1.0}'
 BANDED_C0_CONFIG = (
@@ -27,6 +29,21 @@ def lattice_config(tmp_path):
     path = tmp_path / "lattice.json"
     path.write_text(LATTICE_CONFIG)
     return str(path)
+
+
+@pytest.fixture
+def lattice_overflow_config(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text('{"kind": "lattice", "a": 1.0, "b": 1e308}')
+    return str(path)
+
+
+@pytest.fixture
+def no_truncation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was truncated")
+
+    monkeypatch.setattr(driver, "truncate", refuse)
 
 
 @pytest.fixture
@@ -272,6 +289,68 @@ class TestExample:
         )
         assert code == 3
         assert "odd" in err
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--alpha", "0.5", "--m", "0", "--n", "0", "--tol", "1e-6"],
+            ["table", "--alpha", "0.5", "--m", "0", "--n", "0", "--windows", "4"],
+            ["solve", "--rhs", "RHS", "--out", "0", "--tol", "1e-6"],
+        ],
+    )
+    def test_lattice_norm_overflow_exit_3(
+        self, capsys, tmp_path, lattice_overflow_config, argv
+    ):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("0,1.0,0.0\n")
+        argv = [argv[0], lattice_overflow_config, *argv[1:]]
+        code, out, err = run_cli(capsys, *[str(rhs) if a == "RHS" else a for a in argv])
+        assert code == 3
+        assert out == ""
+        assert "a + 4b" in err
+
+    def test_example_norm_overflow_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "example", "--a", "1", "--b", "1e308", "--alpha", "0.5", "--sizes", "5",
+        )
+        assert code == 3
+        assert out == ""
+        assert "a + 4b" in err
+
+    @pytest.mark.parametrize("windows", ["1025", "4,1025", "2:2047", "20000"])
+    def test_table_window_above_limit_exit_3(
+        self, capsys, lattice_config, no_truncation, windows
+    ):
+        code, out, err = run_cli(
+            capsys, "table", lattice_config,
+            "--alpha", "0.5", "--m", "0", "--n", "0", "--windows", windows,
+        )
+        assert code == 3
+        assert out == ""
+        assert f"limit {MAX_DIM}" in err
+
+    def test_window_at_limit_accepted(self):
+        assert [w.dim for w in _parse_windows("1024,2:2046")] == [MAX_DIM, MAX_DIM]
+
+    @pytest.mark.parametrize("sizes", ["2051", "5,2051", "100000000001"])
+    def test_example_size_above_limit_exit_3(self, capsys, no_truncation, sizes):
+        code, out, err = run_cli(
+            capsys, "example", "--a", "1", "--b", "1", "--alpha", "0.5", "--sizes", sizes,
+        )
+        assert code == 3
+        assert out == ""
+        assert f"limit {MAX_DIM}" in err
+
+    def test_example_failure_prints_no_rows(self, capsys):
+        # the quadrature passes at alpha = 330.5, the series guard does not
+        code, out, err = run_cli(
+            capsys, "example", "--a", "1", "--b", "1", "--alpha", "330.5", "--sizes", "5",
+        )
+        assert code == 3
+        assert out == ""
+        assert "overflows" in err
 
 
 class TestUsageAndConfig:

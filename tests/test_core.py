@@ -93,6 +93,31 @@ class TestRowGenerator:
         with pytest.raises(MalformedSpecError):
             spec.entry(0, 0)
 
+    def test_duplicate_after_integer_conversion(self):
+        # 0.5 and -0.5 would both be stored under column 0, over the diagonal
+        spec = InfiniteMatrixSpec(
+            lambda m: [(m, 2.0), (m + 0.5, 0.1), (m - 0.5, 0.1)], 3, IDENTITY_ENV
+        )
+        with pytest.raises(MalformedSpecError, match="non-integral column 0.5"):
+            spec.row(0)
+
+    @pytest.mark.parametrize("col", [float("nan"), float("inf"), None, "1", 1 + 0j])
+    def test_non_numeric_column_rejected(self, col):
+        spec = InfiniteMatrixSpec(lambda m: [(m, 1.0), (col, 1.0)], 2, IDENTITY_ENV)
+        with pytest.raises(MalformedSpecError, match="row 0 has .*(non-integral|malformed)"):
+            spec.row(0)
+
+    @pytest.mark.parametrize("entry", [(1, 1.0, 0.0), (1, "x")])
+    def test_malformed_entry_rejected(self, entry):
+        spec = InfiniteMatrixSpec(lambda m: [(m, 1.0), entry], 2, IDENTITY_ENV)
+        with pytest.raises(MalformedSpecError, match="malformed entry"):
+            spec.row(0)
+
+    def test_integral_float_column_accepted(self):
+        spec = InfiniteMatrixSpec(lambda m: [(float(m), 1.0)], 1, IDENTITY_ENV)
+        assert spec.row(3) == {3: 1.0}
+        assert all(type(col) is int for col in spec.row(3))
+
     def test_nonpositive_sparsity_bound(self):
         with pytest.raises(ValueError):
             InfiniteMatrixSpec(lambda m: [(m, 1.0)], 0, IDENTITY_ENV)

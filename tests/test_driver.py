@@ -8,7 +8,6 @@ from finpow import (
     LatticeModelParams,
     BoundarySpec,
     DivergentSeriesError,
-    DriverLimits,
     InvalidBoundaryError,
     NotConvergedError,
     NumericalFailureError,
@@ -97,7 +96,7 @@ class TestApproximateElement:
     def test_not_converged_carries_best(self, unit_lattice):
         _, spec, policy = unit_lattice
         with pytest.raises(NotConvergedError) as err:
-            approximate_element(spec, policy, -0.5, 0, 0, 1e-30, DriverLimits(max_dim=65))
+            approximate_element(spec, policy, -0.5, 0, 0, 1e-30, max_dim=65)
         best = err.value.best_certificate
         assert best is not None
         assert best.window == Window(32, 32)
@@ -239,9 +238,8 @@ class TestConvergenceTable:
         spec = free_laplacian_spec()
         windows = [Window(4, 4), Window(8, 8)]
         rows = convergence_table(spec, zero_boundary, -1.0, 0, 0, windows)
-        assert all(row.error is not None for row in rows)
-        assert all(row.value is None for row in rows)
-        assert [row.P for row in rows] == [4, 8]
+        assert len(rows) == 2
+        assert all(isinstance(row, DivergentSeriesError) for row in rows)
 
     def test_programming_errors_propagate(self, unit_lattice):
         _, spec, _ = unit_lattice
@@ -343,9 +341,8 @@ class TestLocalSolve:
 
     def test_not_converged_carries_best(self, unit_lattice):
         _, spec, policy = unit_lattice
-        limits = DriverLimits(max_dim=65)
         with pytest.raises(NotConvergedError) as err:
-            local_solve(spec, policy, {0: 1.0}, [0, 1], 1e-30, limits)
+            local_solve(spec, policy, {0: 1.0}, [0, 1], 1e-30, max_dim=65)
         expected = evaluate_window(spec, policy, -1.0, 0, 0, Window(32, 32))
         assert err.value.best_certificate == expected
 

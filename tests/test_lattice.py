@@ -48,6 +48,19 @@ class TestLatticeSpec:
         with pytest.raises(DomainError):
             LatticeModelParams(a, b)
 
+    @pytest.mark.parametrize(
+        "a,b", [(1.0, 1e308), (1e308, 1e308), (float("inf"), 1.0), (1.0, float("inf"))]
+    )
+    def test_norm_bound_must_be_finite(self, a, b):
+        # a + 4b is the envelope's norm bound; an overflow is a DomainError,
+        # not a ValueError out of SpectralEnvelope
+        with pytest.raises(DomainError, match="finite"):
+            LatticeModelParams(a, b)
+
+    def test_largest_finite_norm_bound_accepted(self):
+        spec = lattice_spec(LatticeModelParams(1.0, 4e307))
+        assert spec.envelope.norm_bound == 1.0 + 1.6e308
+
     def test_symbol_range_is_envelope(self, unit_lattice):
         params, spec, _ = unit_lattice
         kappa = np.linspace(0.0, 1.0, 4097)
