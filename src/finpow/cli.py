@@ -171,12 +171,14 @@ def cmd_example(args) -> int:
             raise ConfigError(f"size {size} is above the dimension limit {MAX_DIM}")
     spec = lattice_spec(params)
     policy = periodic_policy(params)
+    # Certificates first, so a premise failure raises before the quadrature.
+    certs = [
+        evaluate_window(spec, policy, args.alpha, 0, 0, Window(size // 2, size // 2))
+        for size in sizes
+    ]
     reference = dispersion_integral_element(params, args.alpha, 0, 0)
     lines = [EXAMPLE_HEADER]
-    for size in sizes:
-        half = (size - 1) // 2
-        window = Window(half, half)
-        cert = evaluate_window(spec, policy, args.alpha, 0, 0, window)
+    for size, cert in zip(sizes, certs):
         value = cert.value.real
         lines.append(
             f"{size},{_fmt(value)},{_fmt(reference)},"

@@ -3,13 +3,13 @@
 Each answer is planned, then solved.  The a-priori bound at a window depends
 only on the truncation depth, which the sparsity structure alone decides, so
 the plan walks a deterministic schedule of symmetric windows computing just
-the depth and the bound, and picks the depth at the first window whose bound
+the depth and the bound, and picks the pair at the first window whose bound
 meets the target (or, failing that, the best one).  The solve takes planned
-depths and does the dense work once per distinct window: truncate, one
+pairs and does the dense work once per distinct window: truncate, one
 eigendecomposition, the envelope check on its eigenvalues, and an O(N) read
-of each requested element, which ``certify`` pairs with its bound.  Local
-solutions of ``W x = f`` for finitely supported ``f`` reduce to certified
-elements of the inverse, solved together.
+of each element, paired with the bound the plan computed; ``certify`` is not
+called.  Local solutions of ``W x = f`` for finitely supported ``f`` reduce
+to certified elements of the inverse, solved together.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, certified_bound, certify, full_series_sum
+from .certificates import Certificate, certified_bound, certify, full_series_sum  # noqa: F401 - perfbench/tracer.py wraps certify by this name
 from .core import (
     BoundarySpec,
     InfiniteMatrixSpec,
@@ -74,18 +74,11 @@ def _window_elements(
 
     Raises
     ------
-    DomainError
-        An element lies outside the window.
     InvalidBoundaryError
         The truncation's eigenvalues leave the envelope.
     NumericalFailureError
         The eigendecomposition failed.
     """
-    for m, n in elements:
-        if not (window.contains(m) and window.contains(n)):
-            raise DomainError(
-                f"element ({m}, {n}) lies outside window [-{window.P}, {window.Q}]"
-            )
     envelope = spec.envelope
     matrix = truncate(spec, window, boundary_policy(window))
     try:
@@ -113,25 +106,25 @@ def _solve(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
     alpha: float,
-    depths: Sequence[TruncationDepth],
+    plans: Sequence[tuple[TruncationDepth, float]],
 ) -> list[Certificate]:
-    """Certificates at the planned ``depths``, in their order.
+    """Certificates from the planned ``(depth, bound)`` pairs, in their order.
 
-    Depths are grouped by window in first-seen order, and each window is
+    Pairs are grouped by window in first-seen order, and each window is
     truncated, eigendecomposed and checked once for all of its elements;
     the first window that fails raises as ``_window_elements`` does.
     """
-    groups: dict[Window, list[TruncationDepth]] = {}
-    for depth in depths:
-        groups.setdefault(depth.window, []).append(depth)
+    groups: dict[Window, list[tuple[TruncationDepth, float]]] = {}
+    for plan in plans:
+        groups.setdefault(plan[0].window, []).append(plan)
     certs = {}
     for window, group in groups.items():
         values = _window_elements(
-            spec, boundary_policy, alpha, window, [(d.m, d.n) for d in group]
+            spec, boundary_policy, alpha, window, [(d.m, d.n) for d, _ in group]
         )
-        for depth, value in zip(group, values):
-            certs[depth] = certify(value, alpha, spec.envelope, depth)
-    return [certs[depth] for depth in depths]
+        for (depth, bound), value in zip(group, values):
+            certs[depth] = Certificate(complex(value), window, depth, bound, spec.envelope, alpha)
+    return [certs[depth] for depth, _ in plans]
 
 
 def evaluate_window(
@@ -142,10 +135,13 @@ def evaluate_window(
     n: int,
     window: Window,
 ) -> Certificate:
-    """One-shot pipeline evaluation at a fixed window."""
+    """One-shot pipeline evaluation at a fixed window containing ``(m, n)``."""
     full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
+    if not (window.contains(m) and window.contains(n)):
+        raise DomainError(f"element ({m}, {n}) lies outside window [-{window.P}, {window.Q}]")
     depth = truncation_depth(spec, window, m, n)
-    return _solve(spec, boundary_policy, alpha, [depth])[0]
+    plan = depth, certified_bound(alpha, spec.envelope, depth)
+    return _solve(spec, boundary_policy, alpha, [plan])[0]
 
 
 def growth_windows(m: int, n: int, max_dim: int):
@@ -168,8 +164,8 @@ def _plan(
     n: int,
     tol: float,
     max_dim: int,
-) -> TruncationDepth:
-    """Depth at the first scheduled window whose bound meets ``tol``.
+) -> tuple[TruncationDepth, float]:
+    """(depth, bound) at the first scheduled window whose bound meets ``tol``.
 
     Uses depths and bounds alone, no dense algebra.
 
@@ -185,7 +181,7 @@ def _plan(
         depth = truncation_depth(spec, window, m, n)
         bound = certified_bound(alpha, spec.envelope, depth)
         if bound <= tol:
-            return depth
+            return depth, bound
         if best is None or bound < best[1]:
             best = depth, bound
     message = (
@@ -194,7 +190,7 @@ def _plan(
     )
     if best is None:
         raise NotConvergedError(message)
-    cert = _solve(spec, boundary_policy, alpha, [best[0]])[0]
+    cert = _solve(spec, boundary_policy, alpha, [best])[0]
     message += f"; best bound {cert.bound:g} at window [-{cert.window.P}, {cert.window.Q}]"
     raise NotConvergedError(message, best_certificate=cert)
 
@@ -234,8 +230,8 @@ def approximate_element(
     """
     _check_tol(tol)
     full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
-    depth = _plan(spec, boundary_policy, alpha, m, n, tol, max_dim)
-    return _solve(spec, boundary_policy, alpha, [depth])[0]
+    plan = _plan(spec, boundary_policy, alpha, m, n, tol, max_dim)
+    return _solve(spec, boundary_policy, alpha, [plan])[0]
 
 
 def convergence_table(
@@ -249,8 +245,10 @@ def convergence_table(
     """Evaluate the pipeline at each requested window, in order.
 
     Each entry is the window's certificate, or the ``FinpowError`` its
-    evaluation raised.
+    evaluation raised.  Premise failures, which no window can change, raise
+    before any window, as ``full_series_sum`` raises them.
     """
+    full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
     rows = []
     for window in windows:
         try:
@@ -301,15 +299,15 @@ def local_solve(
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
     per_element_tol = tol / weight
-    depths: dict[tuple[int, int], TruncationDepth] = {}
+    plans: dict[tuple[int, int], tuple[TruncationDepth, float]] = {}
     for m in out_indices:
         for n in support:
             element = (int(m), n)
-            if element not in depths:
-                depths[element] = _plan(
+            if element not in plans:
+                plans[element] = _plan(
                     spec, boundary_policy, -1.0, *element, per_element_tol, max_dim
                 )
-    certs = dict(zip(depths, _solve(spec, boundary_policy, -1.0, list(depths.values()))))
+    certs = dict(zip(plans, _solve(spec, boundary_policy, -1.0, list(plans.values()))))
     result: dict[int, tuple[complex, float]] = {}
     for m in out_indices:
         total = 0.0 + 0.0j

@@ -167,15 +167,42 @@ class TestTable:
         row = out.strip().splitlines()[1].split(",")
         assert (row[0], row[1]) == ("3", "5")
 
-    def test_error_rows_keep_csv_shape(self, capsys, banded_c0_config):
+    def test_error_rows_keep_csv_shape(self, capsys, lattice_config):
+        # the element (6, 0) lies outside the first window only
         code, out, err = run_cli(
-            capsys, "table", banded_c0_config,
-            "--alpha", "-1", "--m", "0", "--n", "0", "--windows", "4,8",
+            capsys, "table", lattice_config,
+            "--alpha", "-1", "--m", "6", "--n", "0", "--windows", "4,8",
         )
         assert code == 0
         lines = out.strip().splitlines()
+        assert len(lines) == 3
         assert lines[1] == "4,4,nan,nan,nan,nan"
+        row = lines[2].split(",")
+        assert row[:2] == ["8", "8"]
+        assert "nan" not in row
+        assert int(row[4]) > 0 and 0.0 < float(row[5]) < float("inf")
         assert "failed" in err
+        assert "outside window" in err
+
+    @pytest.mark.parametrize(
+        "config, alpha, message",
+        [
+            ("lattice", "nan", "alpha must be finite"),
+            ("lattice", "1e7", "overflows"),
+            ("banded_c0", "-1", "diverges"),
+        ],
+    )
+    def test_premise_failure_exit_3_before_any_window(
+        self, capsys, lattice_config, banded_c0_config, no_truncation, config, alpha, message
+    ):
+        path = lattice_config if config == "lattice" else banded_c0_config
+        code, out, err = run_cli(
+            capsys, "table", path,
+            "--alpha", alpha, "--m", "0", "--n", "0", "--windows", "4,8",
+        )
+        assert code == 3
+        assert out == ""
+        assert message in err
 
 
 class TestSolve:
@@ -281,6 +308,21 @@ class TestExample:
         )
         assert code == 3
         assert "a > 0" in err
+
+    @pytest.mark.parametrize(
+        "alpha, message", [("nan", "alpha must be finite"), ("9999999.5", "overflows")]
+    )
+    def test_premise_failure_exit_3_before_quadrature(self, capsys, monkeypatch, alpha, message):
+        def no_quadrature(*args):
+            raise AssertionError("the dispersion quadrature ran")
+
+        monkeypatch.setattr("finpow.cli.dispersion_integral_element", no_quadrature)
+        code, out, err = run_cli(
+            capsys, "example", "--a", "1", "--b", "1", "--alpha", alpha, "--sizes", "9,17",
+        )
+        assert code == 3
+        assert out == ""
+        assert message in err
 
     def test_even_size_exit_3(self, capsys):
         code, _, err = run_cli(

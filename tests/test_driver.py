@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finpow import driver
+from finpow import certificates, driver
 from finpow import (
+    Certificate,
     DomainError,
     LatticeModelParams,
     BoundarySpec,
@@ -234,12 +235,35 @@ class TestConvergenceTable:
         _, spec, policy = unit_lattice
         assert convergence_table(spec, policy, 0.5, 0, 0, []) == []
 
-    def test_errors_recorded_per_row(self):
-        spec = free_laplacian_spec()
+    def test_errors_recorded_per_row(self, unit_lattice):
+        # the element (6, 0) lies outside the first window only
+        _, spec, policy = unit_lattice
         windows = [Window(4, 4), Window(8, 8)]
-        rows = convergence_table(spec, zero_boundary, -1.0, 0, 0, windows)
+        rows = convergence_table(spec, policy, -1.0, 6, 0, windows)
         assert len(rows) == 2
-        assert all(isinstance(row, DivergentSeriesError) for row in rows)
+        assert isinstance(rows[0], DomainError)
+        assert "outside window" in str(rows[0])
+        assert isinstance(rows[1], Certificate)
+        assert rows[1].window == Window(8, 8)
+        assert rows[1].bound > 0.0
+
+    @pytest.mark.parametrize(
+        "make_spec, alpha, error",
+        [
+            (free_laplacian_spec, -1.0, DivergentSeriesError),
+            (lambda: lattice_spec(LatticeModelParams(1.0, 1.0)), float("nan"), DomainError),
+        ],
+        ids=["c0-negative-alpha", "nan-alpha"],
+    )
+    def test_premise_failure_raises_before_any_window(
+        self, monkeypatch, make_spec, alpha, error
+    ):
+        def no_window(*args):
+            raise AssertionError("a window was planned")
+
+        monkeypatch.setattr(driver, "truncation_depth", no_window)
+        with pytest.raises(error):
+            convergence_table(make_spec(), zero_boundary, alpha, 0, 0, [Window(4, 4), Window(8, 8)])
 
     def test_programming_errors_propagate(self, unit_lattice):
         _, spec, _ = unit_lattice
@@ -249,6 +273,26 @@ class TestConvergenceTable:
 
         with pytest.raises(RuntimeError):
             convergence_table(spec, broken, 0.5, 0, 0, [Window(4, 4)])
+
+
+class TestOneBoundPerDepth:
+    def test_tail_bound_runs_once_per_planned_depth(self, unit_lattice, monkeypatch):
+        # the plan computes each bound; the solve reuses it rather than
+        # computing it again for the certificate
+        _, spec, policy = unit_lattice
+        calls = {"tail_bound": 0, "truncation_depth": 0}
+        for owner, name in [(certificates, "tail_bound"), (driver, "truncation_depth")]:
+            real = getattr(owner, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        approximate_element(spec, policy, -0.5, 0, 1, 1e-12)
+        local_solve(spec, policy, {0: 1.0, 1: -0.5}, [0, 1, 2], 1e-8)
+        assert calls["truncation_depth"] > 0
+        assert calls["tail_bound"] == calls["truncation_depth"]
 
 
 class TestLocalSolve:
