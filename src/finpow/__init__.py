@@ -28,7 +28,6 @@ from .driver import (
     zero_boundary,
 )
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     DegenerateWindowError,
     DivergentSeriesError,
@@ -50,18 +49,12 @@ from .lattice import (
     periodic_policy,
 )
 from .powers import binomial_coefficients, finite_power
-from .series import (
-    TruncationDepth,
-    banded_depth_closed_form,
-    integer_power_element,
-    truncation_depth,
-)
+from .series import TruncationDepth, truncation_depth
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundarySpec",
-    "BudgetExceededError",
     "Certificate",
     "ConfigError",
     "DegenerateWindowError",
@@ -82,7 +75,6 @@ __all__ = [
     "ValidationReport",
     "Window",
     "approximate_element",
-    "banded_depth_closed_form",
     "banded_spec",
     "binomial_coefficients",
     "certify",
@@ -92,7 +84,6 @@ __all__ = [
     "finite_power",
     "fourier_symbol",
     "full_series_sum",
-    "integer_power_element",
     "lattice_spec",
     "local_solve",
     "periodic_boundary",

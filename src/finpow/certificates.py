@@ -10,6 +10,7 @@ cancellation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +198,12 @@ def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
     """``sum_{j >= j_start} |C(alpha, j)| x**j`` summed term by term.
 
     Chunks start at the length the decay rate ``x`` calls for and double up
-    to ``_CHUNK`` while the terms have not yet fallen below the cutoff.
+    to ``_CHUNK`` while the terms have not yet fallen below the cutoff.  At
+    ``x = 1`` with ``alpha > 0`` the terms decay only like a power of ``j``;
+    there the sum stops after ``MAX_TAIL_TERMS`` terms and bounds the rest
+    from the term ``t_K`` it stopped at: for ``k > alpha`` the term ratio
+    ``1 - (alpha + 1)/(k + 1)`` is at most ``((k + 1)/(k + 2))**(alpha + 1)``,
+    so the rest is at most ``t_K (1 + (K + 1)/alpha)``.
     """
     # Leading term |C(alpha, j_start)| x**j_start, built without cancellation.
     term = 1.0
@@ -215,10 +221,22 @@ def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
             return total
         j += chunk
         chunk = min(2 * chunk, _CHUNK)
+    if x == 1.0 and alpha > 0.0:
+        return total + term * (1.0 + (j + 1) / alpha)
     raise NumericalFailureError(
         f"direct tail summation for alpha={alpha}, x={x} did not converge "
         f"within {MAX_TAIL_TERMS} terms"
     )
+
+
+def _tail(alpha: float, x: float, full: float, j_start: int) -> float:
+    """The tail sum of ``tail_bound``, given the full sum ``full``."""
+    if _is_nonneg_integer(alpha) and j_start > int(alpha):
+        return 0.0
+    tail = full - _partial_abs_sum(alpha, x, j_start)
+    if tail < CANCELLATION_GUARD * full:
+        tail = _direct_tail_sum(alpha, x, j_start)
+    return tail
 
 
 def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
@@ -241,24 +259,29 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
     full = full_series_sum(alpha, c, w)
     if j_start < 0:
         raise DomainError(f"j_start must be >= 0, got {j_start}")
-    if _is_nonneg_integer(alpha) and j_start > int(alpha):
-        return 0.0
-    x = (w - c) / w
-    tail = full - _partial_abs_sum(alpha, x, j_start)
-    if tail < CANCELLATION_GUARD * full:
-        tail = _direct_tail_sum(alpha, x, j_start)
-    return 2.0 * w ** alpha * tail
+    return 2.0 * w ** alpha * _tail(alpha, (w - c) / w, full, j_start)
 
 
-def certified_bound(
-    alpha: float,
-    envelope: SpectralEnvelope,
-    depth: TruncationDepth,
-) -> float:
-    """The bound ``certify`` attaches at ``depth``: zero when saturated."""
-    if depth.saturated:
-        return 0.0
-    return tail_bound(alpha, envelope.c, envelope.w, depth.j_pq)
+def required_depth(
+    alpha: float, envelope: SpectralEnvelope, full: float, tol: float, max_dim: int
+) -> int:
+    """Smallest ``j <= max_dim`` whose ``tail_bound`` meets ``tol``, or ``max_dim + 1``.
+
+    ``full`` is the ``full_series_sum`` the caller's premise check returned.
+    ``j`` doubles, then bisects, with the arithmetic of ``tail_bound``; the
+    tail falls with ``j``, so every deeper bound meets ``tol`` too.
+    """
+    x = (envelope.w - envelope.c) / envelope.w
+    scale = 2.0 * envelope.w ** alpha
+
+    def meets(j: int) -> bool:
+        return scale * _tail(alpha, x, full, j) <= tol
+
+    hi = 1
+    while hi < max_dim and not meets(hi):
+        hi *= 2
+    lo, hi = hi // 2, min(hi, max_dim)
+    return lo + bisect_left(range(lo, hi + 1), True, key=meets)
 
 
 def certify(
@@ -277,7 +300,7 @@ def certify(
         value=complex(value),
         window=depth.window,
         depth=depth,
-        bound=certified_bound(alpha, envelope, depth),
+        bound=0.0 if depth.saturated else tail_bound(alpha, envelope.c, envelope.w, depth.j_pq),
         envelope_used=envelope,
         alpha=alpha,
     )

@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, required=True, help="total bound target")
     solve.add_argument(
         "--max-dim", type=int, default=MAX_DIM,
-        help="largest truncation dimension per element",
+        help="largest dimension of the solve's window",
     )
     solve.set_defaults(func=cmd_solve)
 

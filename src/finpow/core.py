@@ -60,14 +60,15 @@ class SpectralEnvelope:
 
 @dataclass(frozen=True)
 class Window:
-    """Truncation index range [-P, Q] of dimension P + Q + 1."""
+    """Truncation index range [-P, Q] of dimension P + Q + 1; any non-empty
+    range, so it need not contain the origin."""
 
     P: int
     Q: int
 
     def __post_init__(self):
-        if self.P < 0 or self.Q < 0:
-            raise ValueError(f"window requires P, Q >= 0, got P={self.P}, Q={self.Q}")
+        if self.P + self.Q < 0:
+            raise ValueError(f"window requires P + Q >= 0, got P={self.P}, Q={self.Q}")
 
     @property
     def dim(self) -> int:
@@ -263,12 +264,14 @@ class FiniteHermitian:
                 f"data shape {arr.shape} does not match window dimension "
                 f"{self.window.dim}"
             )
+        # Halving first (exact above the subnormal range) keeps entries near
+        # the float limit from overflowing.
         if not np.iscomplexobj(arr):
-            arr = arr.astype(np.float64, copy=True)
-            sym = (arr + arr.T) / 2.0
+            half = np.asarray(arr, dtype=np.float64) / 2.0
+            sym = half + half.T
         else:
-            arr = arr.astype(np.complex128, copy=True)
-            sym = (arr + arr.conj().T) / 2.0
+            half = np.asarray(arr, dtype=np.complex128) / 2.0
+            sym = half + half.conj().T
         sym.setflags(write=False)
         object.__setattr__(self, "data", sym)
 

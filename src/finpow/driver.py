@@ -1,15 +1,13 @@
 """Tolerance-driven window choice and local solves.
 
-Each answer is planned, then solved.  The a-priori bound at a window depends
-only on the truncation depth, which the sparsity structure alone decides, so
-the plan walks a deterministic schedule of symmetric windows computing just
-the depth and the bound, and picks the pair at the first window whose bound
-meets the target (or, failing that, the best one).  The solve takes planned
-pairs and does the dense work once per distinct window: truncate, one
-eigendecomposition, the envelope check on its eigenvalues, and an O(N) read
-of each element, paired with the bound the plan computed; ``certify`` is not
-called.  Local solutions of ``W x = f`` for finitely supported ``f`` reduce
-to certified elements of the inverse, solved together.
+An element's a-priori bound depends on its window only through the
+truncation depth.  So ``tol`` fixes the smallest depth ``J`` whose bound
+meets it (``required_depth``), and one walk of the sparsity structure from
+the requested indices fixes the smallest window reaching ``J`` for all of
+them (``minimal_window``).  Each call solves that one window: truncate, one
+eigendecomposition, the envelope check, and per element the depth, an O(N)
+read and ``certify``.  Local solutions of ``W x = f`` for finitely supported
+``f`` reduce to certified elements of the inverse, solved together.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, certified_bound, certify, full_series_sum  # noqa: F401 - perfbench/tracer.py wraps certify by this name
+from .certificates import Certificate, certify, full_series_sum, required_depth
 from .core import (
     BoundarySpec,
     InfiniteMatrixSpec,
@@ -41,7 +39,7 @@ from .powers import (
     power_eigenvalues,
     spectral_element,
 )
-from .series import TruncationDepth, truncation_depth
+from .series import minimal_window, truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
 
@@ -63,14 +61,16 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
-def _window_elements(
+def _solve(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
     alpha: float,
     window: Window,
     elements: Sequence[tuple[int, int]],
-) -> list:
-    """Elements of the truncation's ``alpha`` power at ``window``, one ``eigh``.
+) -> list[Certificate]:
+    """Certificates of ``elements`` at ``window``, in their order.
+
+    One truncation, one ``eigh`` and one envelope check serve every element.
 
     Raises
     ------
@@ -79,6 +79,7 @@ def _window_elements(
     NumericalFailureError
         The eigendecomposition failed.
     """
+    depths = [truncation_depth(spec, window, m, n) for m, n in elements]
     envelope = spec.envelope
     matrix = truncate(spec, window, boundary_policy(window))
     try:
@@ -97,34 +98,10 @@ def _window_elements(
         )
     powered = power_eigenvalues(evals, alpha)
     return [
-        spectral_element(vecs, powered, window.offset(m), window.offset(n))
-        for m, n in elements
+        certify(spectral_element(vecs, powered, window.offset(d.m), window.offset(d.n)),
+                alpha, envelope, d)
+        for d in depths
     ]
-
-
-def _solve(
-    spec: InfiniteMatrixSpec,
-    boundary_policy: BoundaryPolicy,
-    alpha: float,
-    plans: Sequence[tuple[TruncationDepth, float]],
-) -> list[Certificate]:
-    """Certificates from the planned ``(depth, bound)`` pairs, in their order.
-
-    Pairs are grouped by window in first-seen order, and each window is
-    truncated, eigendecomposed and checked once for all of its elements;
-    the first window that fails raises as ``_window_elements`` does.
-    """
-    groups: dict[Window, list[tuple[TruncationDepth, float]]] = {}
-    for plan in plans:
-        groups.setdefault(plan[0].window, []).append(plan)
-    certs = {}
-    for window, group in groups.items():
-        values = _window_elements(
-            spec, boundary_policy, alpha, window, [(d.m, d.n) for d, _ in group]
-        )
-        for (depth, bound), value in zip(group, values):
-            certs[depth] = Certificate(complex(value), window, depth, bound, spec.envelope, alpha)
-    return [certs[depth] for depth, _ in plans]
 
 
 def evaluate_window(
@@ -139,59 +116,42 @@ def evaluate_window(
     full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
     if not (window.contains(m) and window.contains(n)):
         raise DomainError(f"element ({m}, {n}) lies outside window [-{window.P}, {window.Q}]")
-    depth = truncation_depth(spec, window, m, n)
-    plan = depth, certified_bound(alpha, spec.envelope, depth)
-    return _solve(spec, boundary_policy, alpha, [plan])[0]
-
-
-def growth_windows(m: int, n: int, max_dim: int):
-    """Deterministic schedule of symmetric windows around the element."""
-    base = max(abs(m), abs(n))
-    margin = 2
-    while True:
-        window = Window(base + margin, base + margin)
-        if window.dim > max_dim:
-            return
-        yield window
-        margin *= 2
+    return _solve(spec, boundary_policy, alpha, window, [(m, n)])[0]
 
 
 def _plan(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
     alpha: float,
-    m: int,
-    n: int,
+    full: float,
     tol: float,
     max_dim: int,
-) -> tuple[TruncationDepth, float]:
-    """(depth, bound) at the first scheduled window whose bound meets ``tol``.
-
-    Uses depths and bounds alone, no dense algebra.
+    elements: Sequence[tuple[int, int]],
+) -> Window:
+    """The smallest window at which every element's bound meets ``tol``,
+    from the depth ``tol`` requires and one walk, with no dense algebra.
 
     Raises
     ------
     NotConvergedError
-        No window under ``max_dim`` meets ``tol``; carries the certificate
-        at the window with the smallest bound (the first one on ties), or
-        none when no window fits.
+        That window is wider than ``max_dim``.  It carries the first
+        element's certificate at the largest window under ``max_dim``
+        centred on the indices, or none when no such window holds them.
     """
-    best: tuple[TruncationDepth, float] | None = None
-    for window in growth_windows(m, n, max_dim):
-        depth = truncation_depth(spec, window, m, n)
-        bound = certified_bound(alpha, spec.envelope, depth)
-        if bound <= tol:
-            return depth, bound
-        if best is None or bound < best[1]:
-            best = depth, bound
-    message = (
-        f"dimension limit {max_dim} reached before the bound fell "
-        f"below tol={tol:g}"
-    )
-    if best is None:
+    starts = {i for element in elements for i in element}
+    lo, hi = min(starts), max(starts)
+    if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
+        depth = required_depth(alpha, spec.envelope, full, tol, max_dim)
+        window = minimal_window(spec, starts, depth)
+        if window.dim <= max_dim:
+            return window
+    message = f"dimension limit {max_dim} reached before the bound fell below tol={tol:g}"
+    radius, centre = (max_dim - 1) // 2, (lo + hi) // 2
+    if not centre - radius <= lo <= hi <= centre + radius:
         raise NotConvergedError(message)
-    cert = _solve(spec, boundary_policy, alpha, [best])[0]
-    message += f"; best bound {cert.bound:g} at window [-{cert.window.P}, {cert.window.Q}]"
+    best = Window(radius - centre, centre + radius)
+    cert = _solve(spec, boundary_policy, alpha, best, elements[:1])[0]
+    message += f"; best bound {cert.bound:g} at window [{-best.P}, {best.Q}]"
     raise NotConvergedError(message, best_certificate=cert)
 
 
@@ -205,19 +165,19 @@ def approximate_element(
     *,
     max_dim: int = MAX_DIM,
 ) -> Certificate:
-    """Certified element at the first window whose bound meets ``tol``.
+    """Certified element at the smallest window whose bound meets ``tol``.
 
-    Windows follow ``P = Q = max(|m|, |n|) + g`` with the margin ``g``
-    doubling from 2, up to the dimension ``max_dim``.  The window is chosen
-    from the a-priori bounds alone; the returned certificate is exactly the
-    one-shot evaluation there, and only that window is truncated,
-    eigendecomposed and validated.
+    That window ``[-P, Q]``, up to the dimension ``max_dim``, is the smallest
+    around ``m`` and ``n`` reaching the depth ``tol`` requires.  It is chosen
+    from the a-priori bounds alone; the certificate is exactly the one-shot
+    evaluation there, and only that window is truncated, eigendecomposed and
+    validated.
 
     Raises
     ------
     NotConvergedError
-        Dimension limit reached first; carries the certificate at the
-        window with the best bound.
+        The window needed is wider than ``max_dim``; carries the certificate
+        at the largest window under ``max_dim`` centred on the element.
     DivergentSeriesError
         ``alpha < 0`` with an envelope touching zero.
     DomainError
@@ -229,9 +189,9 @@ def approximate_element(
         The chosen truncation failed the spectrum validation.
     """
     _check_tol(tol)
-    full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
-    plan = _plan(spec, boundary_policy, alpha, m, n, tol, max_dim)
-    return _solve(spec, boundary_policy, alpha, [plan])[0]
+    full = full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
+    window = _plan(spec, boundary_policy, alpha, full, tol, max_dim, [(m, n)])
+    return _solve(spec, boundary_policy, alpha, window, [(m, n)])[0]
 
 
 def convergence_table(
@@ -272,9 +232,8 @@ def local_solve(
     Each requested component ``x_m = sum_n (W**-1)_{mn} f_n`` is assembled
     from certified inverse elements, with the tolerance split uniformly in
     the ``|f_n|`` weighting so the accumulated bound stays below ``tol``.
-    Every element is planned as in ``approximate_element``, and each distinct
-    chosen window is truncated and eigendecomposed once for all the elements
-    that chose it.
+    All elements need the same depth, so one window serves them all: planned
+    as in ``approximate_element``, truncated and eigendecomposed once.
 
     Raises
     ------
@@ -284,8 +243,8 @@ def local_solve(
         ``tol`` not positive and finite, or ``f`` has a non-finite value or
         a non-finite ``sum |f_n|``.
     NotConvergedError
-        Some element cannot meet its share of ``tol``; raised for the first
-        such element, as ``approximate_element`` raises it.
+        The window needed is wider than ``max_dim``; carries the certificate
+        of the first element, as ``approximate_element`` does.
     """
     if spec.envelope.c <= 0.0:
         raise SingularOperatorError(
@@ -298,16 +257,12 @@ def local_solve(
     weight = sum(abs(v) for v in support.values())
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
-    per_element_tol = tol / weight
-    plans: dict[tuple[int, int], tuple[TruncationDepth, float]] = {}
-    for m in out_indices:
-        for n in support:
-            element = (int(m), n)
-            if element not in plans:
-                plans[element] = _plan(
-                    spec, boundary_policy, -1.0, *element, per_element_tol, max_dim
-                )
-    certs = dict(zip(plans, _solve(spec, boundary_policy, -1.0, list(plans.values()))))
+    elements = list(dict.fromkeys((int(m), n) for m in out_indices for n in support))
+    if not elements:
+        return {}
+    full = full_series_sum(-1.0, spec.envelope.c, spec.envelope.w)
+    window = _plan(spec, boundary_policy, -1.0, full, tol / weight, max_dim, elements)
+    certs = dict(zip(elements, _solve(spec, boundary_policy, -1.0, window, elements)))
     result: dict[int, tuple[complex, float]] = {}
     for m in out_indices:
         total = 0.0 + 0.0j

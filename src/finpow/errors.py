@@ -25,10 +25,6 @@ class NumericalFailureError(FinpowError):
     summation) failed to converge within its iteration guard."""
 
 
-class BudgetExceededError(FinpowError):
-    """Path expansion grew past the caller-supplied node budget."""
-
-
 class DomainError(FinpowError, ValueError):
     """Arguments outside the mathematical domain of an operation."""
 

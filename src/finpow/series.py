@@ -1,21 +1,19 @@
-"""Exact integer powers of shifted sparse matrices at a single element, and
-the depth up to which a window truncation reproduces them.
+"""Truncation depths, and the smallest window that reaches a given depth.
 
-A matrix element of ``(W - shift*I)**j`` is a finite sum over paths of length
-``j`` through the row supports, so it can be evaluated exactly (up to
-round-off) without ever forming the matrix.  The same support sets determine,
-for a given window, how many leading powers the truncated matrix reproduces
-term by term: the truncation depth.
+An element ``(m, n)`` of ``(W - w I)**j`` is a sum over paths of length
+``j`` through the row supports.  So a window reproduces the leading powers
+at ``(m, n)`` term by term for as long as the support frontier walked from
+``m`` and ``n`` stays strictly inside it: the truncation depth.  The same
+walk, run forward from the requested indices, gives the smallest window
+that reaches a required depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .core import InfiniteMatrixSpec, Window
-from .errors import BudgetExceededError, DomainError
-
-DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,50 +35,20 @@ class TruncationDepth:
     saturated: bool = False
 
 
-def _shifted_row(spec: InfiniteMatrixSpec, p: int, shift: float) -> dict[int, complex]:
-    row = dict(spec.row(p))
-    if shift != 0.0:
-        row[p] = row.get(p, 0.0) - shift
-    return row
-
-
-def integer_power_element(
-    spec: InfiniteMatrixSpec,
-    shift: float,
-    j: int,
-    m: int,
-    n: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> complex:
-    """Element ``(m, n)`` of ``(W - shift*I)**j`` by sparse path expansion.
-
-    Expands breadth first from ``m``, accumulating path coefficients in a map
-    keyed by index; ``shift = 0`` gives plain powers of W.  ``j = 0`` returns
-    the Kronecker delta, ``j = 1`` the shifted entry itself.
-
-    Raises
-    ------
-    BudgetExceededError
-        If the accumulated frontier exceeds ``node_budget`` indices, which
-        signals a sparsity bound too loose for this depth.
-    """
-    if j < 0:
-        raise DomainError(f"power j must be a nonnegative integer, got {j}")
-    if j == 0:
-        return 1.0 + 0.0j if m == n else 0.0 + 0.0j
-    coeffs: dict[int, complex] = {m: 1.0 + 0.0j}
-    for _ in range(j):
-        expanded: dict[int, complex] = {}
-        for p, weight in coeffs.items():
-            for q, value in _shifted_row(spec, p, shift).items():
-                expanded[q] = expanded.get(q, 0.0 + 0.0j) + weight * complex(value)
-        if len(expanded) > node_budget:
-            raise BudgetExceededError(
-                f"path frontier grew to {len(expanded)} indices, "
-                f"exceeding the node budget {node_budget}"
-            )
-        coeffs = expanded
-    return coeffs.get(n, 0.0 + 0.0j)
+def _frontiers(spec: InfiniteMatrixSpec, starts: Iterable[int]) -> Iterator[set[int]]:
+    """Indices each step of the support walk from ``starts`` reaches first,
+    ending with the empty set once the reachable support has closed."""
+    reach = set(starts)
+    frontier = reach
+    while frontier:
+        fresh: set[int] = set()
+        for p in frontier:
+            for q in spec.support(p):
+                if q not in reach:
+                    fresh.add(q)
+        reach |= fresh
+        frontier = fresh
+        yield fresh
 
 
 def truncation_depth(
@@ -105,40 +73,24 @@ def truncation_depth(
         return TruncationDepth(0, window, m, n)
     if window.is_corner(m) or window.is_corner(n):
         return TruncationDepth(1, window, m, n)
-
     lo, hi = -window.P + 1, window.Q - 1
-    reach = {m, n}
-    frontier = {m, n}
-    depth = 0
-    while True:
-        depth += 1
-        fresh: set[int] = set()
-        for p in frontier:
-            for q in spec.support(p):
-                if q not in reach:
-                    fresh.add(q)
+    for depth, fresh in enumerate(_frontiers(spec, {m, n}), start=1):
         if any(q < lo or q > hi for q in fresh):
             return TruncationDepth(depth, window, m, n)
         if not fresh:
             # The reachable support closed inside the window: every power
             # agrees, the truncation is exact for this element.
             return TruncationDepth(depth, window, m, n, saturated=True)
-        reach |= fresh
-        frontier = fresh
 
 
-def banded_depth_closed_form(l: int, window: Window, m: int, n: int) -> int:
-    """Truncation depth of a fully populated (2l+1)-diagonal matrix.
+def minimal_window(spec: InfiniteMatrixSpec, starts: Iterable[int], depth: int) -> Window:
+    """Smallest window whose strict interior holds ``depth - 1`` steps of the
+    walk from ``starts`` (or all of it, if it closes first).
 
-    Valid only when every band entry is nonzero and both indices lie at least
-    one step inside the window; equals ``truncation_depth`` there.
+    Every pair of ``starts`` then has a truncation depth of at least
+    ``depth``, or a saturated one; for ``depth >= 2`` no smaller window does.
     """
-    if l < 1:
-        raise DomainError(f"half-bandwidth l must be >= 1, got {l}")
-    mi, ma = min(m, n), max(m, n)
-    if not (-window.P <= mi - 1 and window.Q >= ma + 1):
-        raise DomainError(
-            f"closed form requires indices strictly inside the window: "
-            f"got (m, n)=({m}, {n}) in [-{window.P}, {window.Q}]"
-        )
-    return 1 + min(mi + window.P - 1, window.Q - ma - 1) // l
+    reach = set(starts)
+    for _, fresh in zip(range(depth - 1), _frontiers(spec, reach)):
+        reach |= fresh
+    return Window(1 - min(reach), max(reach) + 1)

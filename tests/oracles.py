@@ -7,9 +7,11 @@ spectral envelopes from the Fourier symbol of their own stencil.
 
 The cross-checks of the spectral pipeline live here too, outside the
 library's public API: the scalar ``binomial_coefficient`` recurrence, the
-partial binomial series of a finite matrix (``finite_power_series``) and the
+partial binomial series of a finite matrix (``finite_power_series``), the
 FFT-diagonalized power of the periodic lattice truncation
-(``circulant_power_element``).
+(``circulant_power_element``), exact integer powers at one element by path
+expansion (``integer_power_element``) and the closed-form truncation depth
+of a fully populated band (``banded_depth_closed_form``).
 """
 
 import mpmath as mp
@@ -18,6 +20,7 @@ import numpy as np
 from finpow import (
     DomainError,
     FiniteHermitian,
+    FinpowError,
     SingularityError,
     SpectralEnvelope,
     banded_spec,
@@ -29,6 +32,12 @@ from finpow import (
 from finpow.powers import _check_spectrum
 
 mp.mp.dps = 40
+
+DEFAULT_NODE_BUDGET = 1_000_000
+
+
+class BudgetExceededError(FinpowError):
+    """Path expansion grew past the caller-supplied node budget."""
 
 
 def binomial_coefficient(alpha, j):
@@ -121,9 +130,16 @@ def dense_power_element(matrix, j, row_pos, col_pos):
 
 
 def mp_abs_binom_tail(alpha, x, j_start=0, rel=mp.mpf("1e-30"), max_terms=2_000_000):
-    """``sum_{j >= j_start} |C(alpha, j)| x**j`` in arbitrary precision."""
+    """``sum_{j >= j_start} |C(alpha, j)| x**j`` in arbitrary precision.
+
+    At ``x = 1`` the terms decay only like a power of ``j``; there, for
+    ``j_start > alpha > 0``, the signs of ``C(alpha, j)`` alternate and the
+    tail telescopes to ``|C(alpha - 1, j_start - 1)|``.
+    """
     alpha = mp.mpf(alpha)
     x = mp.mpf(x)
+    if x == 1 and 0 < alpha < j_start:
+        return abs(mp.binomial(alpha - 1, j_start - 1))
     term = mp.mpf(1)
     for i in range(1, j_start + 1):
         term *= abs(alpha - i + 1) * x / i
@@ -202,3 +218,59 @@ def mp_dispersion_integral(a, b, alpha, delta):
         return symbol ** alpha * mp.cos(2 * mp.pi * kappa * delta)
 
     return mp.quad(integrand, [0, 1])
+
+
+def _shifted_row(spec, p, shift):
+    row = dict(spec.row(p))
+    if shift != 0.0:
+        row[p] = row.get(p, 0.0) - shift
+    return row
+
+
+def integer_power_element(spec, shift, j, m, n, node_budget=DEFAULT_NODE_BUDGET):
+    """Element ``(m, n)`` of ``(W - shift*I)**j`` by sparse path expansion.
+
+    Expands breadth first from ``m``, accumulating path coefficients in a map
+    keyed by index; ``shift = 0`` gives plain powers of W.  ``j = 0`` returns
+    the Kronecker delta, ``j = 1`` the shifted entry itself.
+
+    Raises
+    ------
+    BudgetExceededError
+        If the accumulated frontier exceeds ``node_budget`` indices, which
+        signals a sparsity bound too loose for this depth.
+    """
+    if j < 0:
+        raise DomainError(f"power j must be a nonnegative integer, got {j}")
+    if j == 0:
+        return 1.0 + 0.0j if m == n else 0.0 + 0.0j
+    coeffs = {m: 1.0 + 0.0j}
+    for _ in range(j):
+        expanded = {}
+        for p, weight in coeffs.items():
+            for q, value in _shifted_row(spec, p, shift).items():
+                expanded[q] = expanded.get(q, 0.0 + 0.0j) + weight * complex(value)
+        if len(expanded) > node_budget:
+            raise BudgetExceededError(
+                f"path frontier grew to {len(expanded)} indices, "
+                f"exceeding the node budget {node_budget}"
+            )
+        coeffs = expanded
+    return coeffs.get(n, 0.0 + 0.0j)
+
+
+def banded_depth_closed_form(l, window, m, n):
+    """Truncation depth of a fully populated (2l+1)-diagonal matrix.
+
+    Valid only when every band entry is nonzero and both indices lie at least
+    one step inside the window; equals ``truncation_depth`` there.
+    """
+    if l < 1:
+        raise DomainError(f"half-bandwidth l must be >= 1, got {l}")
+    mi, ma = min(m, n), max(m, n)
+    if not (-window.P <= mi - 1 and window.Q >= ma + 1):
+        raise DomainError(
+            f"closed form requires indices strictly inside the window: "
+            f"got (m, n)=({m}, {n}) in [-{window.P}, {window.Q}]"
+        )
+    return 1 + min(mi + window.P - 1, window.Q - ma - 1) // l

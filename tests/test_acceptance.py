@@ -16,14 +16,12 @@ from finpow import (
     SpectralEnvelope,
     Window,
     approximate_element,
-    banded_depth_closed_form,
     banded_spec,
     certify,
     dispersion_integral_element,
     evaluate_window,
     finite_power,
     full_series_sum,
-    integer_power_element,
     lattice_spec,
     periodic_boundary,
     periodic_policy,
@@ -34,7 +32,13 @@ from finpow import (
     zero_boundary,
 )
 
-from oracles import dense_section, mp_abs_binom_tail, random_banded_spec
+from oracles import (
+    banded_depth_closed_form,
+    dense_section,
+    integer_power_element,
+    mp_abs_binom_tail,
+    random_banded_spec,
+)
 
 UNIT = LatticeModelParams(1.0, 1.0)
 

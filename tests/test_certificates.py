@@ -16,7 +16,7 @@ from finpow import (
     tail_bound,
 )
 from finpow import certificates
-from finpow.certificates import _CHUNK, _first_chunk, _partial_abs_sum
+from finpow.certificates import _CHUNK, _first_chunk, _partial_abs_sum, required_depth
 
 from oracles import mp_abs_binom_partial, mp_abs_binom_tail
 
@@ -169,6 +169,15 @@ class TestTailBound:
         with pytest.raises(NumericalFailureError, match="overflows"):
             full_series_sum(alpha, c, w)
 
+    @pytest.mark.parametrize("alpha,j_start", [(2.5, 400), (2.5, 3000), (1.5, 20000)])
+    def test_c_zero_deep_tail_bounds_the_rest(self, alpha, j_start):
+        # the direct sum stops after MAX_TAIL_TERMS terms at x = 1 and
+        # bounds what is left instead of raising
+        w = 4.0
+        exact = 2.0 * w**alpha * mp_abs_binom_tail(alpha, 1.0, j_start)
+        bound = tail_bound(alpha, 0.0, w, j_start)
+        assert exact <= bound <= exact * (1 + 1e-6)
+
     @pytest.mark.parametrize("alpha", (-1.5, -0.5, 0.5))
     def test_partial_sum_across_chunk_boundary(self, alpha):
         # the second block of terms starts from the term the first one carries
@@ -176,6 +185,40 @@ class TestTailBound:
         mine = _partial_abs_sum(alpha, 1.0, j_count)
         oracle = float(mp_abs_binom_partial(alpha, 1.0, j_count))
         assert mine == pytest.approx(oracle, rel=1e-10)
+
+
+class TestRequiredDepth:
+    @pytest.mark.parametrize("alpha", ALPHA_GRID + (0.0, 1.0, 3.0))
+    @pytest.mark.parametrize("c,w", [(1.0, 5.0), (0.2, 1.0), (0.9, 1.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("tol", (1e-2, 1e-6, 1e-12, 1e-40))
+    def test_smallest_depth_meeting_tol(self, alpha, c, w, tol):
+        envelope = SpectralEnvelope(c, w)
+        depth = required_depth(alpha, envelope, full_series_sum(alpha, c, w), tol, 2049)
+        assert depth <= 2049
+        assert tail_bound(alpha, c, w, depth) <= tol
+        assert depth == 0 or tail_bound(alpha, c, w, depth - 1) > tol
+
+    def test_too_deep(self):
+        envelope = SpectralEnvelope(1.0, 5.0)
+        full = full_series_sum(-0.5, 1.0, 5.0)
+        assert required_depth(-0.5, envelope, full, 1e-40, 65) == 66
+        assert tail_bound(-0.5, 1.0, 5.0, 65) > 1e-40
+        assert required_depth(-0.5, envelope, full, 1e-40, 0) == 1
+
+    def test_integer_alpha_needs_one_term_past_alpha(self):
+        envelope = SpectralEnvelope(1.0, 5.0)
+        for alpha in (0.0, 1.0, 4.0):
+            full = full_series_sum(alpha, 1.0, 5.0)
+            assert required_depth(alpha, envelope, full, 1e-300, 2049) == alpha + 1
+
+    def test_full_sum_taken_from_the_caller(self, monkeypatch):
+        full = full_series_sum(0.5, 1.0, 5.0)
+
+        def no_sum(*args):
+            raise AssertionError("full_series_sum ran in the search")
+
+        monkeypatch.setattr(certificates, "full_series_sum", no_sum)
+        assert required_depth(0.5, SpectralEnvelope(1.0, 5.0), full, 1e-12, 2049) > 0
 
 
 class TestCertify:

@@ -67,8 +67,15 @@ class TestApprox:
         )
         assert code == 0
         record = json.loads(out)
-        assert record["value"] == [-1.0, 0.0]
         assert record["bound"] == 0.0
+        assert abs(record["value"][0] + 1.0) <= 1e-15 and record["value"][1] == 0.0
+        # at the window [-3, 3] the value is exact
+        code, out, _ = run_cli(
+            capsys, "table", lattice_config,
+            "--alpha", "1", "--m", "0", "--n", "1", "--windows", "3",
+        )
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2:4] == ["-1", "0"]
 
     def test_inverse_sqrt_matches_integral(self, capsys, lattice_config):
         code, out, _ = run_cli(
@@ -157,6 +164,27 @@ class TestTable:
         assert len(lines) == 5
         bounds = [float(line.split(",")[5]) for line in lines[1:]]
         assert all(late < early for early, late in zip(bounds, bounds[1:]))
+
+    def test_reevaluates_an_approx_record_window(self, capsys, lattice_config):
+        # the far element's window does not contain the origin
+        code, out, _ = run_cli(
+            capsys, "approx", lattice_config,
+            "--alpha", "-0.5", "--m", "5000", "--n", "5001", "--tol", "1e-12",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["P"] < 0
+        code, out, _ = run_cli(
+            capsys, "table", lattice_config,
+            "--alpha", "-0.5", "--m", "5000", "--n", "5001",
+            "--windows", f"{record['P']}:{record['Q']}",
+        )
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert [int(row[0]), int(row[1]), int(row[4])] == [
+            record["P"], record["Q"], record["j_pq"]
+        ]
+        assert [float(row[2]), float(row[3]), float(row[5])] == [*record["value"], record["bound"]]
 
     def test_asymmetric_window_token(self, capsys, lattice_config):
         code, out, _ = run_cli(
@@ -452,13 +480,19 @@ class TestUsageAndConfig:
         assert float(row.split(",")[2]) == pytest.approx(3.0, abs=1e-12)
 
     def test_module_entry_point(self, lattice_config):
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "finpow", "approx", lattice_config,
-                "--alpha", "1", "--m", "0", "--n", "1", "--tol", "1e-9",
-            ],
-            capture_output=True,
-            text=True,
-        )
+        def run_module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "finpow", *argv, lattice_config,
+                 "--alpha", "1", "--m", "0", "--n", "1"],
+                capture_output=True,
+                text=True,
+            )
+
+        result = run_module("approx", "--tol", "1e-9")
         assert result.returncode == 0
-        assert json.loads(result.stdout)["value"] == [-1.0, 0.0]
+        record = json.loads(result.stdout)
+        assert record["bound"] == 0.0
+        assert abs(record["value"][0] + 1.0) <= 1e-15 and record["value"][1] == 0.0
+        result = run_module("table", "--windows", "3")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1].split(",")[2:4] == ["-1", "0"]

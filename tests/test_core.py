@@ -45,6 +45,22 @@ class TestWindow:
         assert w.dim == 1
         assert w.is_corner(0)
 
+    def test_window_off_the_origin(self):
+        w = Window(-4882, 5118)
+        assert w.dim == 237
+        assert w.corners == (4882, 5118)
+        assert w.contains(5000) and not w.contains(0)
+        assert w.offset(4882) == 0
+        assert list(Window(3, -2).indices()) == [-3, -2]
+
+    def test_truncation_off_the_origin_is_translation_invariant(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        far = Window(-4990, 5010)
+        near = Window(10, 10)
+        assert np.array_equal(
+            truncate(spec, far, policy(far)).data, truncate(spec, near, policy(near)).data
+        )
+
 
 class TestSpectralEnvelope:
     def test_w_is_norm_plus_d(self):
@@ -202,6 +218,13 @@ class TestTruncate:
         spec = banded_spec([-1, 0, 1], [-0.5j, 2.0, 0.5j], env)
         result = truncate(spec, Window(3, 3))
         assert np.abs(result.data - result.data.conj().T).max() == 0.0
+
+    def test_entries_near_the_float_limit_do_not_overflow(self):
+        # the lattice a = 1e308, b = 1 passes every premise
+        spec = lattice_spec(LatticeModelParams(1e308, 1.0))
+        result = truncate(spec, Window(1, 1))
+        assert np.isfinite(result.data).all()
+        assert result.element(0, 0) == spec.entry(0, 0)
 
     @given(p=st.integers(0, 10), q=st.integers(0, 10))
     @settings(max_examples=30, deadline=None)

@@ -21,12 +21,17 @@ from finpow import (
     dispersion_integral_element,
     evaluate_window,
     finite_power,
+    full_series_sum,
     lattice_spec,
     local_solve,
     periodic_policy,
+    tail_bound,
     truncate,
+    truncation_depth,
     zero_boundary,
 )
+from finpow.certificates import required_depth
+from finpow.series import minimal_window
 
 from oracles import mp_abs_binom_tail, random_banded_spec
 
@@ -45,6 +50,19 @@ def count_linalg(monkeypatch):
     return calls
 
 
+def record_windows(monkeypatch):
+    """Record the window of every truncation the driver makes from here on."""
+    truncated = []
+    real_truncate = driver.truncate
+
+    def recording(spec, window, boundary=None):
+        truncated.append(window)
+        return real_truncate(spec, window, boundary)
+
+    monkeypatch.setattr(driver, "truncate", recording)
+    return truncated
+
+
 def free_laplacian_spec():
     """Tridiagonal (-1, 2, -1): spectrum [0, 4], so c = 0 genuinely."""
     return banded_spec([-1, 0, 1], [-1.0, 2.0, -1.0], SpectralEnvelope(0.0, 4.0, 0.0))
@@ -60,7 +78,8 @@ class TestApproximateElement:
         for m, n in [(0, 0), (0, 1), (3, 2), (-2, -2)]:
             cert = approximate_element(spec, policy, 1.0, m, n, 1e-12)
             assert cert.bound == 0.0
-            assert cert.window.P == max(abs(m), abs(n)) + 2
+            # depth 2 clears the bound: one walk step plus one index each side
+            assert cert.window == Window(2 - min(m, n), max(m, n) + 2)
             assert abs(cert.value - spec.entry(m, n)) <= 1e-12
 
     def test_alpha_zero_is_delta(self, unit_lattice):
@@ -75,12 +94,13 @@ class TestApproximateElement:
         tol = 1e-6
         cert = approximate_element(spec, policy, -0.5, 0, 0, tol)
         assert cert.bound <= tol
-        # predict the stopping window independently: first doubling margin g
-        # whose certified tail (depth g for this stencil) meets tol
-        margin = 2
-        while 2.0 * 5.0**-0.5 * float(mp_abs_binom_tail(-0.5, 0.8, margin)) > tol:
-            margin *= 2
-        assert cert.window == Window(margin, margin)
+        # predict the window independently: the smallest depth J whose
+        # certified tail meets tol, which Window(J, J) reaches at (0, 0)
+        depth = 1
+        while 2.0 * 5.0**-0.5 * float(mp_abs_binom_tail(-0.5, 0.8, depth)) > tol:
+            depth += 1
+        assert cert.window == Window(depth, depth)
+        assert cert.depth.j_pq == depth
         reference = dispersion_integral_element(params, -0.5, 0, 0)
         assert abs(cert.value.real - reference) <= cert.bound
 
@@ -186,6 +206,105 @@ class TestApproximateElement:
 
         with pytest.raises(InvalidBoundaryError):
             approximate_element(spec, inflating, 0.5, 0, 0, 1e-3)
+
+
+class TestOneWindowPerCall:
+    def test_far_element_certifies(self, unit_lattice):
+        params, spec, policy = unit_lattice
+        cert = approximate_element(spec, policy, -0.5, 5000, 5000, 1e-12)
+        assert cert.window.dim <= 240
+        assert not cert.window.contains(0)
+        reference = dispersion_integral_element(params, -0.5, 0, 0)
+        assert abs(cert.value.real - reference) <= cert.bound + 1e-15
+
+    def test_deep_c_zero_certificate(self):
+        # the tail at depth >= 400 stops at MAX_TAIL_TERMS terms and bounds the rest
+        cert = approximate_element(free_laplacian_spec(), zero_boundary, 2.5, 0, 0, 1e-5)
+        assert cert.depth.j_pq >= 376
+        assert cert.bound <= 1e-5
+
+    def test_one_truncation_and_eigensolve(self, unit_lattice, monkeypatch):
+        _, spec, policy = unit_lattice
+        assert not hasattr(driver, "growth_windows")
+        truncated = record_windows(monkeypatch)
+        calls = count_linalg(monkeypatch)
+        approximate_element(spec, policy, 0.5, 3, -2, 1e-12)
+        local_solve(spec, policy, {0: 0.5, 4: 0.5j}, [0, 1, -5], 1e-10)
+        assert len(truncated) == 2
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+        with pytest.raises(NotConvergedError):
+            approximate_element(spec, policy, 0.5, 3, -2, 1e-40, max_dim=101)
+        assert len(truncated) == 3
+        assert calls == {"eigh": 3, "eigvalsh": 0}
+
+    def test_not_converged_far_from_the_origin(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        with pytest.raises(NotConvergedError) as err:
+            approximate_element(spec, policy, -0.5, 5000, 5001, 1e-12, max_dim=65)
+        best = err.value.best_certificate
+        assert best.window == Window(32 - 5000, 5000 + 32)
+        assert best == evaluate_window(spec, policy, -0.5, 5000, 5001, best.window)
+
+    @pytest.mark.parametrize("m, n, max_dim", [(0, 0, -1), (0, 0, 0), (-40, 40, 65), (0, 63, 64)])
+    def test_no_window_holds_the_element(self, unit_lattice, monkeypatch, m, n, max_dim):
+        # the last case fits dimension 64, but no window centred on it does
+        _, spec, policy = unit_lattice
+        if n - m >= max_dim:
+            def no_bound(*args):
+                raise AssertionError("bound work for a window that cannot fit")
+
+            monkeypatch.setattr(driver, "required_depth", no_bound)
+        with pytest.raises(NotConvergedError) as err:
+            approximate_element(spec, policy, -0.5, m, n, 1e-40, max_dim=max_dim)
+        assert err.value.best_certificate is None
+
+    def test_local_solve_indices_too_far_apart(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        with pytest.raises(NotConvergedError) as err:
+            local_solve(spec, policy, {0: 1.0}, [3000], 1e-6)
+        assert err.value.best_certificate is None
+
+
+def _check_plan(spec, alpha, m, n, tol):
+    """The planned window meets tol at its depth, and no smaller one reaches J."""
+    c, w = spec.envelope.c, spec.envelope.w
+    required = required_depth(alpha, spec.envelope, full_series_sum(alpha, c, w), tol, 10**6)
+    window = minimal_window(spec, {m, n}, required)
+    depth = truncation_depth(spec, window, m, n)
+    bound = 0.0 if depth.saturated else tail_bound(alpha, c, w, depth.j_pq)
+    assert bound <= tol
+    assert depth.saturated or depth.j_pq >= required
+    if not depth.saturated:
+        for inward in (Window(window.P - 1, window.Q), Window(window.P, window.Q - 1)):
+            if inward.contains(m) and inward.contains(n):
+                assert truncation_depth(spec, inward, m, n).j_pq < required
+    return window, bound
+
+
+class TestMinimalAndSound:
+    ALPHAS = (-1.0, -0.5, 0.5, 1.5)
+    TOLS = (1e-6, 1e-12, 1e-40)
+
+    def test_unit_lattice(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        for alpha in self.ALPHAS:
+            for tol in self.TOLS:
+                for m in range(-3, 4):
+                    for n in range(-3, 4):
+                        window, bound = _check_plan(spec, alpha, m, n, tol)
+                        if tol == 1e-6 and m + n in (0, 3):
+                            cert = approximate_element(spec, policy, alpha, m, n, tol)
+                            assert (cert.window, cert.bound) == (window, bound)
+
+    def test_random_banded(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(20):
+            spec = random_banded_spec(rng, int(rng.integers(1, 4)))
+            elements = [tuple(int(i) for i in rng.integers(-3, 4, size=2)) for _ in range(3)]
+            for alpha in self.ALPHAS:
+                for tol in self.TOLS:
+                    for m, n in elements:
+                        _check_plan(spec, alpha, m, n, tol)
 
 
 class TestEvaluateWindow:
@@ -345,40 +464,39 @@ class TestLocalSolve:
             local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-6)
 
     def test_each_distinct_window_factored_once(self, unit_lattice, monkeypatch):
+        # every element needs the same depth, so the one window solved is
+        # the union of the elements' own windows
         _, spec, policy = unit_lattice
         f = {0: 0.5, 2: -0.25, -4: 0.25j}
         outs = [0, 1, -3, 5, 6]
         tol = 1e-10  # |f|_1 = 1, so each element gets the whole of tol
-        expected = {
+        own = {
             approximate_element(spec, policy, -1.0, m, n, tol).window
             for m in outs
             for n in f
         }
-        assert 1 < len(expected) < len(outs) * len(f)
-        truncated = []
-        real_truncate = driver.truncate
-
-        def recording(spec, window, boundary=None):
-            truncated.append(window)
-            return real_truncate(spec, window, boundary)
-
-        monkeypatch.setattr(driver, "truncate", recording)
+        assert len(own) == len(outs) * len(f)
+        union = Window(max(w.P for w in own), max(w.Q for w in own))
+        truncated = record_windows(monkeypatch)
         calls = count_linalg(monkeypatch)
         result = local_solve(spec, policy, f, outs, tol)
-        assert sorted(truncated, key=lambda w: w.P) == sorted(expected, key=lambda w: w.P)
-        assert calls == {"eigh": len(expected), "eigvalsh": 0}
+        assert truncated == [union]
+        assert calls == {"eigh": 1, "eigvalsh": 0}
         assert all(bound <= tol for _, bound in result.values())
 
-    def test_matches_per_element_certificates(self, unit_lattice):
+    def test_matches_per_element_certificates(self, unit_lattice, monkeypatch):
         _, spec, policy = unit_lattice
         f = {-1: 0.75, 2: -0.25j}
         tol = 1e-8
+        truncated = record_windows(monkeypatch)
         result = local_solve(spec, policy, f, [0, 3], tol)
+        (window,) = truncated
         for m in (0, 3):
             total = 0.0 + 0.0j
             bound = 0.0
             for n, fn in f.items():
-                cert = approximate_element(spec, policy, -1.0, m, n, tol)
+                cert = evaluate_window(spec, policy, -1.0, m, n, window)
+                assert cert.bound <= tol
                 total += cert.value * fn
                 bound += cert.bound * abs(fn)
             assert result[m] == (total, bound)

@@ -4,20 +4,24 @@ from hypothesis import given, settings, strategies as st
 
 from finpow import (
     BoundarySpec,
-    BudgetExceededError,
     DomainError,
     LatticeModelParams,
     SpectralEnvelope,
     Window,
     banded_spec,
-    banded_depth_closed_form,
-    integer_power_element,
     lattice_spec,
     truncate,
     truncation_depth,
 )
+from finpow.series import minimal_window
 
-from oracles import dense_section, random_banded_spec
+from oracles import (
+    BudgetExceededError,
+    banded_depth_closed_form,
+    dense_section,
+    integer_power_element,
+    random_banded_spec,
+)
 
 IDENTITY_ENV = SpectralEnvelope(1.0, 1.0, 0.0)
 
@@ -134,6 +138,37 @@ class TestTruncationDepth:
         large = truncation_depth(spec, Window(p + dp, q + dq), m, n)
         if not small.saturated:
             assert large.j_pq >= small.j_pq or large.saturated
+
+
+class TestMinimalWindow:
+    def test_lattice_window_around_the_element(self, unit_lattice):
+        _, spec, _ = unit_lattice
+        for depth in (2, 5, 40):
+            assert minimal_window(spec, {0}, depth) == Window(depth, depth)
+            assert minimal_window(spec, {5000}, depth) == Window(depth - 5000, 5000 + depth)
+            assert minimal_window(spec, {-3, 4}, depth) == Window(depth + 3, depth + 4)
+
+    def test_low_depths_keep_one_index_each_side(self, unit_lattice):
+        _, spec, _ = unit_lattice
+        for depth in (0, 1):
+            assert minimal_window(spec, {2, 5}, depth) == Window(-1, 6)
+
+    def test_closed_reach_saturates(self):
+        window = minimal_window(identity_spec(), {7}, 1000)
+        assert window == Window(-6, 8)
+        assert truncation_depth(identity_spec(), window, 7, 7).saturated
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reaches_the_depth_and_no_smaller_window_does(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        spec = random_banded_spec(rng, int(rng.integers(1, 4)))
+        m, n = (int(i) for i in rng.integers(-6, 7, size=2))
+        depth = data.draw(st.integers(2, 30))
+        window = minimal_window(spec, {m, n}, depth)
+        assert truncation_depth(spec, window, m, n).j_pq == depth
+        for inward in (Window(window.P - 1, window.Q), Window(window.P, window.Q - 1)):
+            assert truncation_depth(spec, inward, m, n).j_pq < depth
 
 
 class TestBandedClosedForm:
