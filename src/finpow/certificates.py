@@ -29,6 +29,7 @@ CANCELLATION_GUARD = 1e-6
 MAX_TAIL_TERMS = 10_000_000
 _CHUNK = 65_536
 _LOG_DBL_MAX = float(np.log(np.finfo(np.float64).max))
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,28 @@ def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
     )
 
 
+def _abs_binomial(a: float, j: int) -> float:
+    """``|C(a, j)|`` by the ratio recurrence of ``_abs_terms``, in chunks."""
+    term = 1.0
+    i = 0
+    while i < j and term != 0.0:
+        block = min(_CHUNK, j - i)
+        _, term = _abs_terms(a, 1.0, i, term, block)
+        i += block
+    return term
+
+
 def _tail(alpha: float, x: float, full: float, j_start: int) -> float:
     """The tail sum of ``tail_bound``, given the full sum ``full``."""
     if _is_nonneg_integer(alpha) and j_start > int(alpha):
         return 0.0
+    if x == 1.0 and alpha > 0.0 and j_start > math.floor(alpha):
+        # Past alpha the terms (-1)**j C(alpha, j) keep one sign, and all of
+        # them sum to (1 - 1)**alpha = 0, so the tail is
+        # |sum_{j < j_start} (-1)**j C(alpha, j)| = |C(alpha - 1, j_start - 1)|.
+        # Each step of its recurrence rounds at most four times; the factor
+        # keeps the float an upper bound on the exact tail.
+        return _abs_binomial(alpha - 1.0, j_start - 1) * (1.0 + 4.0 * j_start * _EPS)
     tail = full - _partial_abs_sum(alpha, x, j_start)
     if tail < CANCELLATION_GUARD * full:
         tail = _direct_tail_sum(alpha, x, j_start)
@@ -245,7 +264,9 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
     Computed as full closed-form sum minus the partial sum of the leading
     ``j_start`` terms; when that difference cancels to below a 1e-6 relative
     guard, the tail is re-summed directly until terms fall below 1e-18 of the
-    running total.  The bound is finite or the call raises.
+    running total.  At ``x = 1`` (``c = 0``) past ``alpha > 0`` the tail is
+    the closed form ``|C(alpha - 1, j_start - 1)|``.  The bound is finite or
+    the call raises.
 
     Raises
     ------

@@ -137,7 +137,7 @@ def cmd_table(args) -> int:
     for window, row in zip(windows, rows):
         if isinstance(row, FinpowError):
             print(f"{window.P},{window.Q},nan,nan,nan,nan")
-            print(f"# window [-{window.P}, {window.Q}] failed: {row}", file=sys.stderr)
+            print(f"# window {window} failed: {row}", file=sys.stderr)
         else:
             print(
                 f"{window.P},{window.Q},{_fmt(row.value.real)},{_fmt(row.value.imag)},"
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, required=True, help="total bound target")
     solve.add_argument(
         "--max-dim", type=int, default=MAX_DIM,
-        help="largest dimension of the solve's window",
+        help="largest dimension, and depth, of the solve's region",
     )
     solve.set_defaults(func=cmd_solve)
 

@@ -92,6 +92,9 @@ class Window:
         """Array position of logical index ``i``."""
         return i + self.P
 
+    def __str__(self) -> str:
+        return f"[{-self.P}, {self.Q}]"
+
 
 @dataclass
 class InfiniteMatrixSpec:
@@ -242,7 +245,7 @@ class BoundarySpec:
             if i not in corners or j not in corners:
                 raise InvalidBoundaryError(
                     f"boundary entry at ({i},{j}) lies outside the corner set "
-                    f"{sorted(corners)} of window [-{window.P}, {window.Q}]"
+                    f"{sorted(corners)} of window {window}"
                 )
 
 
@@ -283,7 +286,7 @@ class FiniteHermitian:
         """Entry at logical indices ``(m, n)``."""
         w = self.window
         if not (w.contains(m) and w.contains(n)):
-            raise IndexError(f"({m},{n}) outside window [-{w.P}, {w.Q}]")
+            raise IndexError(f"({m},{n}) outside window {w}")
         return self.data[w.offset(m), w.offset(n)]
 
 
@@ -324,6 +327,64 @@ class ValidationReport:
         )
 
 
+def _check_hermitian(mismatch: float, largest: float, window: Window) -> None:
+    """The Hermitian spot-check: the largest asymmetry ``|W_mn - conj(W_nm)|``
+    on ``window`` against ``HERMITIAN_SPOT_TOL`` times ``max(largest |W_mn|, 1)``."""
+    if mismatch > HERMITIAN_SPOT_TOL * max(largest, 1.0):
+        raise MalformedSpecError(
+            f"generator is not Hermitian on window {window}: "
+            f"max asymmetry {mismatch:.3e}"
+        )
+
+
+def sparse_section(
+    spec: InfiniteMatrixSpec, window: Window
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Mat-vec ``v -> W_R v`` of ``spec`` restricted to ``window``, on arrays
+    indexed by array position.
+
+    The entries inside the window are held as COO arrays, checked against
+    their conjugate partners as ``truncate`` checks them.  Each product is
+    one ``np.bincount``; a complex product is summed as interleaved real and
+    imaginary parts.
+
+    Raises
+    ------
+    MalformedSpecError
+        If a generated row violates the sparsity bound or the entries fail
+        the Hermitian spot-check.
+    """
+    lo, hi, dim = -window.P, window.Q, window.dim
+    rows, cols, values = [], [], []
+    for m in window.indices():
+        for col, value in spec.row(m).items():
+            if lo <= col <= hi:
+                rows.append(m - lo)
+                cols.append(col - lo)
+                values.append(value)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    vals = np.array(values, dtype=np.complex128)
+    # Each entry's conjugate partner: the entry at (col, row), or 0 if none.
+    keys, partner_keys = rows * dim + cols, cols * dim + rows
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys, partner_keys, sorter=order) % max(len(keys), 1)]
+    partners = np.where(keys[at] == partner_keys, vals[at], 0.0)
+    mismatch = np.abs(vals - partners.conj()).max(initial=0.0)
+    _check_hermitian(mismatch, np.abs(vals).max(initial=0.0), window)
+    if not vals.imag.any():
+        vals = vals.real
+    interleaved = np.stack([2 * rows, 2 * rows + 1], axis=1).ravel()
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        prod = vals * v[cols]
+        if np.iscomplexobj(prod):
+            return np.bincount(interleaved, prod.view(np.float64), 2 * dim).view(np.complex128)
+        return np.bincount(rows, prod, dim)
+
+    return matvec
+
+
 def truncate(
     spec: InfiniteMatrixSpec,
     window: Window,
@@ -347,7 +408,6 @@ def truncate(
         boundary = BoundarySpec.zero()
     boundary.validate_for(window)
 
-    P, Q = window.P, window.Q
     dim = window.dim
     rows = [spec.row(m) for m in window.indices()]
     needs_complex = any(
@@ -363,13 +423,7 @@ def truncate(
                 entry = complex(value) if needs_complex else float(np.real(value))
                 A[i, window.offset(col)] = entry
 
-    mismatch = np.abs(A - A.conj().T).max()
-    scale = max(np.abs(A).max(), 1.0)
-    if mismatch > HERMITIAN_SPOT_TOL * scale:
-        raise MalformedSpecError(
-            f"generator is not Hermitian on window [-{P}, {Q}]: "
-            f"max asymmetry {mismatch:.3e}"
-        )
+    _check_hermitian(np.abs(A - A.conj().T).max(), np.abs(A).max(), window)
 
     for (i, j), v in boundary.entries.items():
         A[window.offset(i), window.offset(j)] += v if needs_complex else v.real

@@ -3,11 +3,12 @@
 An element's a-priori bound depends on its window only through the
 truncation depth.  So ``tol`` fixes the smallest depth ``J`` whose bound
 meets it (``required_depth``), and one walk of the sparsity structure from
-the requested indices fixes the smallest window reaching ``J`` for all of
-them (``minimal_window``).  Each call solves that one window: truncate, one
-eigendecomposition, the envelope check, and per element the depth, an O(N)
-read and ``certify``.  Local solutions of ``W x = f`` for finitely supported
-``f`` reduce to certified elements of the inverse, solved together.
+the element's indices fixes the smallest window reaching ``J``
+(``minimal_window``).  Each call solves that one window: truncate, one
+eigendecomposition, the envelope check, the depth, an O(N) read and
+``certify``.  Local solutions of ``W x = f`` for finitely supported ``f``
+need no eigensolve: one Neumann sweep of sparse mat-vecs on the region that
+``J - 1`` steps from ``supp f`` reach gives every component at once.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, certify, full_series_sum, required_depth
+from .certificates import Certificate, certify, full_series_sum, required_depth, tail_bound
 from .core import (
     BoundarySpec,
     InfiniteMatrixSpec,
+    SpectralEnvelope,
     ValidationReport,
     Window,
+    sparse_section,
     truncate,
     validate_truncation,  # noqa: F401 - perfbench/tracer.py wraps it by this name
 )
@@ -30,6 +33,7 @@ from .errors import (
     DomainError,
     FinpowError,
     InvalidBoundaryError,
+    MalformedSpecError,
     NotConvergedError,
     NumericalFailureError,
     SingularOperatorError,
@@ -43,11 +47,13 @@ from .series import minimal_window, truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
 
-# Relative slack allowed when checking truncation eigenvalues against the
-# envelope, scaled by the envelope's upper bound w (at least 1).
+# Relative slack allowed when checking truncation eigenvalues, or the Rayleigh
+# quotients of a local solve, against the envelope, scaled by the envelope's
+# upper bound w (at least 1).
 SPECTRUM_TOL = 1e-9
 
-# Default cap on the truncation dimension of the adaptive driver.
+# Default cap on the truncation dimension of the adaptive driver, and on the
+# region dimension and depth of a local solve.
 MAX_DIM = 2049
 
 
@@ -66,11 +72,11 @@ def _solve(
     boundary_policy: BoundaryPolicy,
     alpha: float,
     window: Window,
-    elements: Sequence[tuple[int, int]],
-) -> list[Certificate]:
-    """Certificates of ``elements`` at ``window``, in their order.
-
-    One truncation, one ``eigh`` and one envelope check serve every element.
+    m: int,
+    n: int,
+) -> Certificate:
+    """Certificate of ``(m, n)`` at ``window``: one truncation, one ``eigh``,
+    the envelope check, then the depth and an O(N) read.
 
     Raises
     ------
@@ -79,7 +85,7 @@ def _solve(
     NumericalFailureError
         The eigendecomposition failed.
     """
-    depths = [truncation_depth(spec, window, m, n) for m, n in elements]
+    depth = truncation_depth(spec, window, m, n)
     envelope = spec.envelope
     matrix = truncate(spec, window, boundary_policy(window))
     try:
@@ -91,17 +97,14 @@ def _solve(
     )
     if not report.passed:
         raise InvalidBoundaryError(
-            f"truncation at window [-{window.P}, {window.Q}] violates the "
+            f"truncation at window {window} violates the "
             f"envelope: eigenvalues in [{report.min_eigenvalue:.6g}, "
             f"{report.max_eigenvalue:.6g}], required "
             f"[{report.lower_limit:.6g}, {report.upper_limit:.6g}]"
         )
     powered = power_eigenvalues(evals, alpha)
-    return [
-        certify(spectral_element(vecs, powered, window.offset(d.m), window.offset(d.n)),
-                alpha, envelope, d)
-        for d in depths
-    ]
+    value = spectral_element(vecs, powered, window.offset(m), window.offset(n))
+    return certify(value, alpha, envelope, depth)
 
 
 def evaluate_window(
@@ -115,8 +118,12 @@ def evaluate_window(
     """One-shot pipeline evaluation at a fixed window containing ``(m, n)``."""
     full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
     if not (window.contains(m) and window.contains(n)):
-        raise DomainError(f"element ({m}, {n}) lies outside window [-{window.P}, {window.Q}]")
-    return _solve(spec, boundary_policy, alpha, window, [(m, n)])[0]
+        raise DomainError(f"element ({m}, {n}) lies outside window {window}")
+    return _solve(spec, boundary_policy, alpha, window, m, n)
+
+
+def _not_converged(max_dim: int, tol: float) -> str:
+    return f"dimension limit {max_dim} reached before the bound fell below tol={tol:g}"
 
 
 def _plan(
@@ -126,32 +133,32 @@ def _plan(
     full: float,
     tol: float,
     max_dim: int,
-    elements: Sequence[tuple[int, int]],
+    m: int,
+    n: int,
 ) -> Window:
-    """The smallest window at which every element's bound meets ``tol``,
+    """The smallest window at which the bound of ``(m, n)`` meets ``tol``,
     from the depth ``tol`` requires and one walk, with no dense algebra.
 
     Raises
     ------
     NotConvergedError
-        That window is wider than ``max_dim``.  It carries the first
-        element's certificate at the largest window under ``max_dim``
-        centred on the indices, or none when no such window holds them.
+        That window is wider than ``max_dim``.  It carries the certificate
+        at the largest window under ``max_dim`` centred on the indices, or
+        none when no such window holds them.
     """
-    starts = {i for element in elements for i in element}
-    lo, hi = min(starts), max(starts)
+    lo, hi = min(m, n), max(m, n)
     if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
         depth = required_depth(alpha, spec.envelope, full, tol, max_dim)
-        window = minimal_window(spec, starts, depth)
+        window = minimal_window(spec, {m, n}, depth)
         if window.dim <= max_dim:
             return window
-    message = f"dimension limit {max_dim} reached before the bound fell below tol={tol:g}"
+    message = _not_converged(max_dim, tol)
     radius, centre = (max_dim - 1) // 2, (lo + hi) // 2
     if not centre - radius <= lo <= hi <= centre + radius:
         raise NotConvergedError(message)
     best = Window(radius - centre, centre + radius)
-    cert = _solve(spec, boundary_policy, alpha, best, elements[:1])[0]
-    message += f"; best bound {cert.bound:g} at window [{-best.P}, {best.Q}]"
+    cert = _solve(spec, boundary_policy, alpha, best, m, n)
+    message += f"; best bound {cert.bound:g} at window {best}"
     raise NotConvergedError(message, best_certificate=cert)
 
 
@@ -190,8 +197,8 @@ def approximate_element(
     """
     _check_tol(tol)
     full = full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
-    window = _plan(spec, boundary_policy, alpha, full, tol, max_dim, [(m, n)])
-    return _solve(spec, boundary_policy, alpha, window, [(m, n)])[0]
+    window = _plan(spec, boundary_policy, alpha, full, tol, max_dim, m, n)
+    return _solve(spec, boundary_policy, alpha, window, m, n)
 
 
 def convergence_table(
@@ -218,6 +225,25 @@ def convergence_table(
     return rows
 
 
+def _check_rayleigh(
+    envelope: SpectralEnvelope, region: Window, u: np.ndarray, w_u: np.ndarray
+) -> None:
+    """Reject an envelope ``[c, norm_bound]`` that excludes ``<u, W u> / <u, u>``.
+
+    ``u`` is supported on ``region``, where ``w_u`` is ``W u``; so this is the
+    quadratic form of the infinite matrix, which any sound envelope holds.
+    """
+    largest = np.abs(u).max()
+    u, w_u = u / largest, w_u / largest
+    quotient = np.vdot(u, w_u).real / np.vdot(u, u).real
+    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
+    if not envelope.c - slack <= quotient <= envelope.norm_bound + slack:
+        raise MalformedSpecError(
+            f"a Rayleigh quotient of W on the region {region} is {quotient:.6g}, "
+            f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
+        )
+
+
 def local_solve(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
@@ -229,11 +255,16 @@ def local_solve(
 ) -> dict[int, tuple[complex, float]]:
     """Certified components of the solution of ``W x = f``.
 
-    Each requested component ``x_m = sum_n (W**-1)_{mn} f_n`` is assembled
-    from certified inverse elements, with the tolerance split uniformly in
-    the ``|f_n|`` weighting so the accumulated bound stays below ``tol``.
-    All elements need the same depth, so one window serves them all: planned
-    as in ``approximate_element``, truncated and eigendecomposed once.
+    One Neumann sweep ``x = w**-1 * sum_{j<J} ((w I - W)/w)**j f``, with the
+    depth ``J`` that ``tol`` requires, on the region ``R`` that ``J - 1``
+    support steps from ``supp f`` reach: there ``W`` acts as ``W_R`` on every
+    term, so ``x`` is the infinite matrix's partial sum and its error is one
+    tail, ``sum |f_n| * tail_bound(-1, c, w, J) / 2``, the bound of every
+    component.  A component outside ``R`` is exactly 0 in the partial sum.
+    The work is ``J - 1`` sparse mat-vecs over ``R``, plus one for the
+    envelope check: the Rayleigh quotients of ``f`` and ``x`` must lie in
+    ``[c, norm_bound]``.  ``boundary_policy`` is not read; no truncation is
+    made.
 
     Raises
     ------
@@ -243,12 +274,18 @@ def local_solve(
         ``tol`` not positive and finite, or ``f`` has a non-finite value or
         a non-finite ``sum |f_n|``.
     NotConvergedError
-        The window needed is wider than ``max_dim``; carries the certificate
-        of the first element, as ``approximate_element`` does.
+        ``J`` or the dimension of ``R`` is above ``max_dim``; carries no
+        certificate.
+    MalformedSpecError
+        A row breaks the spec's contract, the entries on ``R`` fail the
+        Hermitian spot-check, or a Rayleigh quotient leaves the envelope.
+    NumericalFailureError
+        A component of ``x`` overflows.
     """
-    if spec.envelope.c <= 0.0:
+    envelope = spec.envelope
+    if envelope.c <= 0.0:
         raise SingularOperatorError(
-            f"local solve requires c > 0, envelope has c = {spec.envelope.c}"
+            f"local solve requires c > 0, envelope has c = {envelope.c}"
         )
     _check_tol(tol)
     support = {int(k): complex(v) for k, v in f.items() if complex(v) != 0}
@@ -257,19 +294,37 @@ def local_solve(
     weight = sum(abs(v) for v in support.values())
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
-    elements = list(dict.fromkeys((int(m), n) for m in out_indices for n in support))
-    if not elements:
-        return {}
-    full = full_series_sum(-1.0, spec.envelope.c, spec.envelope.w)
-    window = _plan(spec, boundary_policy, -1.0, full, tol / weight, max_dim, elements)
-    certs = dict(zip(elements, _solve(spec, boundary_policy, -1.0, window, elements)))
-    result: dict[int, tuple[complex, float]] = {}
-    for m in out_indices:
-        total = 0.0 + 0.0j
-        bound = 0.0
-        for n, fn in support.items():
-            cert = certs[int(m), n]
-            total += cert.value * fn
-            bound += cert.bound * abs(fn)
-        result[int(m)] = (total, bound)
-    return result
+    c, w = envelope.c, envelope.w
+    full = full_series_sum(-1.0, c, w)
+    depth = required_depth(-1.0, envelope, full, 2.0 * tol / weight, max_dim) - 1
+    bound = math.inf
+    while bound > tol and depth < max_dim:  # a second pass only if 2 tol / weight rounded up
+        depth += 1
+        bound = weight * (tail_bound(-1.0, c, w, depth) / 2.0)
+    region = minimal_window(spec, support, depth) if bound <= tol else None
+    if region is None or region.dim > max_dim:
+        raise NotConvergedError(_not_converged(max_dim, tol))
+
+    matvec = sparse_section(spec, region)
+    scale = max(abs(v) for v in support.values())
+    rhs = np.zeros(region.dim, dtype=np.complex128)
+    for n, fn in support.items():
+        rhs[region.offset(n)] = fn / scale
+    if not rhs.imag.any():
+        rhs = rhs.real
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
+        w_rhs = matvec(rhs)
+        x = term = rhs
+        for j in range(1, depth):
+            term = term - (w_rhs if j == 1 else matvec(term)) / w
+            x = x + term
+        x = x / w
+        _check_rayleigh(envelope, region, rhs, w_rhs)
+        _check_rayleigh(envelope, region, x, matvec(x))
+        x = x * scale
+    if not np.isfinite(x).all():
+        raise NumericalFailureError("a component of the local solution overflows")
+    return {
+        int(m): (complex(x[region.offset(m)]) if region.contains(m) else 0.0 + 0.0j, bound)
+        for m in out_indices
+    }

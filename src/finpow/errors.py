@@ -7,7 +7,8 @@ class FinpowError(Exception):
 
 class MalformedSpecError(FinpowError):
     """A row generator violated its declared contract (sparsity bound,
-    duplicate columns, or Hermitian symmetry on the touched index set)."""
+    duplicate columns, or Hermitian symmetry on the touched index set), or a
+    Rayleigh quotient of the matrix left its declared spectral envelope."""
 
 
 class InvalidBoundaryError(FinpowError):
@@ -50,7 +51,8 @@ class ConfigError(FinpowError):
 
 class NotConvergedError(FinpowError):
     """The adaptive driver hit its dimension limit before reaching the
-    requested tolerance.  Carries the best certificate found so far."""
+    requested tolerance.  Carries the best certificate found so far, or
+    ``None`` when there is none (always for a local solve)."""
 
     def __init__(self, message, best_certificate=None):
         super().__init__(message)

@@ -1,6 +1,7 @@
 import json
 import time
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,6 +178,27 @@ class TestTailBound:
         exact = 2.0 * w**alpha * mp_abs_binom_tail(alpha, 1.0, j_start)
         bound = tail_bound(alpha, 0.0, w, j_start)
         assert exact <= bound <= exact * (1 + 1e-6)
+
+    @pytest.mark.parametrize(
+        "alpha,j_start",
+        [(0.5, 1), (0.5, 7), (2.5, 3), (2.5, 400), (2.5, 3000), (1.5, 20000), (7.3, 100), (1e-3, 5)],
+    )
+    def test_c_zero_tail_closed_form(self, monkeypatch, alpha, j_start):
+        # past alpha the tail at x = 1 is |sum_{j < j_start} (-1)**j C(alpha, j)|,
+        # a finite sum; the closed form needs no summation of the tail
+        def no_sum(*args):
+            raise AssertionError("the tail was summed term by term")
+
+        monkeypatch.setattr(certificates, "_direct_tail_sum", no_sum)
+        w = 4.0
+        a = mp.mpf(alpha)
+        term, partial = mp.mpf(1), mp.mpf(0)
+        for j in range(j_start):
+            partial += term
+            term *= -(a - j) / (j + 1)
+        exact = 2 * mp.mpf(w) ** a * abs(partial)
+        bound = tail_bound(alpha, 0.0, w, j_start)
+        assert exact <= bound <= exact * (1 + 8 * j_start * 2.0**-52)
 
     @pytest.mark.parametrize("alpha", (-1.5, -0.5, 0.5))
     def test_partial_sum_across_chunk_boundary(self, alpha):

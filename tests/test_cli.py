@@ -212,6 +212,17 @@ class TestTable:
         assert "failed" in err
         assert "outside window" in err
 
+    def test_window_off_the_origin_in_messages(self, capsys, lattice_config):
+        code, out, err = run_cli(
+            capsys, "table", lattice_config,
+            "--alpha", "-0.5", "--m", "0", "--n", "0", "--windows=-4882:5118",
+        )
+        assert code == 0
+        assert out == "P,Q,value_re,value_im,j_pq,bound\n-4882,5118,nan,nan,nan,nan\n"
+        assert err == (
+            "# window [4882, 5118] failed: element (0, 0) lies outside window [4882, 5118]\n"
+        )
+
     @pytest.mark.parametrize(
         "config, alpha, message",
         [
@@ -279,6 +290,22 @@ class TestSolve:
         )
         assert code == 3
         assert "c > 0" in err
+
+    def test_envelope_excluding_a_rayleigh_quotient_exit_3(self, capsys, tmp_path):
+        # the symbol 3 - 2 cos(theta) reaches down to 1, below the declared c = 2
+        config = tmp_path / "wrong.json"
+        config.write_text(
+            '{"kind": "banded", "offsets": [-1, 0, 1], "stencil": [-1.0, 3.0, -1.0],'
+            ' "envelope": {"c": 2.0, "norm_bound": 5.0}}'
+        )
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("0,1.0,0.0\n")
+        code, out, err = run_cli(
+            capsys, "solve", str(config), "--rhs", str(rhs), "--out", "0", "--tol", "1e-8",
+        )
+        assert code == 3
+        assert out == ""
+        assert "Rayleigh quotient" in err
 
     def test_negative_tol_exit_3(self, capsys, lattice_config, tmp_path):
         rhs = tmp_path / "rhs.txt"

@@ -53,6 +53,11 @@ class TestWindow:
         assert w.offset(4882) == 0
         assert list(Window(3, -2).indices()) == [-3, -2]
 
+    def test_str_is_the_index_range(self):
+        assert str(Window(2, 3)) == "[-2, 3]"
+        assert str(Window(-4882, 5118)) == "[4882, 5118]"
+        assert str(Window(3, -2)) == "[-3, -2]"
+
     def test_truncation_off_the_origin_is_translation_invariant(self, unit_lattice):
         _, spec, policy = unit_lattice
         far = Window(-4990, 5010)

@@ -9,7 +9,9 @@ from finpow import (
     LatticeModelParams,
     BoundarySpec,
     DivergentSeriesError,
+    InfiniteMatrixSpec,
     InvalidBoundaryError,
+    MalformedSpecError,
     NotConvergedError,
     NumericalFailureError,
     SingularOperatorError,
@@ -31,9 +33,10 @@ from finpow import (
     zero_boundary,
 )
 from finpow.certificates import required_depth
+from finpow.driver import MAX_DIM
 from finpow.series import minimal_window
 
-from oracles import mp_abs_binom_tail, random_banded_spec
+from oracles import dense_section, mp_abs_binom_tail, random_banded_spec
 
 
 def count_linalg(monkeypatch):
@@ -229,13 +232,16 @@ class TestOneWindowPerCall:
         truncated = record_windows(monkeypatch)
         calls = count_linalg(monkeypatch)
         approximate_element(spec, policy, 0.5, 3, -2, 1e-12)
+        assert len(truncated) == 1
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+        # a local solve is a sparse sweep: no truncation and no eigensolve
         local_solve(spec, policy, {0: 0.5, 4: 0.5j}, [0, 1, -5], 1e-10)
-        assert len(truncated) == 2
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        assert len(truncated) == 1
+        assert calls == {"eigh": 1, "eigvalsh": 0}
         with pytest.raises(NotConvergedError):
             approximate_element(spec, policy, 0.5, 3, -2, 1e-40, max_dim=101)
-        assert len(truncated) == 3
-        assert calls == {"eigh": 3, "eigvalsh": 0}
+        assert len(truncated) == 2
+        assert calls == {"eigh": 2, "eigvalsh": 0}
 
     def test_not_converged_far_from_the_origin(self, unit_lattice):
         _, spec, policy = unit_lattice
@@ -259,10 +265,12 @@ class TestOneWindowPerCall:
         assert err.value.best_certificate is None
 
     def test_local_solve_indices_too_far_apart(self, unit_lattice):
+        # the output lies outside the region the sweep reaches from supp f,
+        # where the partial sum is exactly 0: it certifies as (0, bound)
         _, spec, policy = unit_lattice
-        with pytest.raises(NotConvergedError) as err:
-            local_solve(spec, policy, {0: 1.0}, [3000], 1e-6)
-        assert err.value.best_certificate is None
+        (value, bound), = local_solve(spec, policy, {0: 1.0}, [3000], 1e-6).values()
+        assert value == 0.0
+        assert 0.0 < bound <= 1e-6
 
 
 def _check_plan(spec, alpha, m, n, tol):
@@ -396,11 +404,14 @@ class TestConvergenceTable:
 
 class TestOneBoundPerDepth:
     def test_tail_bound_runs_once_per_planned_depth(self, unit_lattice, monkeypatch):
-        # the plan computes each bound; the solve reuses it rather than
-        # computing it again for the certificate
+        # the plan computes the bound; the solve reuses it rather than
+        # computing it again for the certificate.  A local solve has one
+        # depth and no truncation depth: one bound serves every output.
         _, spec, policy = unit_lattice
         calls = {"tail_bound": 0, "truncation_depth": 0}
-        for owner, name in [(certificates, "tail_bound"), (driver, "truncation_depth")]:
+        for owner, name in [
+            (certificates, "tail_bound"), (driver, "tail_bound"), (driver, "truncation_depth")
+        ]:
             real = getattr(owner, name)
 
             def counted(*args, _name=name, _real=real):
@@ -409,9 +420,9 @@ class TestOneBoundPerDepth:
 
             monkeypatch.setattr(owner, name, counted)
         approximate_element(spec, policy, -0.5, 0, 1, 1e-12)
+        assert calls == {"tail_bound": 1, "truncation_depth": 1}
         local_solve(spec, policy, {0: 1.0, 1: -0.5}, [0, 1, 2], 1e-8)
-        assert calls["truncation_depth"] > 0
-        assert calls["tail_bound"] == calls["truncation_depth"]
+        assert calls == {"tail_bound": 2, "truncation_depth": 1}
 
 
 class TestLocalSolve:
@@ -463,50 +474,127 @@ class TestLocalSolve:
         with pytest.raises(SingularOperatorError):
             local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-6)
 
-    def test_each_distinct_window_factored_once(self, unit_lattice, monkeypatch):
-        # every element needs the same depth, so the one window solved is
-        # the union of the elements' own windows
+    def test_one_region_no_eigensolve(self, unit_lattice, monkeypatch):
+        # one sweep of J - 1 mat-vecs on one region serves every output, plus
+        # one mat-vec for the envelope check; no window is truncated or factored
         _, spec, policy = unit_lattice
         f = {0: 0.5, 2: -0.25, -4: 0.25j}
         outs = [0, 1, -3, 5, 6]
-        tol = 1e-10  # |f|_1 = 1, so each element gets the whole of tol
-        own = {
-            approximate_element(spec, policy, -1.0, m, n, tol).window
-            for m in outs
-            for n in f
-        }
-        assert len(own) == len(outs) * len(f)
-        union = Window(max(w.P for w in own), max(w.Q for w in own))
+        tol = 1e-10  # |f|_1 = 1
+        regions, matvecs = [], []
+        real_section = driver.sparse_section
+
+        def recording(spec, window):
+            regions.append(window)
+            matvec = real_section(spec, window)
+
+            def counted(v):
+                matvecs.append(len(v))
+                return matvec(v)
+
+            return counted
+
+        monkeypatch.setattr(driver, "sparse_section", recording)
         truncated = record_windows(monkeypatch)
         calls = count_linalg(monkeypatch)
         result = local_solve(spec, policy, f, outs, tol)
-        assert truncated == [union]
-        assert calls == {"eigh": 1, "eigvalsh": 0}
-        assert all(bound <= tol for _, bound in result.values())
+        assert truncated == []
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        envelope = spec.envelope
+        depth = required_depth(
+            -1.0, envelope, full_series_sum(-1.0, envelope.c, envelope.w), 2 * tol, MAX_DIM
+        )
+        assert regions == [minimal_window(spec, f, depth)]
+        assert matvecs == [regions[0].dim] * depth
+        bound = tail_bound(-1.0, envelope.c, envelope.w, depth) / 2
+        assert all(b == bound <= tol for _, b in result.values())
 
-    def test_matches_per_element_certificates(self, unit_lattice, monkeypatch):
+    def test_matches_per_element_certificates(self, unit_lattice):
+        # the dense path's per-element certificates, summed with the weights
+        # f_n, agree with the sweep within the sum of both bounds
         _, spec, policy = unit_lattice
         f = {-1: 0.75, 2: -0.25j}
         tol = 1e-8
-        truncated = record_windows(monkeypatch)
         result = local_solve(spec, policy, f, [0, 3], tol)
-        (window,) = truncated
         for m in (0, 3):
             total = 0.0 + 0.0j
             bound = 0.0
             for n, fn in f.items():
-                cert = evaluate_window(spec, policy, -1.0, m, n, window)
-                assert cert.bound <= tol
+                cert = approximate_element(spec, policy, -1.0, m, n, tol)
                 total += cert.value * fn
                 bound += cert.bound * abs(fn)
-            assert result[m] == (total, bound)
+            value, sweep_bound = result[m]
+            assert sweep_bound <= tol
+            assert abs(value - total) <= bound + sweep_bound
 
-    def test_not_converged_carries_best(self, unit_lattice):
+    def test_random_banded_soundness(self):
+        # 200 random banded specs, complex stencils included, against a dense
+        # solve on a section wide enough that its edges do not show
+        rng = np.random.default_rng(20261018)
+        radius = 120
+        for case in range(200):
+            spec = random_banded_spec(rng, int(rng.integers(1, 4)))
+            support = rng.choice(np.arange(-4, 5), size=int(rng.integers(1, 4)), replace=False)
+            f = {int(n): complex(*rng.standard_normal(2)) for n in support}
+            outs = [int(m) for m in rng.integers(-6, 7, size=4)]
+            tol = float(rng.choice([1e-4, 1e-8, 1e-12]))
+            result = local_solve(spec, zero_boundary, f, outs, tol)
+            rhs = np.zeros(2 * radius + 1, dtype=complex)
+            for n, fn in f.items():
+                rhs[n + radius] = fn
+            reference = np.linalg.solve(dense_section(spec, radius), rhs)
+            for m in outs:
+                value, bound = result[m]
+                error = abs(value - reference[m + radius])
+                assert bound <= tol
+                assert error <= bound + 1e-12, (case, m, error, bound)
+
+    def test_not_converged_carries_no_certificate(self, unit_lattice):
+        # no dense window exists to certify at, either past the depth limit
+        # (J = 310) or past the region limit (J = 35, dimension 171)
         _, spec, policy = unit_lattice
-        with pytest.raises(NotConvergedError) as err:
-            local_solve(spec, policy, {0: 1.0}, [0, 1], 1e-30, max_dim=65)
-        expected = evaluate_window(spec, policy, -1.0, 0, 0, Window(32, 32))
-        assert err.value.best_certificate == expected
+        for f, tol in [({0: 1.0}, 1e-30), ({0: 1.0, 100: 1.0}, 1e-3)]:
+            with pytest.raises(NotConvergedError) as err:
+                local_solve(spec, policy, f, [0, 1], tol, max_dim=65)
+            assert err.value.best_certificate is None
+
+    # The last tol is the float just below 0.3 * tail_bound(-1, 1, 5, 20) / 2:
+    # for |f|_1 = 0.1 + 0.2, 2 tol / |f|_1 rounds up to the tail at J = 20,
+    # whose bound then misses tol by one float.
+    @pytest.mark.parametrize("f", [{0: 0.1, 1: 0.2}, {0: 0.1, 1: 0.2, -7: 0.3j}, {3: 1 / 3}])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-7, 3e-11, 1e-13, 0.003458764513820363])
+    def test_bound_meets_tol_in_float(self, unit_lattice, f, tol):
+        _, spec, policy = unit_lattice
+        result = local_solve(spec, policy, f, [0, 1], tol)
+        assert all(bound <= tol for _, bound in result.values())
+
+    def test_rayleigh_check_rejects_a_wrong_envelope(self):
+        # the symbol 3 - 2 cos(theta) reaches down to 1, below the declared c = 2
+        spec = banded_spec([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(2.0, 5.0))
+        with pytest.raises(MalformedSpecError, match="Rayleigh"):
+            local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-8)
+
+    def test_hermitian_spot_check(self):
+        def skewed(m):
+            return [(m - 1, 1.0), (m, 3.0), (m + 1, -1.0)]
+
+        spec = InfiniteMatrixSpec(skewed, 3, SpectralEnvelope(1.0, 5.0))
+        with pytest.raises(MalformedSpecError, match="not Hermitian"):
+            local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-6)
+
+    def test_tiny_and_huge_rhs_scale(self, unit_lattice):
+        # the sweep runs on f / max |f_n|: subnormal and near-overflow right
+        # hand sides give the scaled solution
+        _, spec, policy = unit_lattice
+        base = local_solve(spec, policy, {0: 1.0, 2: -0.5}, [0, 1], 1e-8)
+        for scale in (1e-310, 1e300):
+            scaled = local_solve(spec, policy, {0: scale, 2: -0.5 * scale}, [0, 1], 1e-8 * scale)
+            for m in (0, 1):
+                assert scaled[m][0] == pytest.approx(base[m][0] * scale, rel=1e-12)
+        # (W**-1)_00 is about 1.56 on the lattice a = 0.1, b = 1: x_0 overflows
+        light = lattice_spec(LatticeModelParams(0.1, 1.0))
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            local_solve(light, zero_boundary, {0: 1e308, 1: 7e307}, [0], 1e300)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_bad_tol_rejected(self, unit_lattice, tol):
