@@ -2,9 +2,10 @@
 
 The truncation error of one matrix element of a real power is bounded by the
 tail of the series ``2 w**alpha * sum_{j >= j_pq} |C(alpha, j)| x**j`` with
-``x = (w - c) / w``.  The full sum has closed forms; the tail is computed as
-full sum minus partial sum, with a direct-summation fallback guarding against
-cancellation.
+``x = (w - c) / w`` (half of it for the driver's matrix-free sweep).  The full
+sum has closed forms; the tail is computed as full sum minus partial sum, with
+a direct-summation fallback guarding against cancellation, except where the
+tail itself has a closed form (``alpha = -1``, and ``c = 0`` past ``alpha``).
 """
 
 from __future__ import annotations
@@ -252,6 +253,11 @@ def _tail(alpha: float, x: float, full: float, j_start: int) -> float:
         # Each step of its recurrence rounds at most four times; the factor
         # keeps the float an upper bound on the exact tail.
         return _abs_binomial(alpha - 1.0, j_start - 1) * (1.0 + 4.0 * j_start * _EPS)
+    if alpha == -1.0 and x < 1.0 and j_start > 0:
+        # |C(-1, j)| = 1: the geometric tail (from depth 0 it is ``full``).
+        # The power, the difference, the quotient and the product each round
+        # once; the factor keeps the float an upper bound on the exact tail.
+        return x ** j_start / (1.0 - x) * (1.0 + 4.0 * _EPS)
     tail = full - _partial_abs_sum(alpha, x, j_start)
     if tail < CANCELLATION_GUARD * full:
         tail = _direct_tail_sum(alpha, x, j_start)
@@ -265,8 +271,9 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
     ``j_start`` terms; when that difference cancels to below a 1e-6 relative
     guard, the tail is re-summed directly until terms fall below 1e-18 of the
     running total.  At ``x = 1`` (``c = 0``) past ``alpha > 0`` the tail is
-    the closed form ``|C(alpha - 1, j_start - 1)|``.  The bound is finite or
-    the call raises.
+    the closed form ``|C(alpha - 1, j_start - 1)|``, and at ``alpha = -1``
+    the geometric ``x**j_start / (1 - x)``.  The bound is finite or the call
+    raises.
 
     Raises
     ------

@@ -1,14 +1,21 @@
-"""Tolerance-driven window choice and local solves.
+"""Tolerance-driven evaluation: matrix-free series sweeps, and the paper's
+dense windows as their reference.
 
-An element's a-priori bound depends on its window only through the
-truncation depth.  So ``tol`` fixes the smallest depth ``J`` whose bound
-meets it (``required_depth``), and one walk of the sparsity structure from
-the element's indices fixes the smallest window reaching ``J``
-(``minimal_window``).  Each call solves that one window: truncate, one
-eigendecomposition, the envelope check, the depth, an O(N) read and
-``certify``.  Local solutions of ``W x = f`` for finitely supported ``f``
-need no eigensolve: one Neumann sweep of sparse mat-vecs on the region that
-``J - 1`` steps from ``supp f`` reach gives every component at once.
+Both entry points that take a tolerance, ``approximate_element`` and
+``local_solve``, evaluate the binomial series
+``W**alpha = w**alpha * sum_j C(alpha, j) (-1)**j ((w I - W)/w)**j`` with no
+eigensolve.  ``tol`` fixes the smallest depth ``J`` whose one tail
+``w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` meets it, and one walk of the
+sparsity structure fixes the region that ``J - 1`` support steps from the
+requested indices reach (``minimal_window``).  There ``W`` acts as its
+restriction on every term, so ``J - 1`` sparse mat-vecs (``_sweep``) give the
+infinite matrix's partial sum, whose error is that one tail.  Local solutions
+of ``W x = f`` are the case ``alpha = -1``, with every component read off one
+sweep.
+
+``evaluate_window`` and ``convergence_table`` keep the paper's construction:
+truncate at a given window with a boundary correction, eigendecompose, and
+bound the error by the two tails ``tail_bound``.
 """
 
 from __future__ import annotations
@@ -39,22 +46,26 @@ from .errors import (
     SingularOperatorError,
 )
 from .powers import (
+    binomial_coefficients,
     finite_power,  # noqa: F401 - perfbench/tracer.py wraps it by this name
     power_eigenvalues,
     spectral_element,
 )
-from .series import minimal_window, truncation_depth
+from .series import TruncationDepth, minimal_window, truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
 
 # Relative slack allowed when checking truncation eigenvalues, or the Rayleigh
-# quotients of a local solve, against the envelope, scaled by the envelope's
-# upper bound w (at least 1).
+# quotients of a sweep, against the envelope, scaled by the envelope's upper
+# bound w (at least 1).
 SPECTRUM_TOL = 1e-9
 
-# Default cap on the truncation dimension of the adaptive driver, and on the
-# region dimension and depth of a local solve.
+# Default cap on the region dimension and depth of a sweep; the command line
+# also caps the windows of `table` and `example` with it.
 MAX_DIM = 2049
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def zero_boundary(window: Window) -> BoundarySpec:
@@ -67,26 +78,32 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
-def _solve(
+def evaluate_window(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
     alpha: float,
-    window: Window,
     m: int,
     n: int,
+    window: Window,
 ) -> Certificate:
-    """Certificate of ``(m, n)`` at ``window``: one truncation, one ``eigh``,
-    the envelope check, then the depth and an O(N) read.
+    """The paper's certificate of ``(m, n)`` at a fixed window: one truncation
+    with the policy's corner correction, one ``eigh``, the envelope check,
+    then the truncation depth, an O(N) read and the bound ``tail_bound``.
 
     Raises
     ------
+    DomainError
+        The element lies outside ``window``.
     InvalidBoundaryError
         The truncation's eigenvalues leave the envelope.
     NumericalFailureError
         The eigendecomposition failed.
     """
-    depth = truncation_depth(spec, window, m, n)
     envelope = spec.envelope
+    full_series_sum(alpha, envelope.c, envelope.w)
+    if not (window.contains(m) and window.contains(n)):
+        raise DomainError(f"element ({m}, {n}) lies outside window {window}")
+    depth = truncation_depth(spec, window, m, n)
     matrix = truncate(spec, window, boundary_policy(window))
     try:
         evals, vecs = np.linalg.eigh(matrix.data)
@@ -107,59 +124,131 @@ def _solve(
     return certify(value, alpha, envelope, depth)
 
 
-def evaluate_window(
-    spec: InfiniteMatrixSpec,
-    boundary_policy: BoundaryPolicy,
-    alpha: float,
-    m: int,
-    n: int,
-    window: Window,
-) -> Certificate:
-    """One-shot pipeline evaluation at a fixed window containing ``(m, n)``."""
-    full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
-    if not (window.contains(m) and window.contains(n)):
-        raise DomainError(f"element ({m}, {n}) lies outside window {window}")
-    return _solve(spec, boundary_policy, alpha, window, m, n)
-
-
 def _not_converged(max_dim: int, tol: float) -> str:
     return f"dimension limit {max_dim} reached before the bound fell below tol={tol:g}"
 
 
-def _plan(
-    spec: InfiniteMatrixSpec,
-    boundary_policy: BoundaryPolicy,
+def _check_rayleigh(
+    envelope: SpectralEnvelope, region: Window, u: np.ndarray, w_u: np.ndarray
+) -> None:
+    """Reject an envelope ``[c, norm_bound]`` that excludes ``<u, W u> / <u, u>``.
+
+    ``u`` is supported on ``region``, where ``w_u`` is ``W u``; so this is the
+    quadratic form of the infinite matrix, which any sound envelope holds.  A
+    ``u`` whose entries all lie below the normal floats (zero included) has
+    too few bits for a quotient and passes unchecked.
+    """
+    largest = np.abs(u).max()
+    if largest < _TINY:
+        return
+    u, w_u = u / largest, w_u / largest
+    quotient = np.vdot(u, w_u).real / np.vdot(u, u).real
+    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
+    if not envelope.c - slack <= quotient <= envelope.norm_bound + slack:
+        raise MalformedSpecError(
+            f"a Rayleigh quotient of W on the region {region} is {quotient:.6g}, "
+            f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
+        )
+
+
+def _sweep_depth(
     alpha: float,
+    envelope: SpectralEnvelope,
     full: float,
     tol: float,
+    weight: float,
     max_dim: int,
-    m: int,
-    n: int,
-) -> Window:
-    """The smallest window at which the bound of ``(m, n)`` meets ``tol``,
-    from the depth ``tol`` requires and one walk, with no dense algebra.
+) -> tuple[int, float]:
+    """Smallest depth ``J >= 1`` whose one-tail bound
+    ``weight * tail_bound(alpha, c, w, J) / 2`` meets ``tol`` in float, and
+    that bound; ``(max_dim, inf)`` when no depth up to ``max_dim`` does.
+
+    ``full`` is the caller's ``full_series_sum``.
+    """
+    c, w = envelope.c, envelope.w
+    depth = max(required_depth(alpha, envelope, full, 2.0 * tol / weight, max_dim) - 1, 0)
+    bound = math.inf
+    while bound > tol and depth < max_dim:  # a second pass only if 2 tol / weight rounded up
+        depth += 1
+        bound = weight * (tail_bound(alpha, c, w, depth) / 2.0)
+    return depth, bound
+
+
+def _sweep(
+    spec: InfiniteMatrixSpec,
+    region: Window,
+    start: np.ndarray,
+    coefficients: np.ndarray,
+    at,
+):
+    """``sum_j coefficients[j] * v_j[at]`` over the terms
+    ``v_j = ((w I - W_R)/w)**j start`` of the region ``R``.
+
+    Each term costs one mat-vec of ``W_R = sparse_section(spec, R)``.  The
+    Rayleigh quotients of ``start`` and of the last term must lie in the
+    envelope.  An overflow shows as a non-finite sum.
 
     Raises
     ------
-    NotConvergedError
-        That window is wider than ``max_dim``.  It carries the certificate
-        at the largest window under ``max_dim`` centred on the indices, or
-        none when no such window holds them.
+    MalformedSpecError
+        A row breaks the spec's contract, the entries on ``R`` fail the
+        Hermitian spot-check, or a Rayleigh quotient leaves the envelope.
     """
+    envelope = spec.envelope
+    w = envelope.w
+    matvec = sparse_section(spec, region)
+    with np.errstate(all="ignore"):
+        term, w_term = start, matvec(start)
+        _check_rayleigh(envelope, region, term, w_term)
+        total = coefficients[0] * term[at]
+        for coefficient in coefficients[1:]:
+            term = term - w_term / w
+            w_term = matvec(term)
+            total = total + coefficient * term[at]
+        _check_rayleigh(envelope, region, term, w_term)
+    return total
+
+
+def _element_certificate(
+    spec: InfiniteMatrixSpec,
+    alpha: float,
+    full: float,
+    depth: TruncationDepth,
+    bound: float,
+) -> Certificate:
+    """Certificate of the partial sum of ``J = depth.j_pq`` terms of
+    ``(W**alpha)[m, n]``, swept on ``depth.window``.
+
+    The sweep starts at ``e_{min(m, n)}`` and reads the larger index, so
+    ``(m, n)`` and ``(n, m)`` are exact conjugates; a diagonal element is
+    real.  The terms reach ``w**alpha * full`` (``full_series_sum``), so the
+    round-off is about ``J eps w**alpha full``.  For ``alpha > 0`` they cancel
+    down to at most ``w**alpha``, which bounds every element of ``W**alpha``;
+    when the round-off reaches that, the call fails rather than certify a
+    value with no certain digit (``NumericalFailureError``, as for a value
+    that overflows).
+    """
+    region, m, n = depth.window, depth.m, depth.n
+    if alpha > 0.0 and depth.j_pq * _EPS * full >= 1.0:
+        raise NumericalFailureError(
+            f"at alpha={alpha} the sweep's {depth.j_pq} terms reach {full:.3g} "
+            f"times w**alpha, which bounds every element: its round-off would "
+            f"leave no certain digit"
+        )
     lo, hi = min(m, n), max(m, n)
-    if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
-        depth = required_depth(alpha, spec.envelope, full, tol, max_dim)
-        window = minimal_window(spec, {m, n}, depth)
-        if window.dim <= max_dim:
-            return window
-    message = _not_converged(max_dim, tol)
-    radius, centre = (max_dim - 1) // 2, (lo + hi) // 2
-    if not centre - radius <= lo <= hi <= centre + radius:
-        raise NotConvergedError(message)
-    best = Window(radius - centre, centre + radius)
-    cert = _solve(spec, boundary_policy, alpha, best, m, n)
-    message += f"; best bound {cert.bound:g} at window {best}"
-    raise NotConvergedError(message, best_certificate=cert)
+    start = np.zeros(region.dim)
+    start[region.offset(lo)] = 1.0
+    coefficients = binomial_coefficients(alpha, depth.j_pq)
+    coefficients[1::2] *= -1.0
+    read = _sweep(spec, region, start, coefficients, region.offset(hi))  # element (hi, lo)
+    if m == n:
+        read = read.real
+    elif m < n:
+        read = np.conj(read)
+    value = spec.envelope.w ** alpha * complex(read)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise NumericalFailureError(f"the element ({m}, {n}) of W**{alpha} overflows")
+    return Certificate(value, region, depth, bound, spec.envelope, alpha)
 
 
 def approximate_element(
@@ -172,33 +261,62 @@ def approximate_element(
     *,
     max_dim: int = MAX_DIM,
 ) -> Certificate:
-    """Certified element at the smallest window whose bound meets ``tol``.
+    """Certified element ``(W**alpha)[m, n]`` by one matrix-free series sweep.
 
-    That window ``[-P, Q]``, up to the dimension ``max_dim``, is the smallest
-    around ``m`` and ``n`` reaching the depth ``tol`` requires.  It is chosen
-    from the a-priori bounds alone; the certificate is exactly the one-shot
-    evaluation there, and only that window is truncated, eigendecomposed and
-    validated.
+    ``J`` is the smallest depth whose one tail
+    ``w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` (``tail_bound / 2``) meets
+    ``tol`` in float, and the region ``R`` is the smallest window whose
+    interior holds ``J - 1`` support steps from ``m`` and ``n``.  On ``R``,
+    ``w**alpha * sum_{j<J} C(alpha, j) (-1)**j [((w I - W_R)/w)**j][m, n]`` is
+    the infinite matrix's partial sum, so that tail is the certificate's
+    bound; ``J - 1`` sparse mat-vecs over ``R`` give the value, plus the
+    Rayleigh-quotient envelope check of ``_sweep``.  The certificate records
+    ``TruncationDepth(J, R, m, n)``.  Integer ``alpha`` and ``x = 0`` give
+    bound 0 through the tail.  Round-off is outside the bound (see
+    ``_element_certificate``).  ``boundary_policy`` is not read; no window is
+    truncated.
 
     Raises
     ------
     NotConvergedError
-        The window needed is wider than ``max_dim``; carries the certificate
-        at the largest window under ``max_dim`` centred on the element.
+        ``J`` or the dimension of ``R`` is above ``max_dim``.  It carries the
+        sweep's certificate at the largest window under ``max_dim`` centred
+        on the indices, at that window's ``truncation_depth``, or none when no
+        such window holds them.
     DivergentSeriesError
         ``alpha < 0`` with an envelope touching zero.
     DomainError
         ``alpha`` not finite, or ``tol`` not positive and finite.
     NumericalFailureError
         The bound at ``alpha`` overflows a float, or ``alpha`` is above
-        ``MAX_TAIL_TERMS``; raised before any window is planned.
-    InvalidBoundaryError
-        The chosen truncation failed the spectrum validation.
+        ``MAX_TAIL_TERMS`` (both raised before any sweep); or the value
+        overflows, or its round-off would leave no certain digit.
+    MalformedSpecError
+        As ``_sweep``.
     """
     _check_tol(tol)
-    full = full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
-    window = _plan(spec, boundary_policy, alpha, full, tol, max_dim, m, n)
-    return _solve(spec, boundary_policy, alpha, window, m, n)
+    envelope = spec.envelope
+    c, w = envelope.c, envelope.w
+    full = full_series_sum(alpha, c, w)
+    lo, hi = min(m, n), max(m, n)
+    if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
+        depth, bound = _sweep_depth(alpha, envelope, full, tol, 1.0, max_dim)
+        if bound <= tol:
+            region = minimal_window(spec, {m, n}, depth)
+            if region.dim <= max_dim:
+                return _element_certificate(
+                    spec, alpha, full, TruncationDepth(depth, region, m, n), bound
+                )
+    message = _not_converged(max_dim, tol)
+    radius, centre = (max_dim - 1) // 2, (lo + hi) // 2
+    if not centre - radius <= lo <= hi <= centre + radius:
+        raise NotConvergedError(message)
+    depth = truncation_depth(spec, Window(radius - centre, centre + radius), m, n)
+    best = _element_certificate(
+        spec, alpha, full, depth, tail_bound(alpha, c, w, depth.j_pq) / 2.0
+    )
+    message += f"; best bound {best.bound:g} at window {best.window}"
+    raise NotConvergedError(message, best_certificate=best)
 
 
 def convergence_table(
@@ -225,25 +343,6 @@ def convergence_table(
     return rows
 
 
-def _check_rayleigh(
-    envelope: SpectralEnvelope, region: Window, u: np.ndarray, w_u: np.ndarray
-) -> None:
-    """Reject an envelope ``[c, norm_bound]`` that excludes ``<u, W u> / <u, u>``.
-
-    ``u`` is supported on ``region``, where ``w_u`` is ``W u``; so this is the
-    quadratic form of the infinite matrix, which any sound envelope holds.
-    """
-    largest = np.abs(u).max()
-    u, w_u = u / largest, w_u / largest
-    quotient = np.vdot(u, w_u).real / np.vdot(u, u).real
-    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
-    if not envelope.c - slack <= quotient <= envelope.norm_bound + slack:
-        raise MalformedSpecError(
-            f"a Rayleigh quotient of W on the region {region} is {quotient:.6g}, "
-            f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
-        )
-
-
 def local_solve(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
@@ -255,16 +354,15 @@ def local_solve(
 ) -> dict[int, tuple[complex, float]]:
     """Certified components of the solution of ``W x = f``.
 
-    One Neumann sweep ``x = w**-1 * sum_{j<J} ((w I - W)/w)**j f``, with the
-    depth ``J`` that ``tol`` requires, on the region ``R`` that ``J - 1``
-    support steps from ``supp f`` reach: there ``W`` acts as ``W_R`` on every
-    term, so ``x`` is the infinite matrix's partial sum and its error is one
-    tail, ``sum |f_n| * tail_bound(-1, c, w, J) / 2``, the bound of every
-    component.  A component outside ``R`` is exactly 0 in the partial sum.
-    The work is ``J - 1`` sparse mat-vecs over ``R``, plus one for the
-    envelope check: the Rayleigh quotients of ``f`` and ``x`` must lie in
-    ``[c, norm_bound]``.  ``boundary_policy`` is not read; no truncation is
-    made.
+    One sweep ``x = w**-1 * sum_{j<J} ((w I - W)/w)**j f`` (``alpha = -1``),
+    with the depth ``J`` that ``tol`` requires, on the region ``R`` that
+    ``J - 1`` support steps from ``supp f`` reach: there ``W`` acts as ``W_R``
+    on every term, so ``x`` is the infinite matrix's partial sum and its
+    error is one tail, ``sum |f_n| * tail_bound(-1, c, w, J) / 2``, the bound
+    of every component.  A component outside ``R`` is exactly 0 in the
+    partial sum.  The work is ``J - 1`` sparse mat-vecs over ``R``, plus one
+    for the envelope check of ``_sweep``.  ``boundary_policy`` is not read; no
+    truncation is made.
 
     Raises
     ------
@@ -277,10 +375,9 @@ def local_solve(
         ``J`` or the dimension of ``R`` is above ``max_dim``; carries no
         certificate.
     MalformedSpecError
-        A row breaks the spec's contract, the entries on ``R`` fail the
-        Hermitian spot-check, or a Rayleigh quotient leaves the envelope.
+        As ``_sweep``.
     NumericalFailureError
-        A component of ``x`` overflows.
+        A returned component of ``x`` overflows.
     """
     envelope = spec.envelope
     if envelope.c <= 0.0:
@@ -294,37 +391,23 @@ def local_solve(
     weight = sum(abs(v) for v in support.values())
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
-    c, w = envelope.c, envelope.w
-    full = full_series_sum(-1.0, c, w)
-    depth = required_depth(-1.0, envelope, full, 2.0 * tol / weight, max_dim) - 1
-    bound = math.inf
-    while bound > tol and depth < max_dim:  # a second pass only if 2 tol / weight rounded up
-        depth += 1
-        bound = weight * (tail_bound(-1.0, c, w, depth) / 2.0)
+    full = full_series_sum(-1.0, envelope.c, envelope.w)
+    depth, bound = _sweep_depth(-1.0, envelope, full, tol, weight, max_dim)
     region = minimal_window(spec, support, depth) if bound <= tol else None
     if region is None or region.dim > max_dim:
         raise NotConvergedError(_not_converged(max_dim, tol))
 
-    matvec = sparse_section(spec, region)
     scale = max(abs(v) for v in support.values())
     rhs = np.zeros(region.dim, dtype=np.complex128)
     for n, fn in support.items():
         rhs[region.offset(n)] = fn / scale
     if not rhs.imag.any():
         rhs = rhs.real
+    inside = [int(m) for m in out_indices if region.contains(m)]
+    at = np.array([region.offset(m) for m in inside], dtype=np.intp)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
-        w_rhs = matvec(rhs)
-        x = term = rhs
-        for j in range(1, depth):
-            term = term - (w_rhs if j == 1 else matvec(term)) / w
-            x = x + term
-        x = x / w
-        _check_rayleigh(envelope, region, rhs, w_rhs)
-        _check_rayleigh(envelope, region, x, matvec(x))
-        x = x * scale
+        x = _sweep(spec, region, rhs, np.ones(depth), at) / envelope.w * scale
     if not np.isfinite(x).all():
         raise NumericalFailureError("a component of the local solution overflows")
-    return {
-        int(m): (complex(x[region.offset(m)]) if region.contains(m) else 0.0 + 0.0j, bound)
-        for m in out_indices
-    }
+    values = dict(zip(inside, (complex(v) for v in x)))
+    return {int(m): (values.get(int(m), 0.0 + 0.0j), bound) for m in out_indices}

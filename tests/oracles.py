@@ -209,6 +209,26 @@ def random_banded_spec(rng, l, allow_complex=True):
         return banded_spec(offsets, stencil, envelope)
 
 
+def toeplitz_power_element(spec, alpha, m, n):
+    """``(W**alpha)[m, n]`` of a translation-invariant spec by its dispersion
+    integral ``(1/2pi) int f(theta)**alpha e^{i(m-n)theta}``, with the symbol
+    ``f(theta) = sum_o W[0, o] e^{i o theta}``: the periodic trapezoid rule,
+    doubling the points until two estimates agree to 1e-14 of the mean of
+    ``f**alpha`` (at least 1), about the rounding noise of the mean."""
+    row = spec.row(0)
+    points, previous = 256, None
+    while points <= 2**20:
+        theta = 2.0 * np.pi * np.arange(points) / points
+        f = sum(complex(v) * np.exp(1j * o * theta) for o, v in row.items()).real
+        powered = f**alpha
+        estimate = complex(np.mean(powered * np.exp(1j * (m - n) * theta)))
+        agreement = 1e-14 * max(1.0, float(np.mean(powered)))
+        if previous is not None and abs(estimate - previous) <= agreement:
+            return estimate
+        previous, points = estimate, 2 * points
+    raise RuntimeError("dispersion integral did not converge")
+
+
 def mp_dispersion_integral(a, b, alpha, delta):
     """Dispersion integral of the lattice model in arbitrary precision."""
     a, b, alpha = mp.mpf(a), mp.mpf(b), mp.mpf(alpha)

@@ -209,6 +209,43 @@ class TestTailBound:
         assert mine == pytest.approx(oracle, rel=1e-10)
 
 
+class TestGeometricTail:
+    @pytest.mark.parametrize("ratio", (0.01, 0.1, 0.5, 0.9, 0.99))
+    def test_alpha_minus_one_is_the_geometric_tail(self, monkeypatch, ratio):
+        # |C(-1, j)| = 1: the tail is x**j / (1 - x), an upper bound in float
+        def no_direct(*args):
+            raise AssertionError("the alpha = -1 tail was summed term by term")
+
+        monkeypatch.setattr(certificates, "_direct_tail_sum", no_direct)
+        c, w = 2.0 * ratio, 2.0
+        x = (w - c) / w
+        full = full_series_sum(-1.0, c, w)
+        for j_start in (1, 2, 5, 20, 100, 400, 2000):
+            mine = certificates._tail(-1.0, x, full, j_start)
+            exact = mp_abs_binom_tail(-1.0, x, j_start)
+            if exact < 1e-300:  # past the normal floats the tail rounds towards 0
+                assert mine < 1e-300
+            else:
+                assert exact <= mine <= exact * (1 + 1e-14), j_start
+
+    def test_depth_search_sums_no_tail_directly(self, monkeypatch):
+        calls = {"_tail": 0, "_direct_tail_sum": 0}
+        for name in calls:
+            real = getattr(certificates, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(certificates, name, counted)
+        envelope = SpectralEnvelope(1.0, 5.0)
+        full = full_series_sum(-1.0, 1.0, 5.0)
+        for tol in (1e-4, 1e-10, 1e-40):
+            required_depth(-1.0, envelope, full, tol, 2049)
+        assert calls["_tail"] > 20
+        assert calls["_direct_tail_sum"] == 0
+
+
 class TestRequiredDepth:
     @pytest.mark.parametrize("alpha", ALPHA_GRID + (0.0, 1.0, 3.0))
     @pytest.mark.parametrize("c,w", [(1.0, 5.0), (0.2, 1.0), (0.9, 1.0), (2.0, 2.0)])

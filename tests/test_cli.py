@@ -184,7 +184,11 @@ class TestTable:
         assert [int(row[0]), int(row[1]), int(row[4])] == [
             record["P"], record["Q"], record["j_pq"]
         ]
-        assert [float(row[2]), float(row[3]), float(row[5])] == [*record["value"], record["bound"]]
+        # the table keeps the dense evaluation and its two tails; approx
+        # sweeps the same depth with one tail
+        assert float(row[5]) == 2.0 * record["bound"]
+        value = complex(float(row[2]), float(row[3]))
+        assert abs(value - complex(*record["value"])) <= 3.0 * record["bound"]
 
     def test_asymmetric_window_token(self, capsys, lattice_config):
         code, out, _ = run_cli(
