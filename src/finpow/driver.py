@@ -177,26 +177,27 @@ def _sweep_depth(
 def _sweep(
     spec: InfiniteMatrixSpec,
     region: Window,
+    matvec: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
     coefficients: np.ndarray,
     at,
 ):
     """``sum_j coefficients[j] * v_j[at]`` over the terms
-    ``v_j = ((w I - W_R)/w)**j start`` of the region ``R``.
+    ``v_j = ((w I - W_R)/w)**j start`` of the region ``R``, and the last term.
 
-    Each term costs one mat-vec of ``W_R = sparse_section(spec, R)``.  The
+    Each term costs one ``matvec``, which is ``sparse_section(spec, R)``.  The
     Rayleigh quotients of ``start`` and of the last term must lie in the
     envelope.  An overflow shows as a non-finite sum.
 
     Raises
     ------
     MalformedSpecError
-        A row breaks the spec's contract, the entries on ``R`` fail the
-        Hermitian spot-check, or a Rayleigh quotient leaves the envelope.
+        A Rayleigh quotient leaves the envelope.  (``sparse_section`` raises
+        it too, when a row breaks the spec's contract or the entries on ``R``
+        fail the Hermitian spot-check.)
     """
     envelope = spec.envelope
     w = envelope.w
-    matvec = sparse_section(spec, region)
     with np.errstate(all="ignore"):
         term, w_term = start, matvec(start)
         _check_rayleigh(envelope, region, term, w_term)
@@ -206,49 +207,80 @@ def _sweep(
             w_term = matvec(term)
             total = total + coefficient * term[at]
         _check_rayleigh(envelope, region, term, w_term)
-    return total
+    return total, term
 
 
 def _element_certificate(
     spec: InfiniteMatrixSpec,
     alpha: float,
-    full: float,
     depth: TruncationDepth,
     bound: float,
 ) -> Certificate:
     """Certificate of the partial sum of ``J = depth.j_pq`` terms of
     ``(W**alpha)[m, n]``, swept on ``depth.window``.
 
+    With ``b = (w I - W)/w``, the partial sum ``P^alpha`` of
+    ``(1 - b)**alpha`` has terms up to ``full_series_sum``, about
+    ``(1 + x)**alpha`` for ``alpha > 0``, that cancel.  So the sweep sums
+    only ``P^beta``, ``beta = alpha - k`` in ``[0, 1)`` with
+    ``k = floor(alpha)`` (terms summing to at most 2), and the identity
+    ``P^(gamma + 1) = (1 - b) P^gamma + C(gamma, J - 1) (-1)**(J - 1) b**J``
+    gives ``P^alpha = (W/w)**k P^beta + sum_{r<k} a_r (W/w)**(k-1-r) b**J``
+    with ``a_r = C(beta + r, J - 1) (-1)**(J - 1)``.  Every factor there has
+    norm at most 1, and ``k`` mat-vecs from the read index apply the powers
+    of ``W/w``.  The identity holds for ``W_R`` too, so the value is still the
+    infinite matrix's partial sum.  Its round-off is about
+    ``J eps w**alpha (2 + x**J sum|a_r|)``; ``w**alpha`` bounds every element
+    of ``W**alpha``, so when that round-off reaches it the call fails rather
+    than certify a value with no certain digit (``NumericalFailureError``, as
+    for a value that overflows).
+
     The sweep starts at ``e_{min(m, n)}`` and reads the larger index, so
     ``(m, n)`` and ``(n, m)`` are exact conjugates; a diagonal element is
-    real.  The terms reach ``w**alpha * full`` (``full_series_sum``), so the
-    round-off is about ``J eps w**alpha full``.  For ``alpha > 0`` they cancel
-    down to at most ``w**alpha``, which bounds every element of ``W**alpha``;
-    when the round-off reaches that, the call fails rather than certify a
-    value with no certain digit (``NumericalFailureError``, as for a value
-    that overflows).
+    real.
     """
-    region, m, n = depth.window, depth.m, depth.n
-    if alpha > 0.0 and depth.j_pq * _EPS * full >= 1.0:
+    region, m, n, terms = depth.window, depth.m, depth.n, depth.j_pq
+    envelope = spec.envelope
+    w = envelope.w
+    k = max(math.floor(alpha), 0)
+    beta = alpha - k
+    carries = [binomial_coefficients(beta + r, terms)[-1] for r in range(k)]  # a_r up to sign
+    x = (w - envelope.c) / w
+    if terms * _EPS * (2.0 + x ** terms * sum(map(abs, carries))) >= 1.0:
         raise NumericalFailureError(
-            f"at alpha={alpha} the sweep's {depth.j_pq} terms reach {full:.3g} "
-            f"times w**alpha, which bounds every element: its round-off would "
-            f"leave no certain digit"
+            f"at alpha={alpha} the round-off of the sweep's {terms} terms "
+            f"reaches w**alpha, which bounds every element: it would leave no "
+            f"certain digit"
         )
     lo, hi = min(m, n), max(m, n)
+    matvec = sparse_section(spec, region)
     start = np.zeros(region.dim)
     start[region.offset(lo)] = 1.0
-    coefficients = binomial_coefficients(alpha, depth.j_pq)
-    coefficients[1::2] *= -1.0
-    read = _sweep(spec, region, start, coefficients, region.offset(hi))  # element (hi, lo)
+    series = binomial_coefficients(beta, terms)
+    series[1::2] *= -1.0
+    if not k:
+        read = _sweep(spec, region, matvec, start, series, region.offset(hi))[0]
+    else:
+        read_at = np.zeros(region.dim)  # (W_R/w)**k e_hi
+        read_at[region.offset(hi)] = 1.0
+        carried = 0.0  # sum_r a_r (W_R/w)**(k-1-r) e_hi
+        with np.errstate(all="ignore"):
+            for carry in reversed(carries):
+                carried = carried + carry * read_at
+                read_at = matvec(read_at) / w
+        at = np.flatnonzero(read_at)
+        partial, last = _sweep(spec, region, matvec, start, series, at)
+        with np.errstate(all="ignore"):  # b**J e_lo is b applied to v_{J-1}
+            carried = (-1.0) ** (terms - 1) * (carried - matvec(carried) / w)
+            read = np.vdot(read_at[at], partial) + np.vdot(carried, last)
     if m == n:
         read = read.real
     elif m < n:
         read = np.conj(read)
-    value = spec.envelope.w ** alpha * complex(read)
+    value = w ** alpha * complex(read)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NumericalFailureError(f"the element ({m}, {n}) of W**{alpha} overflows")
-    return Certificate(value, region, depth, bound, spec.envelope, alpha)
+    return Certificate(value, region, depth, bound, envelope, alpha)
 
 
 def approximate_element(
@@ -305,7 +337,7 @@ def approximate_element(
             region = minimal_window(spec, {m, n}, depth)
             if region.dim <= max_dim:
                 return _element_certificate(
-                    spec, alpha, full, TruncationDepth(depth, region, m, n), bound
+                    spec, alpha, TruncationDepth(depth, region, m, n), bound
                 )
     message = _not_converged(max_dim, tol)
     radius, centre = (max_dim - 1) // 2, (lo + hi) // 2
@@ -313,7 +345,7 @@ def approximate_element(
         raise NotConvergedError(message)
     depth = truncation_depth(spec, Window(radius - centre, centre + radius), m, n)
     best = _element_certificate(
-        spec, alpha, full, depth, tail_bound(alpha, c, w, depth.j_pq) / 2.0
+        spec, alpha, depth, tail_bound(alpha, c, w, depth.j_pq) / 2.0
     )
     message += f"; best bound {best.bound:g} at window {best.window}"
     raise NotConvergedError(message, best_certificate=best)
@@ -403,10 +435,11 @@ def local_solve(
         rhs[region.offset(n)] = fn / scale
     if not rhs.imag.any():
         rhs = rhs.real
+    matvec = sparse_section(spec, region)
     inside = [int(m) for m in out_indices if region.contains(m)]
     at = np.array([region.offset(m) for m in inside], dtype=np.intp)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
-        x = _sweep(spec, region, rhs, np.ones(depth), at) / envelope.w * scale
+        x = _sweep(spec, region, matvec, rhs, np.ones(depth), at)[0] / envelope.w * scale
     if not np.isfinite(x).all():
         raise NumericalFailureError("a component of the local solution overflows")
     values = dict(zip(inside, (complex(v) for v in x)))

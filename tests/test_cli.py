@@ -88,6 +88,23 @@ class TestApprox:
         reference = dispersion_integral_element(LatticeModelParams(1.0, 1.0), -0.5, 0, 0)
         assert abs(record["value"][0] - reference) <= record["bound"]
 
+    @pytest.mark.parametrize("alpha", ["50.5", "100.5"])
+    def test_large_alpha_matches_the_dense_table(self, capsys, lattice_config, alpha):
+        code, out, _ = run_cli(
+            capsys, "approx", lattice_config,
+            "--alpha", alpha, "--m", "0", "--n", "0", "--tol", "1e-6",
+        )
+        assert code == 0
+        record = json.loads(out)
+        code, out, _ = run_cli(
+            capsys, "table", lattice_config,
+            "--alpha", alpha, "--m", "0", "--n", "0",
+            "--windows", f"{record['P']}:{record['Q']}",
+        )
+        assert code == 0
+        dense = float(out.splitlines()[1].split(",")[2])
+        assert abs(record["value"][0] - dense) <= 1e-10 * abs(dense)
+
     def test_printed_record_reproduces_library_certificate(self, capsys, lattice_config):
         code, out, _ = run_cli(
             capsys, "approx", lattice_config,

@@ -38,7 +38,13 @@ from finpow.certificates import required_depth
 from finpow.driver import MAX_DIM
 from finpow.series import minimal_window
 
-from oracles import dense_section, mp_abs_binom_tail, random_banded_spec, toeplitz_power_element
+from oracles import (
+    dense_section,
+    mp_abs_binom_tail,
+    mp_dispersion_integral,
+    random_banded_spec,
+    toeplitz_power_element,
+)
 
 EPS = float(np.finfo(float).eps)
 
@@ -192,18 +198,26 @@ class TestApproximateElement:
         assert calls == {"eigh": 0, "eigvalsh": 0}
         assert truncated == []
 
-    def test_large_alpha_round_off(self, unit_lattice):
-        # for alpha > 0 the terms reach w**alpha * full_series_sum and cancel;
-        # the round-off, about J eps w**alpha full, is outside the bound
+    @pytest.mark.parametrize("alpha, m, n", [(20.5, 0, 1), (50.5, 0, 0), (100.5, 0, 0), (100.5, 3, 0)])
+    def test_large_alpha_keeps_its_digits(self, unit_lattice, alpha, m, n):
+        # summed as they stand, the terms of a large positive power reach
+        # (1 + x)**alpha times w**alpha and cancel; the sweep sums the
+        # fractional power and applies the integer one by mat-vecs, so the
+        # value keeps the digits of the dense evaluation at its window
         params, spec, policy = unit_lattice
-        cert = approximate_element(spec, policy, 20.5, 0, 1, 1e-6)
-        dense = evaluate_window(spec, policy, 20.5, 0, 1, cert.window)
-        roundoff = cert.depth.j_pq * EPS * 5.0**20.5 * full_series_sum(20.5, 1.0, 5.0)
-        assert abs(cert.value - dense.value) <= cert.bound + dense.bound + roundoff
-        # once that reaches w**alpha, which bounds every element, no digit
-        # of the value is certain: the call fails rather than certify it
-        with pytest.raises(NumericalFailureError, match="no certain digit"):
-            approximate_element(spec, policy, 100.5, 0, 0, 1e-6)
+        cert = approximate_element(spec, policy, alpha, m, n, 1e-6)
+        assert cert.bound <= 1e-6
+        dense = evaluate_window(spec, policy, alpha, m, n, cert.window)
+        assert dense.depth.j_pq == cert.depth.j_pq
+        assert abs(cert.value - dense.value) <= 1e-10 * abs(dense.value)
+        reference = complex(mp_dispersion_integral(1.0, 1.0, alpha, m - n))
+        assert abs(cert.value - reference) <= 1e-13 * abs(reference)
+
+    def test_no_certain_digit_fails(self, unit_lattice):
+        # a shallow partial sum of a large power carries terms whose
+        # round-off reaches w**alpha, which bounds every element: the call
+        # fails rather than certify a value with no certain digit
+        _, spec, policy = unit_lattice
         with pytest.raises(NumericalFailureError, match="no certain digit"):
             approximate_element(spec, policy, 100.5, 0, 0, 1e-30, max_dim=65)
 
