@@ -6,12 +6,16 @@ Both entry points that take a tolerance, ``approximate_element`` and
 ``W**alpha = w**alpha * sum_j C(alpha, j) (-1)**j ((w I - W)/w)**j`` with no
 eigensolve.  ``tol`` fixes the smallest depth ``J`` whose one tail
 ``w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` meets it, and one walk of the
-sparsity structure fixes the region that ``J - 1`` support steps from the
-requested indices reach (``minimal_window``).  There ``W`` acts as its
-restriction on every term, so ``J - 1`` sparse mat-vecs (``_sweep``) give the
-infinite matrix's partial sum, whose error is that one tail.  Local solutions
-of ``W x = f`` are the case ``alpha = -1``, with every component read off one
-sweep.
+sparsity structure (``SupportWalk``) fixes the window that ``J - 1`` support
+steps from the requested indices reach.  There ``W`` acts as its restriction
+on every term, so sparse mat-vecs (``_sweep``) give the infinite matrix's
+partial sum, whose error is that one tail.  Local solutions of ``W x = f``
+are the case ``alpha = -1``, with every component read off one sweep of
+``J - 1`` mat-vecs on that window.  An element reads the series only at
+``(max(m, n), min(m, n))``: the paths of length ``L`` between the two indices
+stay within ``floor(L / 2)`` steps of them, so it is swept on the smaller
+region those steps reach, inside the recorded window, and the same walk gives
+both.
 
 ``evaluate_window`` and ``convergence_table`` keep the paper's construction:
 truncate at a given window with a boundary correction, eigendecompose, and
@@ -51,7 +55,7 @@ from .powers import (
     power_eigenvalues,
     spectral_element,
 )
-from .series import TruncationDepth, minimal_window, truncation_depth
+from .series import SupportWalk, TruncationDepth, truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
 
@@ -210,14 +214,49 @@ def _sweep(
     return total, term
 
 
+def _diagonal_sweep(
+    spec: InfiniteMatrixSpec,
+    region: Window,
+    matvec: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+    coefficients: np.ndarray,
+) -> float:
+    """``sum_j coefficients[j] * (b**j)[m, m]`` for ``start = e_m``, with
+    ``b = (w I - W_R)/w`` on the region ``R``.
+
+    ``b`` is Hermitian, so with ``v_i = b**i e_m`` the terms are
+    ``(b**(2i))[m, m] = <v_i, v_i>`` and ``(b**(2i+1))[m, m] = <v_i, v_{i+1}>``:
+    ``J`` terms take ``ceil(J / 2)`` mat-vecs, and only the current term is
+    kept.  The Rayleigh checks are ``_sweep``'s, on ``start`` and the last term.
+    """
+    envelope = spec.envelope
+    w = envelope.w
+    terms = len(coefficients)
+    with np.errstate(all="ignore"):
+        term, w_term = start, matvec(start)
+        _check_rayleigh(envelope, region, term, w_term)
+        total = 0.0
+        for i in range(0, terms, 2):
+            after = term - w_term / w
+            total += coefficients[i] * np.vdot(term, term).real
+            if i + 1 < terms:
+                total += coefficients[i + 1] * np.vdot(term, after).real
+            if i + 2 < terms:
+                term, w_term = after, matvec(after)
+        _check_rayleigh(envelope, region, term, w_term)
+    return total
+
+
 def _element_certificate(
     spec: InfiniteMatrixSpec,
     alpha: float,
     depth: TruncationDepth,
     bound: float,
+    walk: SupportWalk,
 ) -> Certificate:
     """Certificate of the partial sum of ``J = depth.j_pq`` terms of
-    ``(W**alpha)[m, n]``, swept on ``depth.window``.
+    ``(W**alpha)[m, n]``, recorded at ``depth.window`` and swept on a region
+    inside it, which ``walk`` (from ``{m, n}``) gives.
 
     With ``b = (w I - W)/w``, the partial sum ``P^alpha`` of
     ``(1 - b)**alpha`` has terms up to ``full_series_sum``, about
@@ -228,18 +267,29 @@ def _element_certificate(
     gives ``P^alpha = (W/w)**k P^beta + sum_{r<k} a_r (W/w)**(k-1-r) b**J``
     with ``a_r = C(beta + r, J - 1) (-1)**(J - 1)``.  Every factor there has
     norm at most 1, and ``k`` mat-vecs from the read index apply the powers
-    of ``W/w``.  The identity holds for ``W_R`` too, so the value is still the
-    infinite matrix's partial sum.  Its round-off is about
-    ``J eps w**alpha (2 + x**J sum|a_r|)``; ``w**alpha`` bounds every element
-    of ``W**alpha``, so when that round-off reaches it the call fails rather
-    than certify a value with no certain digit (``NumericalFailureError``, as
-    for a value that overflows).
+    of ``W/w``.  Its round-off is about ``J eps w**alpha (2 + x**J sum|a_r|)``;
+    ``w**alpha`` bounds every element of ``W**alpha``, so when that round-off
+    reaches it the call fails rather than certify a value with no certain
+    digit (``NumericalFailureError``, as for a value that overflows).
+
+    Each piece of the read is a polynomial of degree at most
+    ``L = J - 1 + k`` in ``W`` at ``(max(m, n), min(m, n))``: a sum over
+    support paths of length at most ``L`` between the two indices.  Every
+    index on such a path lies within ``floor(L / 2)`` steps of ``{m, n}``
+    (the support is symmetric), so on the region of ``floor(L / 2)`` steps of
+    the walk each piece is the infinite matrix's own.  Where that is more
+    than ``J - 1`` steps, the sweep takes ``J - 1``: there ``P^alpha``, of
+    degree ``J - 1``, is the infinite matrix's, and the identity holds for
+    ``W_R`` too.  ``depth.window`` holds ``J - 1`` steps in its interior, so
+    either region lies inside it.  A diagonal element with ``k = 0`` reads
+    ``<v_i, v_i>`` and ``<v_i, v_{i+1}>`` (``_diagonal_sweep``), in about
+    ``J / 2`` mat-vecs.
 
     The sweep starts at ``e_{min(m, n)}`` and reads the larger index, so
     ``(m, n)`` and ``(n, m)`` are exact conjugates; a diagonal element is
     real.
     """
-    region, m, n, terms = depth.window, depth.m, depth.n, depth.j_pq
+    m, n, terms = depth.m, depth.n, depth.j_pq
     envelope = spec.envelope
     w = envelope.w
     k = max(math.floor(alpha), 0)
@@ -253,12 +303,15 @@ def _element_certificate(
             f"certain digit"
         )
     lo, hi = min(m, n), max(m, n)
+    region = walk.window(min(terms - 1, (terms - 1 + k) // 2))
     matvec = sparse_section(spec, region)
     start = np.zeros(region.dim)
     start[region.offset(lo)] = 1.0
     series = binomial_coefficients(beta, terms)
     series[1::2] *= -1.0
-    if not k:
+    if not k and m == n:
+        read = _diagonal_sweep(spec, region, matvec, start, series)
+    elif not k:
         read = _sweep(spec, region, matvec, start, series, region.offset(hi))[0]
     else:
         read_at = np.zeros(region.dim)  # (W_R/w)**k e_hi
@@ -280,7 +333,7 @@ def _element_certificate(
     value = w ** alpha * complex(read)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NumericalFailureError(f"the element ({m}, {n}) of W**{alpha} overflows")
-    return Certificate(value, region, depth, bound, envelope, alpha)
+    return Certificate(value, depth.window, depth, bound, envelope, alpha)
 
 
 def approximate_element(
@@ -297,16 +350,21 @@ def approximate_element(
 
     ``J`` is the smallest depth whose one tail
     ``w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` (``tail_bound / 2``) meets
-    ``tol`` in float, and the region ``R`` is the smallest window whose
-    interior holds ``J - 1`` support steps from ``m`` and ``n``.  On ``R``,
+    ``tol`` in float, and the window ``R`` is the smallest one whose interior
+    holds ``J - 1`` support steps from ``m`` and ``n``.  On ``R``,
     ``w**alpha * sum_{j<J} C(alpha, j) (-1)**j [((w I - W_R)/w)**j][m, n]`` is
     the infinite matrix's partial sum, so that tail is the certificate's
-    bound; ``J - 1`` sparse mat-vecs over ``R`` give the value, plus the
-    Rayleigh-quotient envelope check of ``_sweep``.  The certificate records
-    ``TruncationDepth(J, R, m, n)``.  Integer ``alpha`` and ``x = 0`` give
-    bound 0 through the tail.  Round-off is outside the bound (see
-    ``_element_certificate``).  ``boundary_policy`` is not read; no window is
-    truncated.
+    bound, and the certificate records ``TruncationDepth(J, R, m, n)``.  The
+    sum is a sum over paths of length below ``J`` between ``m`` and ``n``,
+    which stay within ``(J - 1) // 2`` steps of them; so the value is swept on
+    the region those steps reach (``(J - 1 + k) // 2``, at most ``J - 1``, for
+    ``k = floor(alpha) >= 1``), inside ``R`` and found by the same walk (see
+    ``_element_certificate``).  That takes about ``J`` sparse mat-vecs over
+    half of ``R``, ``J / 2`` for a diagonal element with ``alpha < 1``, plus
+    the Rayleigh-quotient envelope check of ``_sweep``.  The walk stops once
+    its window is wider than ``max_dim``.  Integer ``alpha`` and ``x = 0``
+    give bound 0 through the tail.  Round-off is outside the bound.
+    ``boundary_policy`` is not read; no window is truncated.
 
     Raises
     ------
@@ -331,21 +389,22 @@ def approximate_element(
     c, w = envelope.c, envelope.w
     full = full_series_sum(alpha, c, w)
     lo, hi = min(m, n), max(m, n)
+    walk = SupportWalk(spec, {m, n})
     if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
         depth, bound = _sweep_depth(alpha, envelope, full, tol, 1.0, max_dim)
         if bound <= tol:
-            region = minimal_window(spec, {m, n}, depth)
-            if region.dim <= max_dim:
+            window = walk.window(depth - 1, max_dim)
+            if window.dim <= max_dim:
                 return _element_certificate(
-                    spec, alpha, TruncationDepth(depth, region, m, n), bound
+                    spec, alpha, TruncationDepth(depth, window, m, n), bound, walk
                 )
     message = _not_converged(max_dim, tol)
     radius, centre = (max_dim - 1) // 2, (lo + hi) // 2
     if not centre - radius <= lo <= hi <= centre + radius:
         raise NotConvergedError(message)
-    depth = truncation_depth(spec, Window(radius - centre, centre + radius), m, n)
+    depth = walk.depth(Window(radius - centre, centre + radius), m, n)
     best = _element_certificate(
-        spec, alpha, depth, tail_bound(alpha, c, w, depth.j_pq) / 2.0
+        spec, alpha, depth, tail_bound(alpha, c, w, depth.j_pq) / 2.0, walk
     )
     message += f"; best bound {best.bound:g} at window {best.window}"
     raise NotConvergedError(message, best_certificate=best)
@@ -393,8 +452,9 @@ def local_solve(
     error is one tail, ``sum |f_n| * tail_bound(-1, c, w, J) / 2``, the bound
     of every component.  A component outside ``R`` is exactly 0 in the
     partial sum.  The work is ``J - 1`` sparse mat-vecs over ``R``, plus one
-    for the envelope check of ``_sweep``.  ``boundary_policy`` is not read; no
-    truncation is made.
+    for the envelope check of ``_sweep``.  The walk stops once its window is
+    wider than ``max_dim``.  ``boundary_policy`` is not read; no truncation is
+    made.
 
     Raises
     ------
@@ -425,7 +485,7 @@ def local_solve(
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
     full = full_series_sum(-1.0, envelope.c, envelope.w)
     depth, bound = _sweep_depth(-1.0, envelope, full, tol, weight, max_dim)
-    region = minimal_window(spec, support, depth) if bound <= tol else None
+    region = SupportWalk(spec, support).window(depth - 1, max_dim) if bound <= tol else None
     if region is None or region.dim > max_dim:
         raise NotConvergedError(_not_converged(max_dim, tol))
 

@@ -5,12 +5,14 @@ An element ``(m, n)`` of ``(W - w I)**j`` is a sum over paths of length
 at ``(m, n)`` term by term for as long as the support frontier walked from
 ``m`` and ``n`` stays strictly inside it: the truncation depth.  The same
 walk, run forward from the requested indices, gives the smallest window
-that reaches a required depth.
+that reaches a required depth.  ``SupportWalk`` takes the walk once, as far
+as asked, and answers both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator
 
 from .core import InfiniteMatrixSpec, Window
@@ -35,10 +37,12 @@ class TruncationDepth:
     saturated: bool = False
 
 
-def _frontiers(spec: InfiniteMatrixSpec, starts: Iterable[int]) -> Iterator[set[int]]:
-    """Indices each step of the support walk from ``starts`` reaches first,
-    ending with the empty set once the reachable support has closed."""
+def _extents(spec: InfiniteMatrixSpec, starts: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """``(min, max)`` of the indices within ``s`` steps of the support walk
+    from ``starts``, for ``s = 1, 2, ...``; it ends after the first step that
+    reaches nothing new, once the reachable support has closed."""
     reach = set(starts)
+    lo, hi = min(reach), max(reach)
     frontier = reach
     while frontier:
         fresh: set[int] = set()
@@ -46,9 +50,65 @@ def _frontiers(spec: InfiniteMatrixSpec, starts: Iterable[int]) -> Iterator[set[
             for q in spec.support(p):
                 if q not in reach:
                     fresh.add(q)
+                    if q < lo:
+                        lo = q
+                    elif q > hi:
+                        hi = q
         reach |= fresh
         frontier = fresh
-        yield fresh
+        yield lo, hi
+
+
+class SupportWalk:
+    """The support walk from ``starts``, taken once and only as far as asked.
+
+    ``extents[s]`` is ``(min, max)`` of the indices within ``s`` steps of
+    ``starts``.  The windows of every depth, and the truncation depth of
+    every window, read these extents, so one walk serves all of them.
+    """
+
+    def __init__(self, spec: InfiniteMatrixSpec, starts: Iterable[int]):
+        starts = set(starts)
+        self.extents = [(min(starts), max(starts))]
+        self._steps = _extents(spec, starts)
+
+    def window(self, steps: int, max_dim: int | None = None) -> Window:
+        """Smallest window whose strict interior holds ``steps`` steps of the
+        walk (or all of it, if it closes first).
+
+        With ``max_dim`` the walk stops early, at the first window wider than
+        ``max_dim``, and returns that window.
+        """
+        extents = self.extents
+        widest = float("inf") if max_dim is None else max_dim - 3  # hi - lo of [lo - 1, hi + 1]
+        lo, hi = extents[-1]
+        if len(extents) <= steps and hi - lo <= widest:
+            for lo, hi in self._steps:
+                extents.append((lo, hi))
+                if len(extents) > steps or hi - lo > widest:
+                    break
+        lo, hi = extents[min(max(steps, 0), len(extents) - 1)]
+        return Window(1 - lo, hi + 1)
+
+    def depth(self, window: Window, m: int, n: int) -> TruncationDepth:
+        """``truncation_depth(spec, window, m, n)``, for a walk from ``{m, n}``."""
+        if not (window.contains(m) and window.contains(n)):
+            return TruncationDepth(0, window, m, n)
+        if window.is_corner(m) or window.is_corner(n):
+            return TruncationDepth(1, window, m, n)
+        inner_lo, inner_hi = -window.P + 1, window.Q - 1
+        for step in count(1):
+            if step == len(self.extents):
+                extent = next(self._steps, None)
+                if extent is None:
+                    # The reachable support closed inside the window at the
+                    # step before: every power agrees, the truncation is
+                    # exact for this element.
+                    return TruncationDepth(step - 1, window, m, n, saturated=True)
+                self.extents.append(extent)
+            lo, hi = self.extents[step]
+            if lo < inner_lo or hi > inner_hi:
+                return TruncationDepth(step, window, m, n)
 
 
 def truncation_depth(
@@ -69,18 +129,7 @@ def truncation_depth(
     depth 1 (only the trivial zeroth power is guaranteed there).  Enlarging
     the window never decreases the result.
     """
-    if not (window.contains(m) and window.contains(n)):
-        return TruncationDepth(0, window, m, n)
-    if window.is_corner(m) or window.is_corner(n):
-        return TruncationDepth(1, window, m, n)
-    lo, hi = -window.P + 1, window.Q - 1
-    for depth, fresh in enumerate(_frontiers(spec, {m, n}), start=1):
-        if any(q < lo or q > hi for q in fresh):
-            return TruncationDepth(depth, window, m, n)
-        if not fresh:
-            # The reachable support closed inside the window: every power
-            # agrees, the truncation is exact for this element.
-            return TruncationDepth(depth, window, m, n, saturated=True)
+    return SupportWalk(spec, {m, n}).depth(window, m, n)
 
 
 def minimal_window(spec: InfiniteMatrixSpec, starts: Iterable[int], depth: int) -> Window:
@@ -90,7 +139,4 @@ def minimal_window(spec: InfiniteMatrixSpec, starts: Iterable[int], depth: int) 
     Every pair of ``starts`` then has a truncation depth of at least
     ``depth``, or a saturated one; for ``depth >= 2`` no smaller window does.
     """
-    reach = set(starts)
-    for _, fresh in zip(range(depth - 1), _frontiers(spec, reach)):
-        reach |= fresh
-    return Window(1 - min(reach), max(reach) + 1)
+    return SupportWalk(spec, starts).window(depth - 1)

@@ -35,7 +35,9 @@ from finpow import (
     zero_boundary,
 )
 from finpow.certificates import required_depth
+from finpow.core import sparse_section
 from finpow.driver import MAX_DIM
+from finpow.powers import binomial_coefficients
 from finpow.series import minimal_window
 
 from oracles import (
@@ -352,12 +354,18 @@ class TestOneWindowPerCall:
 
         monkeypatch.setattr(driver, "sparse_section", recording)
         cert = approximate_element(spec, policy, 0.5, 3, -2, 1e-12)
-        assert regions == [cert.window]
+        # J = 98: the window holds J - 1 = 97 steps from {-2, 3}, the swept
+        # region (J - 1) // 2 = 48 of them
+        assert (cert.window, cert.depth.j_pq) == (Window(100, 101), 98)
+        assert regions == [Window(51, 52)]
         local_solve(spec, policy, {0: 0.5, 4: 0.5j}, [0, 1, -5], 1e-10)
         assert len(regions) == 2
         with pytest.raises(NotConvergedError) as err:
             approximate_element(spec, policy, 0.5, 3, -2, 1e-40, max_dim=101)
-        assert regions[2:] == [err.value.best_certificate.window] == [Window(50, 50)]
+        best = err.value.best_certificate
+        # j_pq = 47 at [-50, 50]: the swept region holds 23 steps
+        assert (best.window, best.depth.j_pq) == (Window(50, 50), 47)
+        assert regions[2:] == [Window(26, 27)]
         assert truncated == []
         assert calls == {"eigh": 0, "eigvalsh": 0}
 
@@ -471,6 +479,161 @@ class TestElementSoundness:
                     if dim <= self.DENSE_DIM:
                         dense = evaluate_window(spec, zero_boundary, alpha, m, n, cert.window)
                         assert abs(cert.value - dense.value) <= cert.bound + dense.bound, where
+
+
+def _one_sided(spec, alpha, cert):
+    """The element as the one-sided sweep of ``driver._sweep`` on the recorded
+    window: ``J`` terms of ``C(alpha, j) (-1)**j (b**j)[hi, lo]``."""
+    window, m, n, terms = cert.window, cert.depth.m, cert.depth.n, cert.depth.j_pq
+    lo, hi = min(m, n), max(m, n)
+    start = np.zeros(window.dim)
+    start[window.offset(lo)] = 1.0
+    series = binomial_coefficients(alpha, terms)
+    series[1::2] *= -1.0
+    matvec = sparse_section(spec, window)
+    read = driver._sweep(spec, window, matvec, start, series, window.offset(hi))[0]
+    read = read.real if m == n else np.conj(read) if m < n else read
+    return spec.envelope.w**alpha * complex(read)
+
+
+def _certificate(spec, alpha, m, n, tol, max_dim=MAX_DIM):
+    """The certificate of the call, or the best one its NotConvergedError carries."""
+    try:
+        return approximate_element(spec, zero_boundary, alpha, m, n, tol, max_dim=max_dim)
+    except NotConvergedError as err:
+        assert err.best_certificate is not None
+        return err.best_certificate
+
+
+class TestSweptRegion:
+    """The sweep runs on the region of min(J - 1, (J - 1 + k) // 2) steps of
+    the walk, k = floor(alpha) (0 below 1), inside the recorded window."""
+
+    ALPHAS = (-1.0, -0.5, 0.5, 1.5, 2.5)
+    TOLS = (1e-6, 1e-12, 1e-40)
+
+    @staticmethod
+    def _check(spec, alpha, certs, converged=True):
+        # the recorded window, depth and bound are the full reach's; the value
+        # agrees with the one-sided sweep there to round-off; (m, n) and
+        # (n, m) are bitwise conjugates and a diagonal element is real
+        c, w = spec.envelope.c, spec.envelope.w
+        full = full_series_sum(alpha, c, w)
+        for (m, n), cert in certs.items():
+            terms = cert.depth.j_pq
+            assert cert.bound == tail_bound(alpha, c, w, terms) / 2.0
+            if converged:
+                assert cert.window == minimal_window(spec, {m, n}, terms)
+                assert terms == 1 or tail_bound(alpha, c, w, terms - 1) / 2.0 > cert.bound
+            else:
+                assert cert.depth == truncation_depth(spec, cert.window, m, n)
+            roundoff = 8.0 * terms * EPS * w**alpha * full
+            assert abs(cert.value - _one_sided(spec, alpha, cert)) <= roundoff, (alpha, m, n)
+            assert cert.value == certs[n, m].value.conjugate()
+            if m == n:
+                assert cert.value.imag == 0.0
+
+    def test_unit_lattice(self, unit_lattice):
+        _, spec, _ = unit_lattice
+        elements = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+        for alpha in self.ALPHAS:
+            for tol in self.TOLS:
+                certs = {mn: _certificate(spec, alpha, *mn, tol) for mn in elements}
+                self._check(spec, alpha, certs)
+
+    def test_best_certificates(self, unit_lattice):
+        _, spec, _ = unit_lattice
+        elements = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+        for alpha in self.ALPHAS:
+            certs = {mn: _certificate(spec, alpha, *mn, 1e-40, max_dim=101) for mn in elements}
+            assert all(cert.window.dim <= 101 for cert in certs.values())
+            self._check(spec, alpha, certs, converged=False)
+
+    def test_random_banded(self):
+        rng = np.random.default_rng(20261020)
+        kinds = set()
+        for _ in range(24):
+            spec = random_banded_spec(rng, int(rng.integers(1, 4)))
+            kinds.add(any(isinstance(v, complex) and v.imag for v in spec.row(0).values()))
+            m, n = (int(i) for i in rng.integers(-3, 4, size=2))
+            elements = {(m, n), (n, m), (m, m)}
+            for alpha in self.ALPHAS:
+                for tol in self.TOLS:
+                    try:
+                        certs = {mn: approximate_element(spec, zero_boundary, alpha, *mn, tol)
+                                 for mn in elements}
+                    except NotConvergedError:
+                        certs = {mn: _certificate(spec, alpha, *mn, tol, max_dim=101)
+                                 for mn in elements}
+                        self._check(spec, alpha, certs, converged=False)
+                    else:
+                        self._check(spec, alpha, certs)
+        assert kinds == {False, True}
+
+    def test_matvecs_walks_and_region(self, unit_lattice, monkeypatch):
+        # one walk per call, a region inside the window, and J // 2 + 1
+        # mat-vecs at most for a diagonal element below alpha = 1 (J, as
+        # before, off the diagonal; J + k + 1 at alpha >= 1)
+        from finpow import series
+
+        _, spec, policy = unit_lattice
+        walks, regions, matvecs = [], [], []
+        real_extents, real_section = series._extents, driver.sparse_section
+
+        def counted_extents(spec, starts):
+            walks.append(set(starts))
+            return real_extents(spec, starts)
+
+        def counted_section(spec, window):
+            regions.append(window)
+            matvec = real_section(spec, window)
+
+            def counted(v):
+                matvecs.append(window)
+                return matvec(v)
+
+            return counted
+
+        monkeypatch.setattr(series, "_extents", counted_extents)
+        monkeypatch.setattr(driver, "sparse_section", counted_section)
+        for alpha in self.ALPHAS:
+            k = max(math.floor(alpha), 0)
+            for tol, max_dim in [(1e-6, MAX_DIM), (1e-12, MAX_DIM), (1e-40, 101)]:
+                for m, n in [(0, 0), (2, 2), (3, -2), (-1, 0)]:
+                    walks.clear(), regions.clear(), matvecs.clear()
+                    cert = _certificate(spec, alpha, m, n, tol, max_dim)
+                    assert walks == [{m, n}]
+                    terms = cert.depth.j_pq
+                    steps = min(terms - 1, (terms - 1 + k) // 2)
+                    region = minimal_window(spec, {m, n}, steps + 1)
+                    assert regions == [region]
+                    assert -cert.window.P <= -region.P and region.Q <= cert.window.Q
+                    if m == n and not k:
+                        assert len(matvecs) <= terms // 2 + 1
+                    else:
+                        assert len(matvecs) == terms + (k + 1 if k else 0)
+
+    def test_walk_stops_past_max_dim(self):
+        # offsets -30..30: each step widens the reach by 60 indices; the walks
+        # of approximate_element and local_solve stop once the region is
+        # wider than max_dim, not after J - 1 steps (J = 324 here)
+        offsets = list(range(-30, 31))
+        spec = banded_spec(
+            offsets, [1.0 if o == 0 else -0.01 for o in offsets], SpectralEnvelope(0.4, 1.6)
+        )
+        rows = []
+        generate = spec.row_generator
+        spec.row_generator = lambda m: rows.append(m) or generate(m)
+        with pytest.raises(NotConvergedError) as err:
+            approximate_element(spec, zero_boundary, -0.5, 0, 0, 1e-40)
+        assert str(err.value).startswith(driver._not_converged(MAX_DIM, 1e-40))
+        best = err.value.best_certificate
+        assert best.window == Window(1024, 1024) and best.depth.j_pq == 35
+        assert len(rows) <= MAX_DIM + len(offsets)
+        with pytest.raises(NotConvergedError) as err:
+            local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-40)
+        assert err.value.best_certificate is None
+        assert len(rows) <= MAX_DIM + len(offsets)  # rows are cached on the spec
 
 
 class TestEvaluateWindow:
