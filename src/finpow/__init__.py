@@ -2,10 +2,12 @@
 sparse, bounded, Hermitian matrices.
 
 A matrix is presented by a row generator with a declared sparsity bound and
-a spectral envelope.  Finite window truncations with Hermitian corner
-corrections approximate single elements of any real power; each approximation
-ships with an a-priori error certificate derived from the binomial-series
-tail of the power expansion.
+a spectral envelope.  A single element of any real power, or a component of
+a local solve, is the binomial series summed by sparse mat-vecs on the
+finite window its depth reaches; each answer ships with an a-priori error
+certificate, the series' tail.  The paper's dense window truncations with
+Hermitian corner corrections remain as the reference (``evaluate_window``,
+``convergence_table``).
 """
 
 from .certificates import Certificate, certify, full_series_sum, tail_bound

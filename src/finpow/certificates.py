@@ -2,10 +2,11 @@
 
 The truncation error of one matrix element of a real power is bounded by the
 tail of the series ``2 w**alpha * sum_{j >= j_pq} |C(alpha, j)| x**j`` with
-``x = (w - c) / w`` (half of it for the driver's matrix-free sweep).  The full
-sum has closed forms; the tail is computed as full sum minus partial sum, with
-a direct-summation fallback guarding against cancellation, except where the
-tail itself has a closed form (``alpha = -1``, and ``c = 0`` past ``alpha``).
+``x = (w - c) / w`` (half of it, one tail, for the driver's matrix-free
+sweep, whose depth ``required_depth`` finds).  The full sum has closed forms;
+the tail is computed as full sum minus partial sum, with a direct-summation
+fallback guarding against cancellation, except where the tail itself has a
+closed form (``alpha = -1``, and ``c = 0`` past ``alpha``).
 """
 
 from __future__ import annotations
@@ -291,25 +292,37 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
 
 
 def required_depth(
-    alpha: float, envelope: SpectralEnvelope, full: float, tol: float, max_dim: int
-) -> int:
-    """Smallest ``j <= max_dim`` whose ``tail_bound`` meets ``tol``, or ``max_dim + 1``.
+    alpha: float,
+    envelope: SpectralEnvelope,
+    full: float,
+    tol: float,
+    weight: float,
+    max_dim: int,
+) -> tuple[int, float]:
+    """Smallest depth ``1 <= J <= max_dim`` whose one-tail bound
+    ``weight * w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` meets ``tol`` in
+    float, and that bound; ``(max_dim + 1, inf)`` when no such depth does.
 
+    The bound is ``weight`` times half of ``tail_bound``, in its arithmetic;
     ``full`` is the ``full_series_sum`` the caller's premise check returned.
-    ``j`` doubles, then bisects, with the arithmetic of ``tail_bound``; the
-    tail falls with ``j``, so every deeper bound meets ``tol`` too.
+    ``J`` doubles, then bisects; the tail falls with ``J``, so every deeper
+    bound meets ``tol`` too.
     """
     x = (envelope.w - envelope.c) / envelope.w
     scale = 2.0 * envelope.w ** alpha
+    bounds: dict[int, float] = {}
 
     def meets(j: int) -> bool:
-        return scale * _tail(alpha, x, full, j) <= tol
+        if j not in bounds:
+            bounds[j] = weight * (scale * _tail(alpha, x, full, j) / 2.0)
+        return bounds[j] <= tol
 
     hi = 1
     while hi < max_dim and not meets(hi):
         hi *= 2
-    lo, hi = hi // 2, min(hi, max_dim)
-    return lo + bisect_left(range(lo, hi + 1), True, key=meets)
+    lo, hi = hi // 2 + 1, min(hi, max_dim)
+    depth = lo + bisect_left(range(lo, hi + 1), True, key=meets)
+    return (depth, bounds[depth]) if depth <= max_dim else (max_dim + 1, math.inf)
 
 
 def certify(

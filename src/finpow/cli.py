@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--tol", type=float, required=True, help="target bound")
     approx.add_argument(
         "--max-dim", type=int, default=MAX_DIM,
-        help="largest truncation dimension to try",
+        help="largest dimension, and depth, of the element's region",
     )
     approx.set_defaults(func=cmd_approx)
 

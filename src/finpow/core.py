@@ -1,9 +1,12 @@
-"""Infinite sparse Hermitian matrices and their finite window truncations.
+"""Infinite sparse Hermitian matrices and their finite sections.
 
 An infinite matrix is presented as a row generator: a pure function mapping a
-row index to the finite list of ``(column, value)`` pairs of that row.  Finite
-truncations over an index window ``[-P, Q]`` copy the generator entries and
-add a Hermitian boundary correction at the four window corners.
+row index to the finite list of ``(column, value)`` pairs of that row.  Its
+section over an index window ``[-P, Q]`` holds the generator entries inside
+the window, checked for Hermitian symmetry (``_section``).  The matrix-free
+sweeps apply it as a sparse mat-vec (``sparse_section``); the paper's dense
+truncations (``truncate``) scatter it into an array and add a Hermitian
+boundary correction at the four window corners.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import (
     NumericalFailureError,
 )
 
-# Relative tolerance of the Hermitian spot-check performed on each assembled
-# truncation.  Violations beyond round-off indicate a malformed generator.
+# Relative tolerance of the Hermitian spot-check performed on each section.
+# Violations beyond round-off indicate a malformed generator.
 HERMITIAN_SPOT_TOL = 1e-12
 
 RowGenerator = Callable[[int], Sequence[tuple[int, complex]]]
@@ -327,26 +330,13 @@ class ValidationReport:
         )
 
 
-def _check_hermitian(mismatch: float, largest: float, window: Window) -> None:
-    """The Hermitian spot-check: the largest asymmetry ``|W_mn - conj(W_nm)|``
-    on ``window`` against ``HERMITIAN_SPOT_TOL`` times ``max(largest |W_mn|, 1)``."""
-    if mismatch > HERMITIAN_SPOT_TOL * max(largest, 1.0):
-        raise MalformedSpecError(
-            f"generator is not Hermitian on window {window}: "
-            f"max asymmetry {mismatch:.3e}"
-        )
+def _section(spec: InfiniteMatrixSpec, window: Window):
+    """The entries of ``spec`` inside ``window`` as COO arrays ``(rows, cols,
+    values)``, indexed by array position, row by row.
 
-
-def sparse_section(
-    spec: InfiniteMatrixSpec, window: Window
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Mat-vec ``v -> W_R v`` of ``spec`` restricted to ``window``, on arrays
-    indexed by array position.
-
-    The entries inside the window are held as COO arrays, checked against
-    their conjugate partners as ``truncate`` checks them.  Each product is
-    one ``np.bincount``; a complex product is summed as interleaved real and
-    imaginary parts.
+    Every entry is checked against its conjugate partner, the entry at
+    ``(col, row)`` or 0 if none.  ``values`` are real when no entry has an
+    imaginary part.
 
     Raises
     ------
@@ -365,15 +355,35 @@ def sparse_section(
     rows = np.array(rows, dtype=np.intp)
     cols = np.array(cols, dtype=np.intp)
     vals = np.array(values, dtype=np.complex128)
-    # Each entry's conjugate partner: the entry at (col, row), or 0 if none.
     keys, partner_keys = rows * dim + cols, cols * dim + rows
     order = np.argsort(keys)
     at = order[np.searchsorted(keys, partner_keys, sorter=order) % max(len(keys), 1)]
     partners = np.where(keys[at] == partner_keys, vals[at], 0.0)
     mismatch = np.abs(vals - partners.conj()).max(initial=0.0)
-    _check_hermitian(mismatch, np.abs(vals).max(initial=0.0), window)
-    if not vals.imag.any():
-        vals = vals.real
+    if mismatch > HERMITIAN_SPOT_TOL * max(np.abs(vals).max(initial=0.0), 1.0):
+        raise MalformedSpecError(
+            f"generator is not Hermitian on window {window}: "
+            f"max asymmetry {mismatch:.3e}"
+        )
+    return rows, cols, vals if vals.imag.any() else vals.real
+
+
+def sparse_section(
+    spec: InfiniteMatrixSpec, window: Window
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Mat-vec ``v -> W_R v`` of ``spec`` restricted to ``window``, on arrays
+    indexed by array position.
+
+    The entries are ``_section``'s.  Each product is one ``np.bincount``; a
+    complex product is summed as interleaved real and imaginary parts.
+
+    Raises
+    ------
+    MalformedSpecError
+        As ``_section``.
+    """
+    rows, cols, vals = _section(spec, window)
+    dim = window.dim
     interleaved = np.stack([2 * rows, 2 * rows + 1], axis=1).ravel()
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -393,41 +403,28 @@ def truncate(
     """Assemble the finite truncation of ``spec`` over ``window``.
 
     Interior entries (at least one index strictly inside the window) are
-    copied from the row generator; the four corner entries additionally
-    receive the boundary correction.  The result is exactly Hermitian.
+    ``_section``'s; the four corner entries additionally receive the boundary
+    correction.  The array is complex when an entry inside the window or a
+    boundary entry is.  The result is exactly Hermitian.
 
     Raises
     ------
     MalformedSpecError
-        If a generated row violates the sparsity bound or the assembled
-        window fails the Hermitian spot-check.
+        As ``_section``.
     InvalidBoundaryError
         If boundary entries fall outside the window corners.
     """
     if boundary is None:
         boundary = BoundarySpec.zero()
     boundary.validate_for(window)
-
-    dim = window.dim
-    rows = [spec.row(m) for m in window.indices()]
-    needs_complex = any(
-        complex(v).imag != 0.0 for r in rows for v in r.values()
-    ) or any(v.imag != 0.0 for v in boundary.entries.values())
-    dtype = np.complex128 if needs_complex else np.float64
-
-    A = np.zeros((dim, dim), dtype=dtype)
-    for m, row in zip(window.indices(), rows):
-        i = window.offset(m)
-        for col, value in row.items():
-            if window.contains(col):
-                entry = complex(value) if needs_complex else float(np.real(value))
-                A[i, window.offset(col)] = entry
-
-    _check_hermitian(np.abs(A - A.conj().T).max(), np.abs(A).max(), window)
-
+    rows, cols, vals = _section(spec, window)
+    needs_complex = np.iscomplexobj(vals) or any(
+        v.imag != 0.0 for v in boundary.entries.values()
+    )
+    A = np.zeros((window.dim, window.dim), dtype=np.complex128 if needs_complex else np.float64)
+    A[rows, cols] = vals
     for (i, j), v in boundary.entries.items():
         A[window.offset(i), window.offset(j)] += v if needs_complex else v.real
-
     return FiniteHermitian(window, A)
 
 

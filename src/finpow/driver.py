@@ -155,29 +155,6 @@ def _check_rayleigh(
         )
 
 
-def _sweep_depth(
-    alpha: float,
-    envelope: SpectralEnvelope,
-    full: float,
-    tol: float,
-    weight: float,
-    max_dim: int,
-) -> tuple[int, float]:
-    """Smallest depth ``J >= 1`` whose one-tail bound
-    ``weight * tail_bound(alpha, c, w, J) / 2`` meets ``tol`` in float, and
-    that bound; ``(max_dim, inf)`` when no depth up to ``max_dim`` does.
-
-    ``full`` is the caller's ``full_series_sum``.
-    """
-    c, w = envelope.c, envelope.w
-    depth = max(required_depth(alpha, envelope, full, 2.0 * tol / weight, max_dim) - 1, 0)
-    bound = math.inf
-    while bound > tol and depth < max_dim:  # a second pass only if 2 tol / weight rounded up
-        depth += 1
-        bound = weight * (tail_bound(alpha, c, w, depth) / 2.0)
-    return depth, bound
-
-
 def _sweep(
     spec: InfiniteMatrixSpec,
     region: Window,
@@ -283,7 +260,8 @@ def _element_certificate(
     ``W_R`` too.  ``depth.window`` holds ``J - 1`` steps in its interior, so
     either region lies inside it.  A diagonal element with ``k = 0`` reads
     ``<v_i, v_i>`` and ``<v_i, v_{i+1}>`` (``_diagonal_sweep``), in about
-    ``J / 2`` mat-vecs.
+    ``J / 2`` mat-vecs; every other element reads the sweep against
+    ``(W_R/w)**k e_hi``, which is ``e_hi`` with no carries when ``k = 0``.
 
     The sweep starts at ``e_{min(m, n)}`` and reads the larger index, so
     ``(m, n)`` and ``(n, m)`` are exact conjugates; a diagonal element is
@@ -311,8 +289,6 @@ def _element_certificate(
     series[1::2] *= -1.0
     if not k and m == n:
         read = _diagonal_sweep(spec, region, matvec, start, series)
-    elif not k:
-        read = _sweep(spec, region, matvec, start, series, region.offset(hi))[0]
     else:
         read_at = np.zeros(region.dim)  # (W_R/w)**k e_hi
         read_at[region.offset(hi)] = 1.0
@@ -321,11 +297,13 @@ def _element_certificate(
             for carry in reversed(carries):
                 carried = carried + carry * read_at
                 read_at = matvec(read_at) / w
-        at = np.flatnonzero(read_at)
+        at = np.flatnonzero(read_at) if k else region.offset(hi)  # an int reads fastest
         partial, last = _sweep(spec, region, matvec, start, series, at)
-        with np.errstate(all="ignore"):  # b**J e_lo is b applied to v_{J-1}
-            carried = (-1.0) ** (terms - 1) * (carried - matvec(carried) / w)
-            read = np.vdot(read_at[at], partial) + np.vdot(carried, last)
+        with np.errstate(all="ignore"):
+            read = np.vdot(read_at[at], partial)
+            if carries:  # b**J e_lo is b applied to v_{J-1}
+                carried = (-1.0) ** (terms - 1) * (carried - matvec(carried) / w)
+                read = read + np.vdot(carried, last)
     if m == n:
         read = read.real
     elif m < n:
@@ -391,7 +369,7 @@ def approximate_element(
     lo, hi = min(m, n), max(m, n)
     walk = SupportWalk(spec, {m, n})
     if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
-        depth, bound = _sweep_depth(alpha, envelope, full, tol, 1.0, max_dim)
+        depth, bound = required_depth(alpha, envelope, full, tol, 1.0, max_dim)
         if bound <= tol:
             window = walk.window(depth - 1, max_dim)
             if window.dim <= max_dim:
@@ -484,7 +462,7 @@ def local_solve(
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
     full = full_series_sum(-1.0, envelope.c, envelope.w)
-    depth, bound = _sweep_depth(-1.0, envelope, full, tol, weight, max_dim)
+    depth, bound = required_depth(-1.0, envelope, full, tol, weight, max_dim)
     region = SupportWalk(spec, support).window(depth - 1, max_dim) if bound <= tol else None
     if region is None or region.dim > max_dim:
         raise NotConvergedError(_not_converged(max_dim, tol))

@@ -11,6 +11,7 @@ as asked, and answers both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator
@@ -72,21 +73,30 @@ class SupportWalk:
         self.extents = [(min(starts), max(starts))]
         self._steps = _extents(spec, starts)
 
+    def _walk(self, steps: int, widest: float = math.inf) -> list[tuple[int, int]]:
+        """``extents``, walked on to ``steps`` steps, unless the walk closes
+        first or stops at an extent whose ``hi - lo`` exceeds ``widest``."""
+        extents = self.extents
+        lo, hi = extents[-1]
+        while len(extents) <= steps and hi - lo <= widest:
+            extent = next(self._steps, None)
+            if extent is None:
+                break
+            extents.append(extent)
+            lo, hi = extent
+        return extents
+
     def window(self, steps: int, max_dim: int | None = None) -> Window:
         """Smallest window whose strict interior holds ``steps`` steps of the
-        walk (or all of it, if it closes first).
+        walk (or all of it, if it closes first).  Every pair of ``starts``
+        then has a truncation depth of at least ``steps + 1``, or a saturated
+        one; for ``steps >= 1`` no smaller window does.
 
         With ``max_dim`` the walk stops early, at the first window wider than
         ``max_dim``, and returns that window.
         """
-        extents = self.extents
-        widest = float("inf") if max_dim is None else max_dim - 3  # hi - lo of [lo - 1, hi + 1]
-        lo, hi = extents[-1]
-        if len(extents) <= steps and hi - lo <= widest:
-            for lo, hi in self._steps:
-                extents.append((lo, hi))
-                if len(extents) > steps or hi - lo > widest:
-                    break
+        widest = math.inf if max_dim is None else max_dim - 3  # hi - lo of [lo - 1, hi + 1]
+        extents = self._walk(steps, widest)
         lo, hi = extents[min(max(steps, 0), len(extents) - 1)]
         return Window(1 - lo, hi + 1)
 
@@ -98,15 +108,13 @@ class SupportWalk:
             return TruncationDepth(1, window, m, n)
         inner_lo, inner_hi = -window.P + 1, window.Q - 1
         for step in count(1):
-            if step == len(self.extents):
-                extent = next(self._steps, None)
-                if extent is None:
-                    # The reachable support closed inside the window at the
-                    # step before: every power agrees, the truncation is
-                    # exact for this element.
-                    return TruncationDepth(step - 1, window, m, n, saturated=True)
-                self.extents.append(extent)
-            lo, hi = self.extents[step]
+            extents = self._walk(step)
+            if step == len(extents):
+                # The reachable support closed inside the window at the step
+                # before: every power agrees, the truncation is exact for
+                # this element.
+                return TruncationDepth(step - 1, window, m, n, saturated=True)
+            lo, hi = extents[step]
             if lo < inner_lo or hi > inner_hi:
                 return TruncationDepth(step, window, m, n)
 
@@ -130,13 +138,3 @@ def truncation_depth(
     the window never decreases the result.
     """
     return SupportWalk(spec, {m, n}).depth(window, m, n)
-
-
-def minimal_window(spec: InfiniteMatrixSpec, starts: Iterable[int], depth: int) -> Window:
-    """Smallest window whose strict interior holds ``depth - 1`` steps of the
-    walk from ``starts`` (or all of it, if it closes first).
-
-    Every pair of ``starts`` then has a truncation depth of at least
-    ``depth``, or a saturated one; for ``depth >= 2`` no smaller window does.
-    """
-    return SupportWalk(spec, starts).window(depth - 1)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import mpmath as mp
@@ -241,7 +242,7 @@ class TestGeometricTail:
         envelope = SpectralEnvelope(1.0, 5.0)
         full = full_series_sum(-1.0, 1.0, 5.0)
         for tol in (1e-4, 1e-10, 1e-40):
-            required_depth(-1.0, envelope, full, tol, 2049)
+            required_depth(-1.0, envelope, full, tol, 1.0, 2049)
         assert calls["_tail"] > 20
         assert calls["_direct_tail_sum"] == 0
 
@@ -251,24 +252,36 @@ class TestRequiredDepth:
     @pytest.mark.parametrize("c,w", [(1.0, 5.0), (0.2, 1.0), (0.9, 1.0), (2.0, 2.0)])
     @pytest.mark.parametrize("tol", (1e-2, 1e-6, 1e-12, 1e-40))
     def test_smallest_depth_meeting_tol(self, alpha, c, w, tol):
+        # weight 2 makes the one-tail bound the whole tail_bound
         envelope = SpectralEnvelope(c, w)
-        depth = required_depth(alpha, envelope, full_series_sum(alpha, c, w), tol, 2049)
+        full = full_series_sum(alpha, c, w)
+        depth, bound = required_depth(alpha, envelope, full, tol, 2.0, 2049)
         assert depth <= 2049
-        assert tail_bound(alpha, c, w, depth) <= tol
-        assert depth == 0 or tail_bound(alpha, c, w, depth - 1) > tol
+        assert bound == tail_bound(alpha, c, w, depth) <= tol
+        assert depth == 1 or tail_bound(alpha, c, w, depth - 1) > tol
+
+    @pytest.mark.parametrize("weight", (1.0, 0.3, 7.25))
+    def test_bound_is_the_weighted_one_tail(self, weight):
+        envelope = SpectralEnvelope(1.0, 5.0)
+        for alpha in (-1.0, -0.5, 0.5, 2.5):
+            full = full_series_sum(alpha, 1.0, 5.0)
+            for tol in (1e-3, 1e-9):
+                depth, bound = required_depth(alpha, envelope, full, tol, weight, 2049)
+                assert bound == weight * (tail_bound(alpha, 1.0, 5.0, depth) / 2.0) <= tol
+                assert depth == 1 or weight * (tail_bound(alpha, 1.0, 5.0, depth - 1) / 2.0) > tol
 
     def test_too_deep(self):
         envelope = SpectralEnvelope(1.0, 5.0)
         full = full_series_sum(-0.5, 1.0, 5.0)
-        assert required_depth(-0.5, envelope, full, 1e-40, 65) == 66
+        assert required_depth(-0.5, envelope, full, 1e-40, 2.0, 65) == (66, math.inf)
         assert tail_bound(-0.5, 1.0, 5.0, 65) > 1e-40
-        assert required_depth(-0.5, envelope, full, 1e-40, 0) == 1
+        assert required_depth(-0.5, envelope, full, 1e-40, 2.0, 0) == (1, math.inf)
 
     def test_integer_alpha_needs_one_term_past_alpha(self):
         envelope = SpectralEnvelope(1.0, 5.0)
         for alpha in (0.0, 1.0, 4.0):
             full = full_series_sum(alpha, 1.0, 5.0)
-            assert required_depth(alpha, envelope, full, 1e-300, 2049) == alpha + 1
+            assert required_depth(alpha, envelope, full, 1e-300, 2.0, 2049) == (alpha + 1, 0.0)
 
     def test_full_sum_taken_from_the_caller(self, monkeypatch):
         full = full_series_sum(0.5, 1.0, 5.0)
@@ -277,7 +290,7 @@ class TestRequiredDepth:
             raise AssertionError("full_series_sum ran in the search")
 
         monkeypatch.setattr(certificates, "full_series_sum", no_sum)
-        assert required_depth(0.5, SpectralEnvelope(1.0, 5.0), full, 1e-12, 2049) > 0
+        assert required_depth(0.5, SpectralEnvelope(1.0, 5.0), full, 1e-12, 1.0, 2049)[0] > 0
 
 
 class TestCertify:

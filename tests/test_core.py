@@ -224,6 +224,23 @@ class TestTruncate:
         result = truncate(spec, Window(3, 3))
         assert np.abs(result.data - result.data.conj().T).max() == 0.0
 
+    def test_dtype_follows_the_entries_inside_the_window(self):
+        # the complex band lies outside Window(0, 0): the array is real
+        env = SpectralEnvelope(0.5, 3.5, 0.0)
+        spec = banded_spec([-1, 0, 1], [-0.5j, 2.0, 0.5j], env)
+        result = truncate(spec, Window(0, 0))
+        assert result.data.dtype == np.float64
+        assert result.element(0, 0) == 2.0
+        corrected = truncate(spec, Window(0, 0), BoundarySpec({(0, 0): 1.0}))
+        assert corrected.data.dtype == np.float64
+        assert corrected.element(0, 0) == 3.0
+        # a complex entry inside, or a complex boundary entry, makes it complex
+        assert truncate(spec, Window(1, 0)).data.dtype == np.complex128
+        real = banded_spec([-1, 0, 1], [-0.5, 2.0, -0.5], env)
+        assert truncate(real, Window(1, 1)).data.dtype == np.float64
+        corner = BoundarySpec({(-1, 1): 0.25j})
+        assert truncate(real, Window(1, 1), corner).element(-1, 1) == 0.25j
+
     def test_entries_near_the_float_limit_do_not_overflow(self):
         # the lattice a = 1e308, b = 1 passes every premise
         spec = lattice_spec(LatticeModelParams(1e308, 1.0))

@@ -38,7 +38,7 @@ from finpow.certificates import required_depth
 from finpow.core import sparse_section
 from finpow.driver import MAX_DIM
 from finpow.powers import binomial_coefficients
-from finpow.series import minimal_window
+from finpow.series import SupportWalk
 
 from oracles import (
     dense_section,
@@ -239,12 +239,14 @@ class TestApproximateElement:
     def test_overflowing_bound_rejected_before_any_window(
         self, unit_lattice, monkeypatch, alpha
     ):
+        # the premise check runs before the support walk and the section
         _, spec, policy = unit_lattice
 
         def no_window(*args):
             raise AssertionError("a window was planned")
 
-        monkeypatch.setattr(driver, "truncation_depth", no_window)
+        monkeypatch.setattr(driver, "SupportWalk", no_window)
+        monkeypatch.setattr(driver, "sparse_section", no_window)
         with pytest.raises(NumericalFailureError):
             approximate_element(spec, policy, alpha, 0, 0, 1e-6)
 
@@ -409,11 +411,11 @@ def _check_plan(spec, alpha, m, n, tol):
     smaller window does."""
     c, w = spec.envelope.c, spec.envelope.w
     full = full_series_sum(alpha, c, w)
-    required = required_depth(alpha, spec.envelope, full, 2.0 * tol, 10**6)
-    window = minimal_window(spec, {m, n}, required)
+    required, bound = required_depth(alpha, spec.envelope, full, tol, 1.0, 10**6)
+    window = SupportWalk(spec, {m, n}).window(required - 1)
     depth = truncation_depth(spec, window, m, n)
-    bound = tail_bound(alpha, c, w, required) / 2.0
-    assert bound <= tol
+    assert bound == tail_bound(alpha, c, w, required) / 2.0 <= tol
+    assert required == 1 or tail_bound(alpha, c, w, required - 1) / 2.0 > tol
     assert depth.saturated or depth.j_pq >= required
     if not depth.saturated:
         for inward in (Window(window.P - 1, window.Q), Window(window.P, window.Q - 1)):
@@ -523,7 +525,7 @@ class TestSweptRegion:
             terms = cert.depth.j_pq
             assert cert.bound == tail_bound(alpha, c, w, terms) / 2.0
             if converged:
-                assert cert.window == minimal_window(spec, {m, n}, terms)
+                assert cert.window == SupportWalk(spec, {m, n}).window(terms - 1)
                 assert terms == 1 or tail_bound(alpha, c, w, terms - 1) / 2.0 > cert.bound
             else:
                 assert cert.depth == truncation_depth(spec, cert.window, m, n)
@@ -605,7 +607,7 @@ class TestSweptRegion:
                     assert walks == [{m, n}]
                     terms = cert.depth.j_pq
                     steps = min(terms - 1, (terms - 1 + k) // 2)
-                    region = minimal_window(spec, {m, n}, steps + 1)
+                    region = SupportWalk(spec, {m, n}).window(steps)
                     assert regions == [region]
                     assert -cert.window.P <= -region.P and region.Q <= cert.window.Q
                     if m == n and not k:
@@ -734,14 +736,16 @@ class TestConvergenceTable:
 
 
 class TestOneBoundPerDepth:
-    def test_tail_bound_runs_once_per_planned_depth(self, unit_lattice, monkeypatch):
-        # the depth search computes the bound once and the certificate
-        # reuses it; a sweep records its depth without a truncation-depth
-        # walk.  A local solve has one depth: one bound serves every output.
+    def test_tail_bound_runs_only_for_a_best_certificate(self, unit_lattice, monkeypatch):
+        # the depth search returns the bound it met, so an element and a local
+        # solve run no tail_bound and one premise check each, and record their
+        # depth without a truncation-depth walk; a best certificate, at a
+        # window's truncation depth, runs tail_bound (and its premise check) once
         _, spec, policy = unit_lattice
-        calls = {"tail_bound": 0, "truncation_depth": 0}
+        calls = {"tail_bound": 0, "truncation_depth": 0, "full_series_sum": 0}
         for owner, name in [
-            (certificates, "tail_bound"), (driver, "tail_bound"), (driver, "truncation_depth")
+            (certificates, "tail_bound"), (driver, "tail_bound"), (driver, "truncation_depth"),
+            (certificates, "full_series_sum"), (driver, "full_series_sum"),
         ]:
             real = getattr(owner, name)
 
@@ -751,9 +755,13 @@ class TestOneBoundPerDepth:
 
             monkeypatch.setattr(owner, name, counted)
         approximate_element(spec, policy, -0.5, 0, 1, 1e-12)
-        assert calls == {"tail_bound": 1, "truncation_depth": 0}
+        assert calls == {"tail_bound": 0, "truncation_depth": 0, "full_series_sum": 1}
         local_solve(spec, policy, {0: 1.0, 1: -0.5}, [0, 1, 2], 1e-8)
-        assert calls == {"tail_bound": 2, "truncation_depth": 0}
+        assert calls == {"tail_bound": 0, "truncation_depth": 0, "full_series_sum": 2}
+        with pytest.raises(NotConvergedError) as err:
+            approximate_element(spec, policy, -0.5, 0, 1, 1e-40, max_dim=65)
+        assert err.value.best_certificate is not None
+        assert calls == {"tail_bound": 1, "truncation_depth": 0, "full_series_sum": 4}
 
 
 class TestLocalSolve:
@@ -832,12 +840,11 @@ class TestLocalSolve:
         assert truncated == []
         assert calls == {"eigh": 0, "eigvalsh": 0}
         envelope = spec.envelope
-        depth = required_depth(
-            -1.0, envelope, full_series_sum(-1.0, envelope.c, envelope.w), 2 * tol, MAX_DIM
-        )
-        assert regions == [minimal_window(spec, f, depth)]
+        full = full_series_sum(-1.0, envelope.c, envelope.w)
+        depth, bound = required_depth(-1.0, envelope, full, tol, 1.0, MAX_DIM)
+        assert regions == [SupportWalk(spec, f).window(depth - 1)]
         assert matvecs == [regions[0].dim] * depth
-        bound = tail_bound(-1.0, envelope.c, envelope.w, depth) / 2
+        assert bound == tail_bound(-1.0, envelope.c, envelope.w, depth) / 2
         assert all(b == bound <= tol for _, b in result.values())
 
     def test_matches_per_element_certificates(self, unit_lattice):
@@ -902,6 +909,34 @@ class TestLocalSolve:
         _, spec, policy = unit_lattice
         result = local_solve(spec, policy, f, [0, 1], tol)
         assert all(bound <= tol for _, bound in result.values())
+
+    def test_depth_is_minimal_in_float(self, monkeypatch):
+        # tol within a few ulps of a depth's one-tail bound: the depth swept
+        # meets tol in float, and one term fewer does not
+        depths = []
+        real_sweep = driver._sweep
+
+        def recording(spec, region, matvec, start, coefficients, at):
+            depths.append(len(coefficients))
+            return real_sweep(spec, region, matvec, start, coefficients, at)
+
+        monkeypatch.setattr(driver, "_sweep", recording)
+        rng = np.random.default_rng(20261018)
+        for c, norm_bound in [(1.0, 5.0), (0.5, 3.0), (0.9, 3.1)]:
+            spec = banded_spec([-1, 0, 1], [-0.5, 2.0, -0.5], SpectralEnvelope(c, norm_bound))
+
+            def bound(j, weight):
+                return weight * (tail_bound(-1.0, c, norm_bound, j) / 2.0)
+
+            for _ in range(200):
+                weight = float(np.exp(rng.uniform(-4.0, 4.0)))
+                tol = bound(int(rng.integers(1, 40)), weight)
+                for _ in range(int(rng.integers(0, 4))):
+                    tol = float(np.nextafter(tol, math.inf if rng.random() < 0.5 else 0.0))
+                (_, solved), = local_solve(spec, zero_boundary, {0: weight}, [0], tol).values()
+                depth = depths[-1]
+                assert solved == bound(depth, weight) <= tol
+                assert depth == 1 or bound(depth - 1, weight) > tol, (c, weight, tol)
 
     def test_rayleigh_check_rejects_a_wrong_envelope(self):
         # the symbol 3 - 2 cos(theta) reaches down to 1, below the declared c = 2

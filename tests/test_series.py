@@ -13,7 +13,7 @@ from finpow import (
     truncate,
     truncation_depth,
 )
-from finpow.series import minimal_window
+from finpow.series import SupportWalk
 
 from oracles import (
     BudgetExceededError,
@@ -144,17 +144,17 @@ class TestMinimalWindow:
     def test_lattice_window_around_the_element(self, unit_lattice):
         _, spec, _ = unit_lattice
         for depth in (2, 5, 40):
-            assert minimal_window(spec, {0}, depth) == Window(depth, depth)
-            assert minimal_window(spec, {5000}, depth) == Window(depth - 5000, 5000 + depth)
-            assert minimal_window(spec, {-3, 4}, depth) == Window(depth + 3, depth + 4)
+            assert SupportWalk(spec, {0}).window(depth - 1) == Window(depth, depth)
+            assert SupportWalk(spec, {5000}).window(depth - 1) == Window(depth - 5000, 5000 + depth)
+            assert SupportWalk(spec, {-3, 4}).window(depth - 1) == Window(depth + 3, depth + 4)
 
     def test_low_depths_keep_one_index_each_side(self, unit_lattice):
         _, spec, _ = unit_lattice
         for depth in (0, 1):
-            assert minimal_window(spec, {2, 5}, depth) == Window(-1, 6)
+            assert SupportWalk(spec, {2, 5}).window(depth - 1) == Window(-1, 6)
 
     def test_closed_reach_saturates(self):
-        window = minimal_window(identity_spec(), {7}, 1000)
+        window = SupportWalk(identity_spec(), {7}).window(999)
         assert window == Window(-6, 8)
         assert truncation_depth(identity_spec(), window, 7, 7).saturated
 
@@ -165,7 +165,7 @@ class TestMinimalWindow:
         spec = random_banded_spec(rng, int(rng.integers(1, 4)))
         m, n = (int(i) for i in rng.integers(-6, 7, size=2))
         depth = data.draw(st.integers(2, 30))
-        window = minimal_window(spec, {m, n}, depth)
+        window = SupportWalk(spec, {m, n}).window(depth - 1)
         assert truncation_depth(spec, window, m, n).j_pq == depth
         for inward in (Window(window.P - 1, window.Q), Window(window.P, window.Q - 1)):
             assert truncation_depth(spec, inward, m, n).j_pq < depth
