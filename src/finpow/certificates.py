@@ -3,35 +3,39 @@
 The truncation error of one matrix element of a real power is bounded by the
 tail of the series ``2 w**alpha * sum_{j >= j_pq} |C(alpha, j)| x**j`` with
 ``x = (w - c) / w`` (half of it, one tail, for the driver's matrix-free
-sweep, whose depth ``required_depth`` finds).  The full sum has closed forms;
-the tail is computed as full sum minus partial sum, with a direct-summation
-fallback guarding against cancellation, except where the tail itself has a
-closed form (``alpha = -1``, and ``c = 0`` past ``alpha``).
+sweep, whose depth ``required_depth`` finds).  Every tail comes from one
+forward pass, ``_tails``: the terms by their ratio recurrence, summed from
+the far end into all suffix sums at once, plus an upper bound on the terms
+past the last one summed.  Where the terms decay slowly (``c`` small against
+``w``) that bound is the closed-form full sum less the terms summed.  Two
+tails have closed forms instead (``alpha = -1``, and ``c = 0`` past
+``alpha``).  The full sum, the premise check of every bound, has closed
+forms too.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SpectralEnvelope, Window
 from .errors import DivergentSeriesError, DomainError, NumericalFailureError
-from .powers import binomial_coefficients
 from .series import TruncationDepth
 
-# Direct tail summation stops once a term drops below this fraction of the
-# running total; the chunked loop gives up (and reports failure) beyond
-# MAX_TAIL_TERMS terms.  The closed-form sums of a positive alpha take O(alpha)
-# terms, so alpha is capped at MAX_TAIL_TERMS too.
+# How far ``_tails`` sums (see there).  The closed-form full sum of a
+# positive alpha takes O(alpha) terms, so alpha is capped at MAX_TAIL_TERMS.
 TAIL_TERM_CUTOFF = 1e-18
-CANCELLATION_GUARD = 1e-6
+CLOSED_FORM_GAP = 1e-9
 MAX_TAIL_TERMS = 10_000_000
-_CHUNK = 65_536
+MAX_DEPTH = 1 << 20
+_FIRST_CHUNK = 256
+_SLOW_DECAY = 1 << 13
+_CLOSED_FORM_ULPS = 16
 _LOG_DBL_MAX = float(np.log(np.finfo(np.float64).max))
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,8 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
     DomainError
         ``alpha`` not finite, or ``c > w``, ``c < 0`` or ``w <= 0``.
     NumericalFailureError
-        ``alpha`` above ``MAX_TAIL_TERMS``, or the largest bound, ``2 w**alpha``
-        times this sum, is not a finite float.
+        ``alpha`` above ``MAX_TAIL_TERMS``, the sum is not a finite float, or
+        the largest bound, ``2 w**alpha`` times the sum, is not.
     """
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
@@ -130,28 +134,35 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
         ):
             raise OverflowError
         with np.errstate(over="ignore", invalid="ignore"):
-            if alpha < 0.0:
-                total = (c / w) ** alpha
-            elif _is_nonneg_integer(alpha):
+            if _is_nonneg_integer(alpha):
                 # the series terminates: C(alpha, j) = 0 exactly for j > alpha
-                total = _partial_abs_sum(alpha, x, int(alpha) + 1)
+                total = float(_tails(alpha, x, 0)[0])
             else:
-                fl = int(math.floor(alpha))
-                coeffs = binomial_coefficients(alpha, fl + 2)
-                total = 0.0
-                sign = -1.0 if fl % 2 else 1.0
-                for j in range(fl + 2):
-                    total += coeffs[j] * (x ** j + sign * (-x) ** j)
-                total += -sign * (c / w) ** alpha
-            largest_bound = 2.0 * w ** alpha * total
+                total = _closed_sum(alpha, x, c / w)
+        # The largest bound in log form: w**alpha may underflow where the
+        # sum is large, and their product is still a float.
+        if not math.isfinite(total) or (
+            math.log(2.0) + alpha * math.log(w) + math.log(total) > _LOG_DBL_MAX
+        ):
+            raise OverflowError
     except OverflowError:
-        largest_bound = math.inf
-    if not math.isfinite(largest_bound):
         raise NumericalFailureError(
             f"the bound 2 w**alpha sum |C(alpha, j)| x**j overflows for "
             f"alpha={alpha}, c={c}, w={w}"
-        )
+        ) from None
     return total
+
+
+def _closed_sum(alpha: float, x: float, r: float) -> float:
+    """``full_series_sum`` at ``x``, ``r = 1 - x > 0``, for ``alpha`` not a
+    nonnegative integer."""
+    if alpha < 0.0:
+        return r ** alpha
+    fl = math.floor(alpha)
+    # C(alpha, j) >= 0 up to j = floor(alpha) + 1: these are the series' terms
+    terms, _ = _abs_terms(alpha, x, 0, 1.0, fl + 2)
+    sign = -1.0 if fl % 2 else 1.0
+    return 2.0 * float(terms[fl % 2 :: 2].sum()) - sign * r ** alpha
 
 
 def _abs_terms(alpha: float, x: float, j: int, term: float, count: int):
@@ -166,115 +177,110 @@ def _abs_terms(alpha: float, x: float, j: int, term: float, count: int):
     return terms, after
 
 
-def _partial_abs_sum(alpha: float, x: float, j_count: int) -> float:
-    """``sum_{j < j_count} |C(alpha, j)| x**j`` by the stable recurrence."""
-    total = 0.0
-    term = 1.0
-    j = 0
-    while j < j_count:
-        block = min(_CHUNK, j_count - j)
-        terms, term = _abs_terms(alpha, x, j, term, block)
-        total += float(terms.sum())
-        j += block
-        if term == 0.0:
-            break
-    return total
+def _tails(alpha: float, x: float, depth: int, floor: float = 0.0) -> np.ndarray:
+    """Suffix sums ``S[j] = sum_{i>=j} |C(alpha, i)| x**i``, ``j = 0..n``.
 
-
-def _first_chunk(x: float) -> int:
-    """Length of the first summation chunk at decay rate ``x``.
-
-    Far out the term ratio tends to ``x``.  After ``n`` terms with
-    ``x**n = TAIL_TERM_CUTOFF * (1 - x)``, the last term and the geometric
-    remainder it leaves, ``x / (1 - x)`` times it, are both about
-    ``TAIL_TERM_CUTOFF`` of the first.
+    ``n`` is ``depth``, or less once some ``S[j]``, ``j >= 1``, is at most
+    ``floor``.  Terms come from ``_abs_terms`` in chunks that double from
+    ``_FIRST_CHUNK``; ``S`` is their cumulative sum from the far end plus
+    ``rest``, so it does not increase.  ``rest`` bounds the terms past
+    ``t_n`` from above by the least of: ``t_n / (1 - rho)``, ``rho`` the
+    largest term ratio past ``n``; for ``alpha > 0`` past alpha, ``t_n n /
+    alpha``, ``x**n`` times the tail ``|C(alpha - 1, n - 1)|`` at ``x = 1``;
+    and, once the decay is slow (past ``_SLOW_DECAY`` terms, or from the
+    start if ``x**_SLOW_DECAY > TAIL_TERM_CUTOFF``), the closed-form full sum
+    less the terms summed, plus ``_CLOSED_FORM_ULPS`` of it (less them, a
+    lower bound).  With ``h`` the first ``j >= 1`` where ``S[j] <= floor``
+    (else ``depth``), the pass ends at the first chunk where ``rest`` is at
+    most ``TAIL_TERM_CUTOFF`` of ``S[h]``, or the bounds on the terms left
+    are within ``CLOSED_FORM_GAP`` of ``S[h]`` once the decay is slow; so
+    ``_tails(alpha, x, h)`` returns the same ``S[h]``.  It also ends once
+    ``S[depth]`` exceeds ``floor > 0`` beyond that gap, and at ``MAX_DEPTH``,
+    the deepest tail it reads.  Negative ``alpha`` at ``x = 1`` raises
+    ``NumericalFailureError``.  Two tails have closed forms, rounded up.
     """
-    if x <= 0.0:
-        return 1
-    if x >= 1.0:
-        return _CHUNK
-    terms = math.log(TAIL_TERM_CUTOFF * (1.0 - x)) / math.log(x)
-    return min(_CHUNK, max(1, math.ceil(terms)))
-
-
-def _direct_tail_sum(alpha: float, x: float, j_start: int) -> float:
-    """``sum_{j >= j_start} |C(alpha, j)| x**j`` summed term by term.
-
-    Chunks start at the length the decay rate ``x`` calls for and double up
-    to ``_CHUNK`` while the terms have not yet fallen below the cutoff.  At
-    ``x = 1`` with ``alpha > 0`` the terms decay only like a power of ``j``;
-    there the sum stops after ``MAX_TAIL_TERMS`` terms and bounds the rest
-    from the term ``t_K`` it stopped at: for ``k > alpha`` the term ratio
-    ``1 - (alpha + 1)/(k + 1)`` is at most ``((k + 1)/(k + 2))**(alpha + 1)``,
-    so the rest is at most ``t_K (1 + (K + 1)/alpha)``.
-    """
-    # Leading term |C(alpha, j_start)| x**j_start, built without cancellation.
-    term = 1.0
-    for i in range(1, j_start + 1):
-        term *= abs(alpha - (i - 1)) * x / i
-        if term == 0.0:
-            return 0.0
-    total = 0.0
-    j = j_start
-    chunk = _first_chunk(x)
-    while j - j_start < MAX_TAIL_TERMS:
-        terms, term = _abs_terms(alpha, x, j, term, chunk)
-        total += float(terms.sum())
-        if float(terms[-1]) <= TAIL_TERM_CUTOFF * total:
-            return total
-        j += chunk
-        chunk = min(2 * chunk, _CHUNK)
+    depth = min(depth, MAX_DEPTH)
+    if alpha == -1.0 and x < 1.0:
+        # |C(-1, j)| = 1: the tail x**j / (1 - x), built a little past where
+        # it falls below floor; the factor covers its four roundings.
+        n = depth
+        if 0.0 < x and 0.0 < floor * (1.0 - x) < math.inf:
+            n = min(depth, 2 + max(0, math.ceil(math.log(floor * (1.0 - x)) / math.log(x))))
+        tails = x ** np.arange(n + 1.0) * ((1.0 + 4.0 * _EPS) / (1.0 - x))
+        tails[0] = 1.0 / (1.0 - x)
+        return tails
     if x == 1.0 and alpha > 0.0:
-        return total + term * (1.0 + (j + 1) / alpha)
-    raise NumericalFailureError(
-        f"direct tail summation for alpha={alpha}, x={x} did not converge "
-        f"within {MAX_TAIL_TERMS} terms"
-    )
+        # Past alpha the terms (-1)**j C(alpha, j) keep one sign and sum to
+        # (1 - 1)**alpha = 0, so the tail is |C(alpha - 1, j - 1)|; the factor
+        # covers four roundings a step.  The terms up to alpha sum onto it.
+        last = math.floor(alpha)
+        n = max(depth, last + 1)
+        tails = np.empty(n + 1)
+        steps = np.arange(1, n + 1, dtype=np.float64)
+        tails[1:] = _abs_terms(alpha - 1.0, 1.0, 0, 1.0, n)[0] * (1.0 + 4.0 * _EPS * steps)
+        head = np.append(_abs_terms(alpha, 1.0, 0, 1.0, last + 1)[0], tails[last + 1])
+        tails[: last + 2] = np.cumsum(head[::-1])[::-1]
+        return tails[: depth + 1]
+    if x == 1.0:
+        raise NumericalFailureError(f"the series terms for alpha={alpha}, x={x} do not decay")
+    full = math.nan  # the closed-form full sum, once the decay is slow
+    # from the start where x alone could not end the pass by _SLOW_DECAY terms
+    slow = _SLOW_DECAY if x**_SLOW_DECAY <= TAIL_TERM_CUTOFF else 0
+    terms, term, n = np.empty(0), 1.0, 0
+    while True:
+        count = max(n, _FIRST_CHUNK)
+        block, term = _abs_terms(alpha, x, n, term, count)
+        terms = np.concatenate((terms, block))
+        n += count
+        rho = max(abs(alpha - n) * x / (n + 1), x)
+        rest = 0.0 if not term else term / (1.0 - rho) if rho < 1.0 else math.inf
+        if alpha > 0.0 and n > alpha:
+            rest = min(rest, term * n / alpha)
+        low = 0.0
+        if n >= slow and rest and not _is_nonneg_integer(alpha):
+            if math.isnan(full):
+                try:
+                    full = _closed_sum(alpha, x, 1.0 - x)
+                except OverflowError:  # (1 - x)**alpha, where c/w rounds apart
+                    full = math.inf
+            err = _CLOSED_FORM_ULPS * _EPS * full
+            left = full - float(terms.sum())
+            rest, low = min(rest, left + err), max(0.0, left - err)
+        if rest == math.inf:  # the terms do not decay (yet)
+            if n >= MAX_DEPTH:
+                raise NumericalFailureError(
+                    f"the series terms for alpha={alpha}, x={x} do not decay "
+                    f"within {n} terms"
+                )
+            continue
+        tails = np.cumsum(np.append(terms, rest)[::-1])[::-1]
+        top = min(depth, n)
+        met = np.flatnonzero(tails[1 : top + 1] <= floor)
+        head = int(met[0]) + 1 if met.size else top
+        known = rest <= TAIL_TERM_CUTOFF * tails[head] or (
+            n >= slow and rest - low <= CLOSED_FORM_GAP * tails[head]
+        )
+        missed = n >= depth and 0.0 < floor < tails[top] - (rest - low)
+        if ((met.size or n >= depth) and known) or missed or n >= MAX_DEPTH:
+            return tails[: top + 1]
 
 
-def _abs_binomial(a: float, j: int) -> float:
-    """``|C(a, j)|`` by the ratio recurrence of ``_abs_terms``, in chunks."""
-    term = 1.0
-    i = 0
-    while i < j and term != 0.0:
-        block = min(_CHUNK, j - i)
-        _, term = _abs_terms(a, 1.0, i, term, block)
-        i += block
-    return term
-
-
-def _tail(alpha: float, x: float, full: float, j_start: int) -> float:
-    """The tail sum of ``tail_bound``, given the full sum ``full``."""
-    if _is_nonneg_integer(alpha) and j_start > int(alpha):
-        return 0.0
-    if x == 1.0 and alpha > 0.0 and j_start > math.floor(alpha):
-        # Past alpha the terms (-1)**j C(alpha, j) keep one sign, and all of
-        # them sum to (1 - 1)**alpha = 0, so the tail is
-        # |sum_{j < j_start} (-1)**j C(alpha, j)| = |C(alpha - 1, j_start - 1)|.
-        # Each step of its recurrence rounds at most four times; the factor
-        # keeps the float an upper bound on the exact tail.
-        return _abs_binomial(alpha - 1.0, j_start - 1) * (1.0 + 4.0 * j_start * _EPS)
-    if alpha == -1.0 and x < 1.0 and j_start > 0:
-        # |C(-1, j)| = 1: the geometric tail (from depth 0 it is ``full``).
-        # The power, the difference, the quotient and the product each round
-        # once; the factor keeps the float an upper bound on the exact tail.
-        return x ** j_start / (1.0 - x) * (1.0 + 4.0 * _EPS)
-    tail = full - _partial_abs_sum(alpha, x, j_start)
-    if tail < CANCELLATION_GUARD * full:
-        tail = _direct_tail_sum(alpha, x, j_start)
-    return tail
+def _scaled(alpha: float, w: float, tail: float) -> float:
+    """``2 w**alpha * tail``, in log form where ``w**alpha`` underflows."""
+    scale = 2.0 * w ** alpha
+    if scale >= _TINY or not tail:
+        return scale * tail
+    return math.exp(min(math.log(2.0 * tail) + alpha * math.log(w), _LOG_DBL_MAX))
 
 
 def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
     """Error bound ``2 w**alpha * sum_{j >= j_start} |C(alpha, j)| x**j``.
 
-    Computed as full closed-form sum minus the partial sum of the leading
-    ``j_start`` terms; when that difference cancels to below a 1e-6 relative
-    guard, the tail is re-summed directly until terms fall below 1e-18 of the
-    running total.  At ``x = 1`` (``c = 0``) past ``alpha > 0`` the tail is
-    the closed form ``|C(alpha - 1, j_start - 1)|``, and at ``alpha = -1``
-    the geometric ``x**j_start / (1 - x)``.  The bound is finite or the call
-    raises.
+    The tail is ``_tails``' last suffix sum, summed from ``j = 0`` and
+    closed by an upper bound on the terms left, or a closed form: at
+    ``x = 1`` (``c = 0``) past ``alpha > 0``, ``|C(alpha - 1, j_start - 1)|``,
+    and at ``alpha = -1``, ``x**j_start / (1 - x)``.  Past ``MAX_DEPTH`` it
+    is the tail there.  The bound is finite or the call raises.
 
     Raises
     ------
@@ -282,47 +288,57 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
         As ``full_series_sum`` (``DivergentSeriesError`` included), or
         ``j_start < 0``.
     NumericalFailureError
-        As ``full_series_sum``, or the direct tail sum did not converge
-        within ``MAX_TAIL_TERMS`` terms.
+        As ``full_series_sum``, or the terms do not decay in float (``c``
+        so small against ``w`` that ``x`` rounds to 1).
     """
-    full = full_series_sum(alpha, c, w)
+    full_series_sum(alpha, c, w)
     if j_start < 0:
         raise DomainError(f"j_start must be >= 0, got {j_start}")
-    return 2.0 * w ** alpha * _tail(alpha, (w - c) / w, full, j_start)
+    return _scaled(alpha, w, float(_tails(alpha, (w - c) / w, j_start)[-1]))
 
 
 def required_depth(
     alpha: float,
     envelope: SpectralEnvelope,
-    full: float,
     tol: float,
     weight: float,
     max_dim: int,
 ) -> tuple[int, float]:
-    """Smallest depth ``1 <= J <= max_dim`` whose one-tail bound
-    ``weight * w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` meets ``tol`` in
-    float, and that bound; ``(max_dim + 1, inf)`` when no such depth does.
+    """Smallest depth ``1 <= J <= min(max_dim, MAX_DEPTH)`` whose one-tail
+    bound ``weight * w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` meets ``tol``
+    in float, and that bound; ``(max_dim + 1, inf)`` when no such depth does.
 
-    The bound is ``weight`` times half of ``tail_bound``, in its arithmetic;
-    ``full`` is the ``full_series_sum`` the caller's premise check returned.
-    ``J`` doubles, then bisects; the tail falls with ``J``, so every deeper
-    bound meets ``tol`` too.
+    The bound is ``weight`` times half of ``tail_bound``, in its arithmetic.
+    One ``_tails`` pass gives every tail up to ``max_dim``, or up to a little
+    past the first below ``tol / (weight * w**alpha)``, where it stops as
+    ``tail_bound`` at that depth does.  The premises are the caller's: it
+    has run ``full_series_sum``.
     """
-    x = (envelope.w - envelope.c) / envelope.w
-    scale = 2.0 * envelope.w ** alpha
-    bounds: dict[int, float] = {}
+    w = envelope.w
+    scale = 2.0 * w ** alpha
+    if scale >= _TINY:
+        floor = 2.0 * tol / (weight * scale) if weight * scale > 0.0 else math.inf
+    else:
+        log_floor = math.log(tol) - math.log(weight) - alpha * math.log(w)
+        floor = math.exp(min(log_floor, _LOG_DBL_MAX))
+    x = (w - envelope.c) / w
+    tails = _tails(alpha, x, max(max_dim, 0), floor)
 
-    def meets(j: int) -> bool:
-        if j not in bounds:
-            bounds[j] = weight * (scale * _tail(alpha, x, full, j) / 2.0)
-        return bounds[j] <= tol
+    def bound(j: int) -> float:
+        return weight * (_scaled(alpha, w, float(tails[j])) / 2.0)
 
-    hi = 1
-    while hi < max_dim and not meets(hi):
-        hi *= 2
-    lo, hi = hi // 2 + 1, min(hi, max_dim)
-    depth = lo + bisect_left(range(lo, hi + 1), True, key=meets)
-    return (depth, bounds[depth]) if depth <= max_dim else (max_dim + 1, math.inf)
+    # The first tail at most floor, moved past round-off to the first depth
+    # whose bound meets tol.
+    below = tails <= floor
+    below[0] = False
+    depth = int(below.argmax()) or len(tails)
+    while depth > 1 and bound(depth - 1) <= tol:
+        depth -= 1
+    while depth < len(tails) and not bound(depth) <= tol:
+        depth += 1
+    if depth == len(tails):
+        return max_dim + 1, math.inf
+    return depth, bound(depth)
 
 
 def certify(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .certificates import MAX_DEPTH
 from .config import load_config
 from .core import Window
 from .driver import (
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--tol", type=float, required=True, help="target bound")
     approx.add_argument(
         "--max-dim", type=int, default=MAX_DIM,
-        help="largest dimension, and depth, of the element's region",
+        help=f"largest dimension, and depth (at most {MAX_DEPTH}), of the element's region",
     )
     approx.set_defaults(func=cmd_approx)
 
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, required=True, help="total bound target")
     solve.add_argument(
         "--max-dim", type=int, default=MAX_DIM,
-        help="largest dimension, and depth, of the solve's region",
+        help=f"largest dimension, and depth (at most {MAX_DEPTH}), of the solve's region",
     )
     solve.set_defaults(func=cmd_solve)
 

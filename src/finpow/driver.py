@@ -29,7 +29,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, certify, full_series_sum, required_depth, tail_bound
+from .certificates import (
+    MAX_DEPTH,
+    Certificate,
+    certify,
+    full_series_sum,
+    required_depth,
+    tail_bound,
+)
 from .core import (
     BoundarySpec,
     InfiniteMatrixSpec,
@@ -129,7 +136,10 @@ def evaluate_window(
 
 
 def _not_converged(max_dim: int, tol: float) -> str:
-    return f"dimension limit {max_dim} reached before the bound fell below tol={tol:g}"
+    limit = f"dimension limit {max_dim}"
+    if max_dim > MAX_DEPTH:  # the depth search looks no deeper
+        limit += f" (depth limit {MAX_DEPTH})"
+    return f"{limit} reached before the bound fell below tol={tol:g}"
 
 
 def _check_rayleigh(
@@ -347,29 +357,32 @@ def approximate_element(
     Raises
     ------
     NotConvergedError
-        ``J`` or the dimension of ``R`` is above ``max_dim``.  It carries the
-        sweep's certificate at the largest window under ``max_dim`` centred
-        on the indices, at that window's ``truncation_depth``, or none when no
-        such window holds them.
+        ``J`` or the dimension of ``R`` is above ``max_dim`` (``J`` is
+        searched up to ``MAX_DEPTH``).  It carries the sweep's certificate
+        at the largest window under ``max_dim`` centred on the indices, at
+        that window's ``truncation_depth``, or none when no such window
+        holds them.
     DivergentSeriesError
         ``alpha < 0`` with an envelope touching zero.
     DomainError
         ``alpha`` not finite, or ``tol`` not positive and finite.
     NumericalFailureError
-        The bound at ``alpha`` overflows a float, or ``alpha`` is above
-        ``MAX_TAIL_TERMS`` (both raised before any sweep); or the value
-        overflows, or its round-off would leave no certain digit.
+        The bound at ``alpha`` overflows a float, ``alpha`` is above
+        ``MAX_TAIL_TERMS``, or the series terms do not decay in float (``c``
+        so small against ``w`` that ``x`` rounds to 1), all raised before any
+        sweep; or the value overflows, or its round-off would leave no
+        certain digit.
     MalformedSpecError
         As ``_sweep``.
     """
     _check_tol(tol)
     envelope = spec.envelope
     c, w = envelope.c, envelope.w
-    full = full_series_sum(alpha, c, w)
+    full_series_sum(alpha, c, w)
     lo, hi = min(m, n), max(m, n)
     walk = SupportWalk(spec, {m, n})
     if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
-        depth, bound = required_depth(alpha, envelope, full, tol, 1.0, max_dim)
+        depth, bound = required_depth(alpha, envelope, tol, 1.0, max_dim)
         if bound <= tol:
             window = walk.window(depth - 1, max_dim)
             if window.dim <= max_dim:
@@ -442,12 +455,13 @@ def local_solve(
         ``tol`` not positive and finite, or ``f`` has a non-finite value or
         a non-finite ``sum |f_n|``.
     NotConvergedError
-        ``J`` or the dimension of ``R`` is above ``max_dim``; carries no
-        certificate.
+        ``J`` or the dimension of ``R`` is above ``max_dim`` (``J`` is
+        searched up to ``MAX_DEPTH``); carries no certificate.
     MalformedSpecError
         As ``_sweep``.
     NumericalFailureError
-        A returned component of ``x`` overflows.
+        The series terms do not decay in float (as for
+        ``approximate_element``), or a returned component of ``x`` overflows.
     """
     envelope = spec.envelope
     if envelope.c <= 0.0:
@@ -461,8 +475,8 @@ def local_solve(
     weight = sum(abs(v) for v in support.values())
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
-    full = full_series_sum(-1.0, envelope.c, envelope.w)
-    depth, bound = required_depth(-1.0, envelope, full, tol, weight, max_dim)
+    full_series_sum(-1.0, envelope.c, envelope.w)
+    depth, bound = required_depth(-1.0, envelope, tol, weight, max_dim)
     region = SupportWalk(spec, support).window(depth - 1, max_dim) if bound <= tol else None
     if region is None or region.dim > max_dim:
         raise NotConvergedError(_not_converged(max_dim, tol))

@@ -154,6 +154,21 @@ def mp_abs_binom_tail(alpha, x, j_start=0, rel=mp.mpf("1e-30"), max_terms=2_000_
     raise RuntimeError(f"mp tail sum did not converge: alpha={alpha}, x={x}")
 
 
+def mp_abs_binom_full(alpha, x):
+    """``sum_{j >= 0} |C(alpha, j)| x**j`` in closed form, ``x < 1``, for
+    ``alpha`` not a nonnegative integer: ``(1 - x)**alpha`` for negative
+    ``alpha``; for positive ``alpha`` the terms up to ``floor(alpha) + 1``,
+    with alternating signs, and ``(1 - x)**alpha``."""
+    alpha = mp.mpf(alpha)
+    x = mp.mpf(x)
+    if alpha < 0:
+        return (1 - x) ** alpha
+    fl = int(mp.floor(alpha))
+    sign = -1 if fl % 2 else 1
+    head = sum(mp.binomial(alpha, j) * x**j for j in range(fl % 2, fl + 2, 2))
+    return 2 * head - sign * (1 - x) ** alpha
+
+
 def mp_abs_binom_partial(alpha, x, terms):
     """``sum_{j < terms} |C(alpha, j)| x**j`` in arbitrary precision."""
     alpha = mp.mpf(alpha)

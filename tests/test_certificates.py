@@ -13,14 +13,17 @@ from finpow import (
     SpectralEnvelope,
     TruncationDepth,
     Window,
+    approximate_element,
+    banded_spec,
     certify,
     full_series_sum,
     tail_bound,
+    zero_boundary,
 )
 from finpow import certificates
-from finpow.certificates import _CHUNK, _first_chunk, _partial_abs_sum, required_depth
+from finpow.certificates import _FIRST_CHUNK, _tails, required_depth
 
-from oracles import mp_abs_binom_partial, mp_abs_binom_tail
+from oracles import mp_abs_binom_full, mp_abs_binom_partial, mp_abs_binom_tail
 
 ALPHA_GRID = (-1.5, -1.0, -0.5, 0.5, 1.5, 2.5)
 RATIO_GRID = (0.1, 0.5, 0.9)
@@ -109,13 +112,14 @@ class TestTailBound:
     @pytest.mark.parametrize("c", (0.2, 0.01))
     @pytest.mark.parametrize("offset", (-40, -1, 0, 1, 40))
     def test_direct_summation_around_first_chunk(self, alpha, c, offset):
-        # deep tails cancel in full - partial and are summed term by term,
-        # in chunks whose first length follows the decay rate x
+        # the pass stops only at the end of a chunk, and chunks double from
+        # _FIRST_CHUNK: depths either side of the first four boundaries
         x = 1.0 - c
-        j_start = _first_chunk(x) + offset
-        mine = tail_bound(alpha, c, 1.0, j_start)
-        oracle = 2.0 * float(mp_abs_binom_tail(alpha, x, j_start))
-        assert mine == pytest.approx(oracle, rel=1e-12)
+        for boundary in (_FIRST_CHUNK << k for k in range(4)):
+            j_start = boundary + offset
+            mine = tail_bound(alpha, c, 1.0, j_start)
+            oracle = 2.0 * float(mp_abs_binom_tail(alpha, x, j_start))
+            assert mine == pytest.approx(oracle, rel=1e-12), j_start
 
     def test_divergent_for_negative_alpha_c_zero(self):
         with pytest.raises(DivergentSeriesError):
@@ -166,8 +170,8 @@ class TestTailBound:
         def no_sum(*args):
             raise AssertionError("summed an overflowing series")
 
-        monkeypatch.setattr(certificates, "binomial_coefficients", no_sum)
-        monkeypatch.setattr(certificates, "_partial_abs_sum", no_sum)
+        monkeypatch.setattr(certificates, "_abs_terms", no_sum)
+        monkeypatch.setattr(certificates, "_tails", no_sum)
         with pytest.raises(NumericalFailureError, match="overflows"):
             full_series_sum(alpha, c, w)
 
@@ -186,11 +190,19 @@ class TestTailBound:
     )
     def test_c_zero_tail_closed_form(self, monkeypatch, alpha, j_start):
         # past alpha the tail at x = 1 is |sum_{j < j_start} (-1)**j C(alpha, j)|,
-        # a finite sum; the closed form needs no summation of the tail
-        def no_sum(*args):
-            raise AssertionError("the tail was summed term by term")
+        # a finite sum; the closed form needs no summation of the tail: one
+        # recurrence for its binomials and one for the terms up to alpha, and
+        # no chunk of the decaying-terms loop
+        real = certificates._abs_terms
+        recurrences = []
 
-        monkeypatch.setattr(certificates, "_direct_tail_sum", no_sum)
+        def counted(*args):
+            recurrences.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certificates, "_abs_terms", counted)
+        certificates._tails(alpha, 1.0, j_start)
+        assert len(recurrences) == 2
         w = 4.0
         a = mp.mpf(alpha)
         term, partial = mp.mpf(1), mp.mpf(0)
@@ -201,28 +213,75 @@ class TestTailBound:
         bound = tail_bound(alpha, 0.0, w, j_start)
         assert exact <= bound <= exact * (1 + 8 * j_start * 2.0**-52)
 
+    def test_terms_that_do_not_decay_raise(self):
+        # c > 0 so small that x rounds to 1: the terms of a negative power
+        # do not decay, and the pass raises before it sums any
+        for alpha in (-0.5, -0.25):
+            with pytest.raises(NumericalFailureError, match="do not decay"):
+                tail_bound(alpha, 1e-320, 2.0, 10)
+            with pytest.raises(NumericalFailureError, match="do not decay"):
+                required_depth(alpha, SpectralEnvelope(1e-320, 2.0), 1e-6, 1.0, 65)
+
+    def test_slow_decay_keeps_an_upper_bound(self):
+        # at c/w = 1e-9 the terms decay too slowly to sum out; the closed-form
+        # full sum closes the pass, and keeps the tail, and every deeper one,
+        # bounded from above
+        x = mp.mpf((1.0 - 1e-9) / 1.0)
+        exact = (1 - x) ** mp.mpf(-0.5) - mp_abs_binom_partial(-0.5, x, 10)
+        assert 2 * exact <= tail_bound(-0.5, 1e-9, 1.0, 10) < math.inf
+        assert tail_bound(-0.5, 1e-9, 1.0, 10**9) <= tail_bound(-0.5, 1e-9, 1.0, 10)
+
+    @pytest.mark.parametrize("alpha", (-0.5, 0.5, 1.5))
+    @pytest.mark.parametrize("ratio", (1e-10, 1e-6))
+    def test_slow_decay_is_the_exact_tail(self, alpha, ratio):
+        # the terms fall like a power of j until j is about w/c, far past
+        # any cutoff: the closed-form full sum less the terms summed closes
+        # the pass, to CLOSED_FORM_GAP of the tail
+        w = 1.0
+        x = (w - ratio) / w
+        full = mp_abs_binom_full(alpha, x)
+        for j_start in (2, 10, 100):
+            exact = 2 * (full - mp_abs_binom_partial(alpha, x, j_start))
+            bound = tail_bound(alpha, ratio, w, j_start)
+            assert exact <= bound <= exact * (1 + certificates.CLOSED_FORM_GAP), j_start
+            assert bound < 2 * w**alpha * full_series_sum(alpha, ratio, w)
+
+    def test_slow_decay_certifies_the_first_depth(self):
+        # c/w = 1e-10 at alpha = 0.5: the one tail from J = 2 is
+        # 0.5 - 6e-6 <= tol = 0.5, from J = 1 it is about 1
+        c, w = 1e-10, 1.0 + 1e-10
+        spec = banded_spec([-1, 0, 1], [-0.25, 0.5 + c, -0.25], SpectralEnvelope(c, w))
+        cert = approximate_element(spec, zero_boundary, 0.5, 0, 0, 0.5)
+        x = (w - c) / w
+        full = mp_abs_binom_full(0.5, x)
+        exact = mp.mpf(w) ** 0.5 * (full - mp_abs_binom_partial(0.5, x, 2))
+        assert cert.depth.j_pq == 2
+        assert exact <= cert.bound <= 0.5
+        assert cert.bound == pytest.approx(float(exact), rel=1e-12)
+
     @pytest.mark.parametrize("alpha", (-1.5, -0.5, 0.5))
     def test_partial_sum_across_chunk_boundary(self, alpha):
-        # the second block of terms starts from the term the first one carries
-        j_count = _CHUNK + 5
-        mine = _partial_abs_sum(alpha, 1.0, j_count)
-        oracle = float(mp_abs_binom_partial(alpha, 1.0, j_count))
-        assert mine == pytest.approx(oracle, rel=1e-10)
+        # each chunk of terms starts from the term the one before carries:
+        # tails either side of the ends of the first two chunks (256, 512)
+        x = 0.9
+        for j_start in (_FIRST_CHUNK - 3, _FIRST_CHUNK + 5, 2 * _FIRST_CHUNK - 3, 2 * _FIRST_CHUNK + 5):
+            mine = _tails(alpha, x, j_start)[-1]
+            oracle = float(mp_abs_binom_tail(alpha, x, j_start))
+            assert mine == pytest.approx(oracle, rel=1e-10), j_start
 
 
 class TestGeometricTail:
     @pytest.mark.parametrize("ratio", (0.01, 0.1, 0.5, 0.9, 0.99))
     def test_alpha_minus_one_is_the_geometric_tail(self, monkeypatch, ratio):
         # |C(-1, j)| = 1: the tail is x**j / (1 - x), an upper bound in float
-        def no_direct(*args):
+        def no_terms(*args):
             raise AssertionError("the alpha = -1 tail was summed term by term")
 
-        monkeypatch.setattr(certificates, "_direct_tail_sum", no_direct)
+        monkeypatch.setattr(certificates, "_abs_terms", no_terms)
         c, w = 2.0 * ratio, 2.0
         x = (w - c) / w
-        full = full_series_sum(-1.0, c, w)
         for j_start in (1, 2, 5, 20, 100, 400, 2000):
-            mine = certificates._tail(-1.0, x, full, j_start)
+            mine = _tails(-1.0, x, j_start)[-1]
             exact = mp_abs_binom_tail(-1.0, x, j_start)
             if exact < 1e-300:  # past the normal floats the tail rounds towards 0
                 assert mine < 1e-300
@@ -230,7 +289,8 @@ class TestGeometricTail:
                 assert exact <= mine <= exact * (1 + 1e-14), j_start
 
     def test_depth_search_sums_no_tail_directly(self, monkeypatch):
-        calls = {"_tail": 0, "_direct_tail_sum": 0}
+        # one pass per search; at alpha = -1 it is the closed form, no terms
+        calls = {"_tails": 0, "_abs_terms": 0}
         for name in calls:
             real = getattr(certificates, name)
 
@@ -240,11 +300,12 @@ class TestGeometricTail:
 
             monkeypatch.setattr(certificates, name, counted)
         envelope = SpectralEnvelope(1.0, 5.0)
-        full = full_series_sum(-1.0, 1.0, 5.0)
         for tol in (1e-4, 1e-10, 1e-40):
-            required_depth(-1.0, envelope, full, tol, 1.0, 2049)
-        assert calls["_tail"] > 20
-        assert calls["_direct_tail_sum"] == 0
+            required_depth(-1.0, envelope, tol, 1.0, 2049)
+        assert calls == {"_tails": 3, "_abs_terms": 0}
+        for alpha in (-0.5, 2.5):
+            required_depth(alpha, envelope, 1e-12, 1.0, 2049)
+        assert calls["_tails"] == 5
 
 
 class TestRequiredDepth:
@@ -254,8 +315,7 @@ class TestRequiredDepth:
     def test_smallest_depth_meeting_tol(self, alpha, c, w, tol):
         # weight 2 makes the one-tail bound the whole tail_bound
         envelope = SpectralEnvelope(c, w)
-        full = full_series_sum(alpha, c, w)
-        depth, bound = required_depth(alpha, envelope, full, tol, 2.0, 2049)
+        depth, bound = required_depth(alpha, envelope, tol, 2.0, 2049)
         assert depth <= 2049
         assert bound == tail_bound(alpha, c, w, depth) <= tol
         assert depth == 1 or tail_bound(alpha, c, w, depth - 1) > tol
@@ -264,33 +324,67 @@ class TestRequiredDepth:
     def test_bound_is_the_weighted_one_tail(self, weight):
         envelope = SpectralEnvelope(1.0, 5.0)
         for alpha in (-1.0, -0.5, 0.5, 2.5):
-            full = full_series_sum(alpha, 1.0, 5.0)
             for tol in (1e-3, 1e-9):
-                depth, bound = required_depth(alpha, envelope, full, tol, weight, 2049)
+                depth, bound = required_depth(alpha, envelope, tol, weight, 2049)
                 assert bound == weight * (tail_bound(alpha, 1.0, 5.0, depth) / 2.0) <= tol
                 assert depth == 1 or weight * (tail_bound(alpha, 1.0, 5.0, depth - 1) / 2.0) > tol
 
     def test_too_deep(self):
         envelope = SpectralEnvelope(1.0, 5.0)
-        full = full_series_sum(-0.5, 1.0, 5.0)
-        assert required_depth(-0.5, envelope, full, 1e-40, 2.0, 65) == (66, math.inf)
+        assert required_depth(-0.5, envelope, 1e-40, 2.0, 65) == (66, math.inf)
         assert tail_bound(-0.5, 1.0, 5.0, 65) > 1e-40
-        assert required_depth(-0.5, envelope, full, 1e-40, 2.0, 0) == (1, math.inf)
+        assert required_depth(-0.5, envelope, 1e-40, 2.0, 0) == (1, math.inf)
 
     def test_integer_alpha_needs_one_term_past_alpha(self):
         envelope = SpectralEnvelope(1.0, 5.0)
         for alpha in (0.0, 1.0, 4.0):
-            full = full_series_sum(alpha, 1.0, 5.0)
-            assert required_depth(alpha, envelope, full, 1e-300, 2.0, 2049) == (alpha + 1, 0.0)
+            assert required_depth(alpha, envelope, 1e-300, 2.0, 2049) == (alpha + 1, 0.0)
 
     def test_full_sum_taken_from_the_caller(self, monkeypatch):
-        full = full_series_sum(0.5, 1.0, 5.0)
-
+        # the premise check is the caller's
         def no_sum(*args):
             raise AssertionError("full_series_sum ran in the search")
 
         monkeypatch.setattr(certificates, "full_series_sum", no_sum)
-        assert required_depth(0.5, SpectralEnvelope(1.0, 5.0), full, 1e-12, 1.0, 2049)[0] > 0
+        assert required_depth(0.5, SpectralEnvelope(1.0, 5.0), 1e-12, 1.0, 2049)[0] > 0
+
+
+class TestSoundDepth:
+    # the bound required_depth meets is the exact tail to round-off, the
+    # depth before it misses tol, and the suffix sums behind it fall with j
+    @pytest.mark.parametrize("alpha", (-2.5, -0.5, 0.5, 1.5, 2.5, 7.5))
+    @pytest.mark.parametrize("ratio", (0.05, 0.2, 0.4, 0.7, 0.95))
+    @pytest.mark.parametrize("tol", (1e-4, 1e-6, 1e-9, 1e-12))
+    def test_bound_is_the_exact_tail(self, alpha, ratio, tol):
+        c, w = 5.0 * ratio, 5.0
+        x = (w - c) / w
+        depth, bound = required_depth(alpha, SpectralEnvelope(c, w), tol, 1.0, 2049)
+        exact = mp.mpf(w) ** alpha * mp_abs_binom_tail(alpha, x, depth)
+        assert bound <= tol
+        assert abs(bound - exact) <= 1e-13 * exact, (depth, float((bound - exact) / exact))
+        assert depth == 1 or tail_bound(alpha, c, w, depth - 1) / 2.0 > tol
+        tails = _tails(alpha, x, 2049)
+        assert (tails[1:] <= tails[:-1]).all()
+
+    def test_large_power_below_one_is_finite(self):
+        # w**alpha underflows where the unscaled sum is large; the bounds,
+        # about e**-316 and below, are floats, formed in log form
+        total = full_series_sum(1100.5, 0.25, 0.5)
+        assert math.isfinite(total) and total > 1.0
+        oracle = float(mp_abs_binom_tail(1100.5, 0.5, 0))
+        assert total == pytest.approx(oracle, rel=1e-12)
+        scale = 2 * mp.mpf(0.5) ** mp.mpf(1100.5)
+        for j_start in (0, 1, 400):
+            bound = tail_bound(1100.5, 0.25, 0.5, j_start)
+            exact = scale * mp_abs_binom_tail(1100.5, 0.5, j_start)
+            assert bound > 0.0
+            assert bound == pytest.approx(float(exact), rel=1e-12), j_start
+        for tol in (1e-140, 1e-200):
+            depth, bound = required_depth(1100.5, SpectralEnvelope(0.25, 0.5), tol, 1.0, 2049)
+            exact = scale / 2 * mp_abs_binom_tail(1100.5, 0.5, depth)
+            assert 0.0 < bound <= tol
+            assert bound == pytest.approx(float(exact), rel=1e-12)
+            assert bound == tail_bound(1100.5, 0.25, 0.5, depth) / 2.0
 
 
 class TestCertify:

@@ -410,8 +410,7 @@ def _check_plan(spec, alpha, m, n, tol):
     """The region of the depth J whose one tail meets tol reaches J, and no
     smaller window does."""
     c, w = spec.envelope.c, spec.envelope.w
-    full = full_series_sum(alpha, c, w)
-    required, bound = required_depth(alpha, spec.envelope, full, tol, 1.0, 10**6)
+    required, bound = required_depth(alpha, spec.envelope, tol, 1.0, 10**6)
     window = SupportWalk(spec, {m, n}).window(required - 1)
     depth = truncation_depth(spec, window, m, n)
     assert bound == tail_bound(alpha, c, w, required) / 2.0 <= tol
@@ -840,8 +839,7 @@ class TestLocalSolve:
         assert truncated == []
         assert calls == {"eigh": 0, "eigvalsh": 0}
         envelope = spec.envelope
-        full = full_series_sum(-1.0, envelope.c, envelope.w)
-        depth, bound = required_depth(-1.0, envelope, full, tol, 1.0, MAX_DIM)
+        depth, bound = required_depth(-1.0, envelope, tol, 1.0, MAX_DIM)
         assert regions == [SupportWalk(spec, f).window(depth - 1)]
         assert matvecs == [regions[0].dim] * depth
         assert bound == tail_bound(-1.0, envelope.c, envelope.w, depth) / 2
@@ -895,6 +893,18 @@ class TestLocalSolve:
             with pytest.raises(NotConvergedError) as err:
                 local_solve(spec, policy, f, [0, 1], tol, max_dim=65)
             assert err.value.best_certificate is None
+
+    def test_not_converged_names_the_depth_limit(self):
+        # c/w = 2.5e-10: J would be about 1e11, past the deepest depth the
+        # search reads, which a max_dim above it does not move
+        c = 1e-9
+        envelope = SpectralEnvelope(c, 4.0 + c)
+        spec = banded_spec([-1, 0, 1], [-1.0, 2.0 + c, -1.0], envelope)
+        with pytest.raises(NotConvergedError, match=f"depth limit {certificates.MAX_DEPTH}"):
+            local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-12, max_dim=certificates.MAX_DEPTH + 1)
+        with pytest.raises(NotConvergedError) as err:
+            local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-12, max_dim=65)
+        assert "depth limit" not in str(err.value)
 
     # The last tol is the float just below 0.3 * tail_bound(-1, 1, 5, 15) / 2:
     # for |f|_1 = 0.1 + 0.2, 2 tol / |f|_1 rounds up to the tail at J = 15,
