@@ -4,7 +4,8 @@ An infinite matrix is presented as a row generator: a pure function mapping a
 row index to the finite list of ``(column, value)`` pairs of that row.  Its
 section over an index window ``[-P, Q]`` holds the generator entries inside
 the window, checked for Hermitian symmetry (``_section``).  The matrix-free
-sweeps apply it as a sparse mat-vec (``sparse_section``); the paper's dense
+sweeps step the binomial series by it, as the sparse mat-vec
+``v -> (I - W_R/w) v`` (``sparse_section``); the paper's dense
 truncations (``truncate``) scatter it into an array and add a Hermitian
 boundary correction at the four window corners.
 """
@@ -371,11 +372,14 @@ def _section(spec: InfiniteMatrixSpec, window: Window):
 def sparse_section(
     spec: InfiniteMatrixSpec, window: Window
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Mat-vec ``v -> W_R v`` of ``spec`` restricted to ``window``, on arrays
-    indexed by array position.
+    """Step ``v -> b_R v`` of the binomial series, ``b_R = I - W_R/w``, where
+    ``W_R`` is ``spec`` restricted to ``window`` and ``w`` is the envelope's
+    shift, on arrays indexed by array position.
 
-    The entries are ``_section``'s.  Each product is one ``np.bincount``; a
-    complex product is summed as interleaved real and imaginary parts.
+    ``b_R`` is held as COO values: ``_section``'s entries divided by ``-w``,
+    with the identity added on the diagonal.  Each product is one
+    ``np.bincount``; a complex product is summed as interleaved real and
+    imaginary parts.
 
     Raises
     ------
@@ -383,16 +387,22 @@ def sparse_section(
         As ``_section``.
     """
     rows, cols, vals = _section(spec, window)
-    dim = window.dim
+    dim, w = window.dim, spec.envelope.w
+    off = rows != cols
+    diagonal = np.ones(dim, dtype=vals.dtype)
+    diagonal[rows[~off]] -= vals[~off] / w
+    rows = np.concatenate([rows[off], np.arange(dim)])
+    vals = np.concatenate([vals[off] / -w, diagonal])
+    cols = np.concatenate([cols[off], np.arange(dim)])
     interleaved = np.stack([2 * rows, 2 * rows + 1], axis=1).ravel()
 
-    def matvec(v: np.ndarray) -> np.ndarray:
+    def step(v: np.ndarray) -> np.ndarray:
         prod = vals * v[cols]
         if np.iscomplexobj(prod):
             return np.bincount(interleaved, prod.view(np.float64), 2 * dim).view(np.complex128)
         return np.bincount(rows, prod, dim)
 
-    return matvec
+    return step
 
 
 def truncate(

@@ -3,15 +3,16 @@ dense windows as their reference.
 
 Both entry points that take a tolerance, ``approximate_element`` and
 ``local_solve``, evaluate the binomial series
-``W**alpha = w**alpha * sum_j C(alpha, j) (-1)**j ((w I - W)/w)**j`` with no
-eigensolve.  ``tol`` fixes the smallest depth ``J`` whose one tail
+``W**alpha = w**alpha * sum_j C(alpha, j) (-1)**j b**j``, ``b = I - W/w``,
+with no eigensolve.  ``tol`` fixes the smallest depth ``J`` whose one tail
 ``w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` meets it, and one walk of the
 sparsity structure (``SupportWalk``) fixes the window that ``J - 1`` support
 steps from the requested indices reach.  There ``W`` acts as its restriction
-on every term, so sparse mat-vecs (``_sweep``) give the infinite matrix's
-partial sum, whose error is that one tail.  Local solutions of ``W x = f``
-are the case ``alpha = -1``, with every component read off one sweep of
-``J - 1`` mat-vecs on that window.  An element reads the series only at
+on every term, so the terms ``b**j v`` that one generator steps (``_terms``,
+one sparse mat-vec each) give the infinite matrix's partial sum, whose error
+is that one tail.  Local solutions of ``W x = f`` are the case
+``alpha = -1``, with every component read off one sweep of ``J`` terms on
+that window.  An element reads the series only at
 ``(max(m, n), min(m, n))``: the paths of length ``L`` between the two indices
 stay within ``floor(L / 2)`` steps of them, so it is swept on the smaller
 region those steps reach, inside the recorded window, and the same walk gives
@@ -89,6 +90,16 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
+def _index(i) -> int:
+    """``i`` as an ``int`` index: an integral number becomes its ``int``."""
+    try:
+        if int(i) == i:
+            return int(i)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"an index must be an integer, got {i!r}")
+
+
 def evaluate_window(
     spec: InfiniteMatrixSpec,
     boundary_policy: BoundaryPolicy,
@@ -104,12 +115,13 @@ def evaluate_window(
     Raises
     ------
     DomainError
-        The element lies outside ``window``.
+        An index is not an integer, or the element lies outside ``window``.
     InvalidBoundaryError
         The truncation's eigenvalues leave the envelope.
     NumericalFailureError
         The eigendecomposition failed.
     """
+    m, n = _index(m), _index(n)
     envelope = spec.envelope
     full_series_sum(alpha, envelope.c, envelope.w)
     if not (window.contains(m) and window.contains(n)):
@@ -143,11 +155,12 @@ def _not_converged(max_dim: int, tol: float) -> str:
 
 
 def _check_rayleigh(
-    envelope: SpectralEnvelope, region: Window, u: np.ndarray, w_u: np.ndarray
+    envelope: SpectralEnvelope, region: Window, u: np.ndarray, b_u: np.ndarray
 ) -> None:
-    """Reject an envelope ``[c, norm_bound]`` that excludes ``<u, W u> / <u, u>``.
+    """Reject an envelope ``[c, norm_bound]`` that excludes ``<u, W u> / <u, u>``,
+    read as ``w (1 - <u, b u> / <u, u>)``.
 
-    ``u`` is supported on ``region``, where ``w_u`` is ``W u``; so this is the
+    ``u`` is supported on ``region``, where ``b_u`` is ``b u``; so this is the
     quadratic form of the infinite matrix, which any sound envelope holds.  A
     ``u`` whose entries all lie below the normal floats (zero included) has
     too few bits for a quotient and passes unchecked.
@@ -155,8 +168,8 @@ def _check_rayleigh(
     largest = np.abs(u).max()
     if largest < _TINY:
         return
-    u, w_u = u / largest, w_u / largest
-    quotient = np.vdot(u, w_u).real / np.vdot(u, u).real
+    u, b_u = u / largest, b_u / largest
+    quotient = envelope.w * (1.0 - np.vdot(u, b_u).real / np.vdot(u, u).real)
     slack = SPECTRUM_TOL * max(envelope.w, 1.0)
     if not envelope.c - slack <= quotient <= envelope.norm_bound + slack:
         raise MalformedSpecError(
@@ -165,20 +178,21 @@ def _check_rayleigh(
         )
 
 
-def _sweep(
+def _terms(
     spec: InfiniteMatrixSpec,
     region: Window,
-    matvec: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
-    coefficients: np.ndarray,
-    at,
+    count: int,
 ):
-    """``sum_j coefficients[j] * v_j[at]`` over the terms
-    ``v_j = ((w I - W_R)/w)**j start`` of the region ``R``, and the last term.
+    """The pairs ``(v_j, b v_j)`` for the ``count`` terms ``v_j = b**j start``
+    of the series on the region ``R``, with ``b = I - W_R/w`` and ``step``
+    its product, ``sparse_section(spec, R)``: one step per term.
 
-    Each term costs one ``matvec``, which is ``sparse_section(spec, R)``.  The
-    Rayleigh quotients of ``start`` and of the last term must lie in the
-    envelope.  An overflow shows as a non-finite sum.
+    The Rayleigh quotients of ``start`` and of the last term must lie in the
+    envelope.  The last is checked before it is yielded, so a consumer that
+    takes exactly ``count`` pairs has run both checks.  The caller owns the
+    floating-point error state: an overflow shows as a non-finite sum.
 
     Raises
     ------
@@ -187,51 +201,13 @@ def _sweep(
         it too, when a row breaks the spec's contract or the entries on ``R``
         fail the Hermitian spot-check.)
     """
-    envelope = spec.envelope
-    w = envelope.w
-    with np.errstate(all="ignore"):
-        term, w_term = start, matvec(start)
-        _check_rayleigh(envelope, region, term, w_term)
-        total = coefficients[0] * term[at]
-        for coefficient in coefficients[1:]:
-            term = term - w_term / w
-            w_term = matvec(term)
-            total = total + coefficient * term[at]
-        _check_rayleigh(envelope, region, term, w_term)
-    return total, term
-
-
-def _diagonal_sweep(
-    spec: InfiniteMatrixSpec,
-    region: Window,
-    matvec: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    coefficients: np.ndarray,
-) -> float:
-    """``sum_j coefficients[j] * (b**j)[m, m]`` for ``start = e_m``, with
-    ``b = (w I - W_R)/w`` on the region ``R``.
-
-    ``b`` is Hermitian, so with ``v_i = b**i e_m`` the terms are
-    ``(b**(2i))[m, m] = <v_i, v_i>`` and ``(b**(2i+1))[m, m] = <v_i, v_{i+1}>``:
-    ``J`` terms take ``ceil(J / 2)`` mat-vecs, and only the current term is
-    kept.  The Rayleigh checks are ``_sweep``'s, on ``start`` and the last term.
-    """
-    envelope = spec.envelope
-    w = envelope.w
-    terms = len(coefficients)
-    with np.errstate(all="ignore"):
-        term, w_term = start, matvec(start)
-        _check_rayleigh(envelope, region, term, w_term)
-        total = 0.0
-        for i in range(0, terms, 2):
-            after = term - w_term / w
-            total += coefficients[i] * np.vdot(term, term).real
-            if i + 1 < terms:
-                total += coefficients[i + 1] * np.vdot(term, after).real
-            if i + 2 < terms:
-                term, w_term = after, matvec(after)
-        _check_rayleigh(envelope, region, term, w_term)
-    return total
+    term = start
+    for j in range(count):
+        after = step(term)
+        if j == 0 or j == count - 1:
+            _check_rayleigh(spec.envelope, region, term, after)
+        yield term, after
+        term = after
 
 
 def _element_certificate(
@@ -245,16 +221,16 @@ def _element_certificate(
     ``(W**alpha)[m, n]``, recorded at ``depth.window`` and swept on a region
     inside it, which ``walk`` (from ``{m, n}``) gives.
 
-    With ``b = (w I - W)/w``, the partial sum ``P^alpha`` of
-    ``(1 - b)**alpha`` has terms up to ``full_series_sum``, about
-    ``(1 + x)**alpha`` for ``alpha > 0``, that cancel.  So the sweep sums
-    only ``P^beta``, ``beta = alpha - k`` in ``[0, 1)`` with
-    ``k = floor(alpha)`` (terms summing to at most 2), and the identity
-    ``P^(gamma + 1) = (1 - b) P^gamma + C(gamma, J - 1) (-1)**(J - 1) b**J``
-    gives ``P^alpha = (W/w)**k P^beta + sum_{r<k} a_r (W/w)**(k-1-r) b**J``
-    with ``a_r = C(beta + r, J - 1) (-1)**(J - 1)``.  Every factor there has
-    norm at most 1, and ``k`` mat-vecs from the read index apply the powers
-    of ``W/w``.  Its round-off is about ``J eps w**alpha (2 + x**J sum|a_r|)``;
+    With ``b = I - W/w``, the partial sum ``P^alpha`` of ``(I - b)**alpha``
+    has terms up to ``full_series_sum``, about ``(1 + x)**alpha`` for
+    ``alpha > 0``, that cancel.  So the sweep sums only ``P^beta e_lo``,
+    ``beta = alpha - k`` in ``[0, 1)`` with ``k = floor(alpha)`` (terms
+    summing to at most 2), and applies the identity
+    ``P^(g + 1) = (I - b) P^g + C(g, J - 1) (-1)**(J - 1) b**J`` ``k`` times
+    to that vector, for ``g = beta, ..., alpha - 1``.  ``b**J e_lo`` is the
+    ``b v_{J-1}`` the sweep already holds, so each application costs one
+    step.  Every factor there has norm at most 1.  Its round-off is about
+    ``J eps w**alpha (2 + x**J sum|a_r|)``, ``a_r = C(beta + r, J - 1)``;
     ``w**alpha`` bounds every element of ``W**alpha``, so when that round-off
     reaches it the call fails rather than certify a value with no certain
     digit (``NumericalFailureError``, as for a value that overflows).
@@ -269,9 +245,9 @@ def _element_certificate(
     degree ``J - 1``, is the infinite matrix's, and the identity holds for
     ``W_R`` too.  ``depth.window`` holds ``J - 1`` steps in its interior, so
     either region lies inside it.  A diagonal element with ``k = 0`` reads
-    ``<v_i, v_i>`` and ``<v_i, v_{i+1}>`` (``_diagonal_sweep``), in about
-    ``J / 2`` mat-vecs; every other element reads the sweep against
-    ``(W_R/w)**k e_hi``, which is ``e_hi`` with no carries when ``k = 0``.
+    ``(b**(2i))[m, m] = <v_i, v_i>`` and ``(b**(2i+1))[m, m] = <v_i, v_{i+1}>``
+    (``b`` is Hermitian), in ``ceil(J / 2)`` steps; every other element sums
+    ``J`` terms, and ``k`` more steps for the identity.
 
     The sweep starts at ``e_{min(m, n)}`` and reads the larger index, so
     ``(m, n)`` and ``(n, m)`` are exact conjugates; a diagonal element is
@@ -282,7 +258,8 @@ def _element_certificate(
     w = envelope.w
     k = max(math.floor(alpha), 0)
     beta = alpha - k
-    carries = [binomial_coefficients(beta + r, terms)[-1] for r in range(k)]  # a_r up to sign
+    sign = (-1.0) ** (terms - 1)
+    carries = [sign * binomial_coefficients(beta + r, terms)[-1] for r in range(k)]
     x = (w - envelope.c) / w
     if terms * _EPS * (2.0 + x ** terms * sum(map(abs, carries))) >= 1.0:
         raise NumericalFailureError(
@@ -292,28 +269,28 @@ def _element_certificate(
         )
     lo, hi = min(m, n), max(m, n)
     region = walk.window(min(terms - 1, (terms - 1 + k) // 2))
-    matvec = sparse_section(spec, region)
+    step = sparse_section(spec, region)
     start = np.zeros(region.dim)
     start[region.offset(lo)] = 1.0
     series = binomial_coefficients(beta, terms)
     series[1::2] *= -1.0
-    if not k and m == n:
-        read = _diagonal_sweep(spec, region, matvec, start, series)
-    else:
-        read_at = np.zeros(region.dim)  # (W_R/w)**k e_hi
-        read_at[region.offset(hi)] = 1.0
-        carried = 0.0  # sum_r a_r (W_R/w)**(k-1-r) e_hi
-        with np.errstate(all="ignore"):
-            for carry in reversed(carries):
-                carried = carried + carry * read_at
-                read_at = matvec(read_at) / w
-        at = np.flatnonzero(read_at) if k else region.offset(hi)  # an int reads fastest
-        partial, last = _sweep(spec, region, matvec, start, series, at)
-        with np.errstate(all="ignore"):
-            read = np.vdot(read_at[at], partial)
-            if carries:  # b**J e_lo is b applied to v_{J-1}
-                carried = (-1.0) ** (terms - 1) * (carried - matvec(carried) / w)
-                read = read + np.vdot(carried, last)
+    read = 0.0
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
+        if not k and m == n:
+            sweep = _terms(spec, region, step, start, (terms + 1) // 2)
+            for i, (term, after) in zip(range(0, terms, 2), sweep):
+                read += series[i] * np.vdot(term, term).real
+                if i + 1 < terms:
+                    read += series[i + 1] * np.vdot(term, after).real
+        else:
+            at = slice(None) if k else region.offset(hi)  # the identity steps all of P^beta e_lo
+            sweep = _terms(spec, region, step, start, terms)
+            for coefficient, (term, after) in zip(series, sweep):
+                read = read + coefficient * term[at]
+            for carry in carries:
+                read = read - step(read) + carry * after
+            if k:
+                read = read[region.offset(hi)]
     if m == n:
         read = read.real
     elif m < n:
@@ -340,17 +317,17 @@ def approximate_element(
     ``w**alpha * sum_{j>=J} |C(alpha, j)| x**j`` (``tail_bound / 2``) meets
     ``tol`` in float, and the window ``R`` is the smallest one whose interior
     holds ``J - 1`` support steps from ``m`` and ``n``.  On ``R``,
-    ``w**alpha * sum_{j<J} C(alpha, j) (-1)**j [((w I - W_R)/w)**j][m, n]`` is
+    ``w**alpha * sum_{j<J} C(alpha, j) (-1)**j [(I - W_R/w)**j][m, n]`` is
     the infinite matrix's partial sum, so that tail is the certificate's
     bound, and the certificate records ``TruncationDepth(J, R, m, n)``.  The
     sum is a sum over paths of length below ``J`` between ``m`` and ``n``,
     which stay within ``(J - 1) // 2`` steps of them; so the value is swept on
     the region those steps reach (``(J - 1 + k) // 2``, at most ``J - 1``, for
     ``k = floor(alpha) >= 1``), inside ``R`` and found by the same walk (see
-    ``_element_certificate``).  That takes about ``J`` sparse mat-vecs over
-    half of ``R``, ``J / 2`` for a diagonal element with ``alpha < 1``, plus
-    the Rayleigh-quotient envelope check of ``_sweep``.  The walk stops once
-    its window is wider than ``max_dim``.  Integer ``alpha`` and ``x = 0``
+    ``_element_certificate``).  That takes ``J + k`` sparse mat-vecs over
+    half of ``R``, ``ceil(J / 2)`` for a diagonal element with ``alpha < 1``,
+    and the Rayleigh-quotient envelope check of ``_terms``.  The walk stops
+    once its window is wider than ``max_dim``.  Integer ``alpha`` and ``x = 0``
     give bound 0 through the tail.  Round-off is outside the bound.
     ``boundary_policy`` is not read; no window is truncated.
 
@@ -365,7 +342,8 @@ def approximate_element(
     DivergentSeriesError
         ``alpha < 0`` with an envelope touching zero.
     DomainError
-        ``alpha`` not finite, or ``tol`` not positive and finite.
+        ``alpha`` not finite, ``tol`` not positive and finite, or ``m`` or
+        ``n`` not an integer.
     NumericalFailureError
         The bound at ``alpha`` overflows a float, ``alpha`` is above
         ``MAX_TAIL_TERMS``, or the series terms do not decay in float (``c``
@@ -373,9 +351,10 @@ def approximate_element(
         sweep; or the value overflows, or its round-off would leave no
         certain digit.
     MalformedSpecError
-        As ``_sweep``.
+        As ``_terms``.
     """
     _check_tol(tol)
+    m, n = _index(m), _index(n)
     envelope = spec.envelope
     c, w = envelope.c, envelope.w
     full_series_sum(alpha, c, w)
@@ -413,8 +392,10 @@ def convergence_table(
 
     Each entry is the window's certificate, or the ``FinpowError`` its
     evaluation raised.  Premise failures, which no window can change, raise
-    before any window, as ``full_series_sum`` raises them.
+    before any window: a non-integral index (``DomainError``), or what
+    ``full_series_sum`` raises.
     """
+    m, n = _index(m), _index(n)
     full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
     rows = []
     for window in windows:
@@ -436,14 +417,14 @@ def local_solve(
 ) -> dict[int, tuple[complex, float]]:
     """Certified components of the solution of ``W x = f``.
 
-    One sweep ``x = w**-1 * sum_{j<J} ((w I - W)/w)**j f`` (``alpha = -1``),
+    One sweep ``x = w**-1 * sum_{j<J} (I - W/w)**j f`` (``alpha = -1``),
     with the depth ``J`` that ``tol`` requires, on the region ``R`` that
     ``J - 1`` support steps from ``supp f`` reach: there ``W`` acts as ``W_R``
     on every term, so ``x`` is the infinite matrix's partial sum and its
     error is one tail, ``sum |f_n| * tail_bound(-1, c, w, J) / 2``, the bound
     of every component.  A component outside ``R`` is exactly 0 in the
-    partial sum.  The work is ``J - 1`` sparse mat-vecs over ``R``, plus one
-    for the envelope check of ``_sweep``.  The walk stops once its window is
+    partial sum.  The work is ``J`` sparse mat-vecs over ``R``, the last one
+    for the envelope check of ``_terms``.  The walk stops once its window is
     wider than ``max_dim``.  ``boundary_policy`` is not read; no truncation is
     made.
 
@@ -452,13 +433,14 @@ def local_solve(
     SingularOperatorError
         The envelope does not bound the spectrum away from zero.
     DomainError
-        ``tol`` not positive and finite, or ``f`` has a non-finite value or
-        a non-finite ``sum |f_n|``.
+        ``tol`` not positive and finite, a key of ``f`` or an output index
+        not an integer, or ``f`` has a non-finite value or a non-finite
+        ``sum |f_n|``.
     NotConvergedError
         ``J`` or the dimension of ``R`` is above ``max_dim`` (``J`` is
         searched up to ``MAX_DEPTH``); carries no certificate.
     MalformedSpecError
-        As ``_sweep``.
+        As ``_terms``.
     NumericalFailureError
         The series terms do not decay in float (as for
         ``approximate_element``), or a returned component of ``x`` overflows.
@@ -469,9 +451,11 @@ def local_solve(
             f"local solve requires c > 0, envelope has c = {envelope.c}"
         )
     _check_tol(tol)
-    support = {int(k): complex(v) for k, v in f.items() if complex(v) != 0}
+    outs = [_index(m) for m in out_indices]
+    support = {_index(k): complex(v) for k, v in f.items()}
+    support = {k: v for k, v in support.items() if v != 0}
     if not support:
-        return {int(m): (0.0 + 0.0j, 0.0) for m in out_indices}
+        return {m: (0.0 + 0.0j, 0.0) for m in outs}
     weight = sum(abs(v) for v in support.values())
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
@@ -487,12 +471,13 @@ def local_solve(
         rhs[region.offset(n)] = fn / scale
     if not rhs.imag.any():
         rhs = rhs.real
-    matvec = sparse_section(spec, region)
-    inside = [int(m) for m in out_indices if region.contains(m)]
+    step = sparse_section(spec, region)
+    inside = [m for m in outs if region.contains(m)]
     at = np.array([region.offset(m) for m in inside], dtype=np.intp)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
-        x = _sweep(spec, region, matvec, rhs, np.ones(depth), at)[0] / envelope.w * scale
+        x = sum(term[at] for term, _ in _terms(spec, region, step, rhs, depth))
+        x = x / envelope.w * scale
     if not np.isfinite(x).all():
         raise NumericalFailureError("a component of the local solution overflows")
     values = dict(zip(inside, (complex(v) for v in x)))
-    return {int(m): (values.get(int(m), 0.0 + 0.0j), bound) for m in out_indices}
+    return {m: (values.get(m, 0.0 + 0.0j), bound) for m in outs}

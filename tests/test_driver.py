@@ -235,6 +235,27 @@ class TestApproximateElement:
         with pytest.raises(DomainError):
             approximate_element(spec, policy, 0.5, 0, 0, tol)
 
+    @pytest.mark.parametrize(
+        "m, n", [(0.5, 0), (0, 0.5), (0, float("nan")), (float("inf"), 0), (0, "1")]
+    )
+    def test_non_integral_index_rejected(self, unit_lattice, m, n):
+        # every entry point that takes an element, before it plans a window
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError, match="integer"):
+            approximate_element(spec, policy, 0.5, m, n, 1e-6)
+        with pytest.raises(DomainError, match="integer"):
+            evaluate_window(spec, policy, 0.5, m, n, Window(5, 5))
+        with pytest.raises(DomainError, match="integer"):
+            convergence_table(spec, policy, 0.5, m, n, [Window(5, 5)])
+
+    def test_integral_index_is_its_int(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        cert = approximate_element(spec, policy, 0.5, 0, 2.0, 1e-6)
+        assert cert == approximate_element(spec, policy, 0.5, 0, 2, 1e-6)
+        assert type(cert.depth.n) is int
+        cert = approximate_element(spec, policy, 1.5, np.int64(-1), np.float64(1.0), 1e-6)
+        assert cert == approximate_element(spec, policy, 1.5, -1, 1, 1e-6)
+
     @pytest.mark.parametrize("alpha", [400.5, 440.5, 441.5, -2000.0])
     def test_overflowing_bound_rejected_before_any_window(
         self, unit_lattice, monkeypatch, alpha
@@ -483,16 +504,18 @@ class TestElementSoundness:
 
 
 def _one_sided(spec, alpha, cert):
-    """The element as the one-sided sweep of ``driver._sweep`` on the recorded
-    window: ``J`` terms of ``C(alpha, j) (-1)**j (b**j)[hi, lo]``."""
+    """The element as the one-sided sweep of ``driver._terms`` on the recorded
+    window: ``J`` terms of ``C(alpha, j) (-1)**j (b**j)[hi, lo]``, with no
+    split of ``alpha``."""
     window, m, n, terms = cert.window, cert.depth.m, cert.depth.n, cert.depth.j_pq
     lo, hi = min(m, n), max(m, n)
     start = np.zeros(window.dim)
     start[window.offset(lo)] = 1.0
     series = binomial_coefficients(alpha, terms)
     series[1::2] *= -1.0
-    matvec = sparse_section(spec, window)
-    read = driver._sweep(spec, window, matvec, start, series, window.offset(hi))[0]
+    sweep = driver._terms(spec, window, sparse_section(spec, window), start, terms)
+    at = window.offset(hi)
+    read = sum(coefficient * term[at] for coefficient, (term, _) in zip(series, sweep))
     read = read.real if m == n else np.conj(read) if m < n else read
     return spec.envelope.w**alpha * complex(read)
 
@@ -573,8 +596,8 @@ class TestSweptRegion:
 
     def test_matvecs_walks_and_region(self, unit_lattice, monkeypatch):
         # one walk per call, a region inside the window, and J // 2 + 1
-        # mat-vecs at most for a diagonal element below alpha = 1 (J, as
-        # before, off the diagonal; J + k + 1 at alpha >= 1)
+        # mat-vecs at most for a diagonal element below alpha = 1 (J off the
+        # diagonal; J + k at alpha >= 1)
         from finpow import series
 
         _, spec, policy = unit_lattice
@@ -612,7 +635,7 @@ class TestSweptRegion:
                     if m == n and not k:
                         assert len(matvecs) <= terms // 2 + 1
                     else:
-                        assert len(matvecs) == terms + (k + 1 if k else 0)
+                        assert len(matvecs) == terms + k
 
     def test_walk_stops_past_max_dim(self):
         # offsets -30..30: each step widens the reach by 60 indices; the walks
@@ -924,13 +947,13 @@ class TestLocalSolve:
         # tol within a few ulps of a depth's one-tail bound: the depth swept
         # meets tol in float, and one term fewer does not
         depths = []
-        real_sweep = driver._sweep
+        real_terms = driver._terms
 
-        def recording(spec, region, matvec, start, coefficients, at):
-            depths.append(len(coefficients))
-            return real_sweep(spec, region, matvec, start, coefficients, at)
+        def recording(spec, region, step, start, count):
+            depths.append(count)
+            return real_terms(spec, region, step, start, count)
 
-        monkeypatch.setattr(driver, "_sweep", recording)
+        monkeypatch.setattr(driver, "_terms", recording)
         rng = np.random.default_rng(20261018)
         for c, norm_bound in [(1.0, 5.0), (0.5, 3.0), (0.9, 3.1)]:
             spec = banded_spec([-1, 0, 1], [-0.5, 2.0, -0.5], SpectralEnvelope(c, norm_bound))
@@ -990,6 +1013,22 @@ class TestLocalSolve:
         _, spec, policy = unit_lattice
         with pytest.raises(DomainError):
             local_solve(spec, policy, f, [0], 1e-6)
+
+    @pytest.mark.parametrize(
+        "f, outs",
+        [({0.5: 1.0}, [0]), ({0: 1.0}, [0.5]), ({0.5: 0.0}, [0]), ({0: 0.0}, [1.5]),
+         ({0: 1.0}, [float("nan")]), ({"0": 1.0}, [0])],
+    )
+    def test_non_integral_index_rejected(self, unit_lattice, f, outs):
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError, match="integer"):
+            local_solve(spec, policy, f, outs, 1e-6)
+
+    def test_integral_index_is_its_int(self, unit_lattice):
+        _, spec, policy = unit_lattice
+        result = local_solve(spec, policy, {0.0: 1.0, np.int64(2): 0.5}, [1.0, np.int64(-1)], 1e-6)
+        assert result == local_solve(spec, policy, {0: 1.0, 2: 0.5}, [1, -1], 1e-6)
+        assert [type(m) for m in result] == [int, int]
 
     def test_zero_rhs(self, unit_lattice):
         _, spec, policy = unit_lattice
