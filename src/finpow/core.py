@@ -5,7 +5,8 @@ row index to the finite list of ``(column, value)`` pairs of that row.  Its
 section over an index window ``[-P, Q]`` holds the generator entries inside
 the window, checked for Hermitian symmetry (``_section``).  The matrix-free
 sweeps step the binomial series by it, as the sparse mat-vec
-``v -> (I - W_R/w) v`` (``sparse_section``); the paper's dense
+``v -> (I - W_R/w) v`` (``sparse_section``, built once per spec and window
+and kept on the spec); the paper's dense
 truncations (``truncate``) scatter it into an array and add a Hermitian
 boundary correction at the four window corners.
 """
@@ -28,6 +29,11 @@ from .errors import (
 # Relative tolerance of the Hermitian spot-check performed on each section.
 # Violations beyond round-off indicate a malformed generator.
 HERMITIAN_SPOT_TOL = 1e-12
+
+# Cap on the COO entries of the series steps one spec keeps (``sparse_section``):
+# about ten of the largest sections a 3-sparse spec has under the default
+# ``max_dim``.  At 48 bytes an entry, at most 3 MiB of arrays per spec.
+SECTION_MEMO_ENTRIES = 1 << 16
 
 RowGenerator = Callable[[int], Sequence[tuple[int, complex]]]
 
@@ -118,13 +124,19 @@ class InfiniteMatrixSpec:
         sequences.
 
     Validated rows are cached; the cache is append-only and derived purely
-    from the generator, so concurrent readers are safe.
+    from the generator.  The series steps ``sparse_section`` builds are kept
+    too, keyed by window and shift ``w``, up to ``SECTION_MEMO_ENTRIES`` COO
+    entries (at most 3 MiB), the oldest evicted first.  Neither cache stores
+    a failure: a malformed row or section raises on every read.  Both hold
+    only what a fresh build makes, so concurrent readers are safe; two that
+    race at worst build a step twice or evict one early.
     """
 
     row_generator: RowGenerator
     sparsity_bound_k: int
     envelope: SpectralEnvelope
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sparsity_bound_k < 1:
@@ -381,11 +393,36 @@ def sparse_section(
     ``np.bincount``; a complex product is summed as interleaved real and
     imaginary parts.
 
+    The step is memoized on ``spec`` by ``(window, w)``: a repeated call
+    returns the step the first one built, with no row read and no Hermitian
+    check.  The memo holds at most ``SECTION_MEMO_ENTRIES`` COO entries of
+    48 bytes (indices, values and interleaved indices), evicting the oldest
+    steps first; a step larger than that is returned but not kept.  A
+    section that raises stores nothing, so it raises on every call.
+
     Raises
     ------
     MalformedSpecError
         As ``_section``.
     """
+    key = (window, spec.envelope.w)
+    memo = spec._steps
+    held = memo.get(key)
+    if held is None:
+        held = _step(spec, window)
+        memo[key] = held
+        total = sum(entries for _, entries in list(memo.values()))
+        for old in list(memo):  # oldest first; another reader may pop it first
+            if total <= SECTION_MEMO_ENTRIES:
+                break
+            evicted = memo.pop(old, None)
+            if evicted is not None:
+                total -= evicted[1]
+    return held[0]
+
+
+def _step(spec: InfiniteMatrixSpec, window: Window):
+    """``sparse_section``'s step, built afresh, and its number of COO entries."""
     rows, cols, vals = _section(spec, window)
     dim, w = window.dim, spec.envelope.w
     off = rows != cols
@@ -402,7 +439,7 @@ def sparse_section(
             return np.bincount(interleaved, prod.view(np.float64), 2 * dim).view(np.complex128)
         return np.bincount(rows, prod, dim)
 
-    return step
+    return step, len(vals)
 
 
 def truncate(

@@ -90,14 +90,14 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
-def _index(i) -> int:
-    """``i`` as an ``int`` index: an integral number becomes its ``int``."""
+def _index(i, name: str = "an index") -> int:
+    """``i`` as an ``int``: an integral number becomes its ``int``."""
     try:
         if int(i) == i:
             return int(i)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"an index must be an integer, got {i!r}")
+    raise DomainError(f"{name} must be an integer, got {i!r}")
 
 
 def evaluate_window(
@@ -342,8 +342,8 @@ def approximate_element(
     DivergentSeriesError
         ``alpha < 0`` with an envelope touching zero.
     DomainError
-        ``alpha`` not finite, ``tol`` not positive and finite, or ``m`` or
-        ``n`` not an integer.
+        ``alpha`` not finite, ``tol`` not positive and finite, or ``m``,
+        ``n`` or ``max_dim`` not an integer.
     NumericalFailureError
         The bound at ``alpha`` overflows a float, ``alpha`` is above
         ``MAX_TAIL_TERMS``, or the series terms do not decay in float (``c``
@@ -355,6 +355,7 @@ def approximate_element(
     """
     _check_tol(tol)
     m, n = _index(m), _index(n)
+    max_dim = _index(max_dim, "max_dim")
     envelope = spec.envelope
     c, w = envelope.c, envelope.w
     full_series_sum(alpha, c, w)
@@ -433,9 +434,9 @@ def local_solve(
     SingularOperatorError
         The envelope does not bound the spectrum away from zero.
     DomainError
-        ``tol`` not positive and finite, a key of ``f`` or an output index
-        not an integer, or ``f`` has a non-finite value or a non-finite
-        ``sum |f_n|``.
+        ``tol`` not positive and finite, ``max_dim``, a key of ``f`` or an
+        output index not an integer, or ``f`` has a non-finite value or a
+        non-finite ``sum |f_n|``.
     NotConvergedError
         ``J`` or the dimension of ``R`` is above ``max_dim`` (``J`` is
         searched up to ``MAX_DEPTH``); carries no certificate.
@@ -451,6 +452,7 @@ def local_solve(
             f"local solve requires c > 0, envelope has c = {envelope.c}"
         )
     _check_tol(tol)
+    max_dim = _index(max_dim, "max_dim")
     outs = [_index(m) for m in out_indices]
     support = {_index(k): complex(v) for k, v in f.items()}
     support = {k: v for k, v in support.items() if v != 0}

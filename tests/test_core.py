@@ -1,7 +1,12 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finpow import core
 from finpow import (
     BoundarySpec,
     FiniteHermitian,
@@ -9,14 +14,19 @@ from finpow import (
     InvalidBoundaryError,
     LatticeModelParams,
     MalformedSpecError,
+    NotConvergedError,
     SpectralEnvelope,
     Window,
+    approximate_element,
     banded_spec,
     lattice_spec,
+    local_solve,
     periodic_boundary,
     truncate,
     validate_truncation,
+    zero_boundary,
 )
+from finpow.core import sparse_section
 
 from oracles import dense_section
 
@@ -306,3 +316,181 @@ class TestValidateTruncation:
             report = validate_truncation(matrix, spec.envelope, 1e-9)
             radius = max(abs(report.min_eigenvalue), abs(report.max_eigenvalue))
             assert np.abs(matrix.data).max() <= radius + 1e-12
+
+
+def complex_banded_spec():
+    return banded_spec(
+        [-2, -1, 0, 1, 2],
+        [0.1 + 0.2j, 0.5 - 0.25j, 3.0, 0.5 + 0.25j, 0.1 - 0.2j],
+        SpectralEnvelope(1.0, 5.0),
+    )
+
+
+def memo_grid():
+    """Elements, best certificates of unconverged elements, and local solves,
+    as calls of one spec."""
+    calls = []
+    for alpha in (-1.0, -0.5, 0.5, 1.5, 2.5):
+        for m, n in [(0, 0), (0, 1), (3, -2), (2, 2)]:
+            for tol, max_dim in [(1e-6, 2049), (1e-12, 2049), (1e-40, 41)]:
+                calls.append(lambda spec, a=alpha, m=m, n=n, t=tol, d=max_dim:
+                             approximate_element(spec, zero_boundary, a, m, n, t, max_dim=d))
+    for f in [{0: 1.0}, {0: 0.5, 2: -0.25j}, {-3: 1.0, 4: 2.0}]:
+        for tol in (1e-6, 1e-12):
+            calls.append(lambda spec, f=f, t=tol: local_solve(spec, zero_boundary, f, [-3, 0, 1, 5], t))
+    return calls
+
+
+def bits(value):
+    """The float bits of a complex value."""
+    return complex(value).real.hex(), complex(value).imag.hex()
+
+
+def certificate_bits(cert):
+    if cert is None:
+        return None
+    return bits(cert.value), cert.bound.hex(), cert.depth, cert.window
+
+
+def outcomes(spec, calls):
+    """Each call's result as bits: a certificate, a local solution, or an
+    unconverged call's message and best certificate."""
+    out = []
+    for call in calls:
+        try:
+            result = call(spec)
+        except NotConvergedError as err:
+            out.append((str(err), certificate_bits(err.best_certificate)))
+            continue
+        if isinstance(result, dict):
+            out.append([(m, bits(v), b.hex()) for m, (v, b) in result.items()])
+        else:
+            out.append(certificate_bits(result))
+    return out
+
+
+def held_entries(spec):
+    return sum(entries for _, entries in spec._steps.values())
+
+
+class TestSectionMemo:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [lambda: lattice_spec(LatticeModelParams(1.0, 1.0)), complex_banded_spec],
+        ids=["unit_lattice", "complex_banded"],
+    )
+    def test_warm_equals_cold(self, make_spec):
+        # a step taken from the memo gives the certificates a fresh build gives,
+        # unconverged best certificates included
+        calls = memo_grid()
+        cold = [outcomes(make_spec(), [call])[0] for call in calls]
+        spec = make_spec()
+        assert outcomes(spec, calls) == cold
+        assert spec._steps
+        assert outcomes(spec, calls) == cold
+        assert any(isinstance(o[0], str) and o[1] is not None for o in cold)
+
+    def test_repeated_call_reads_no_row_and_builds_no_section(self, unit_lattice, monkeypatch):
+        _, spec, policy = unit_lattice
+        generated, built = [], []
+        generator, build = spec.row_generator, core._section
+
+        def counted_rows(m):
+            generated.append(m)
+            return generator(m)
+
+        def counted_build(*args):
+            built.append(args[1])
+            return build(*args)
+
+        spec.row_generator = counted_rows
+        monkeypatch.setattr(core, "_section", counted_build)
+        calls = [lambda s: approximate_element(s, policy, -0.5, 3, -2, 1e-12),
+                 lambda s: approximate_element(s, policy, 0.5, 1, 1, 1e-40, max_dim=101),
+                 lambda s: local_solve(s, policy, {0: 1.0, 2: 0.5j}, [0, 1], 1e-10)]
+        first = outcomes(spec, calls)
+        assert generated and len(built) == 3
+        del generated[:], built[:]
+        assert outcomes(spec, calls) == first
+        assert generated == [] and built == []
+
+    def test_errors_are_never_stored(self):
+        def skewed(m):
+            return [(m - 1, 1.0), (m, 3.0), (m + 1, -1.0)]
+
+        spec = InfiniteMatrixSpec(skewed, 3, SpectralEnvelope(1.0, 5.0))
+        for _ in range(2):
+            with pytest.raises(MalformedSpecError, match="not Hermitian"):
+                approximate_element(spec, zero_boundary, -0.5, 0, 0, 1e-6)
+            with pytest.raises(MalformedSpecError, match="not Hermitian"):
+                sparse_section(spec, Window(2, 2))
+        assert spec._steps == {}
+
+    def test_entry_bound_evicts_the_oldest(self, unit_lattice, monkeypatch):
+        # a step of the unit lattice on a window of dim d has 3 d - 2 entries
+        _, spec, _ = unit_lattice
+        monkeypatch.setattr(core, "SECTION_MEMO_ENTRIES", 100)
+        windows = [Window(r, r) for r in (5, 6, 7, 8)]  # 31, 37, 43, 49 entries
+        steps = [sparse_section(spec, window) for window in windows]
+        assert [key for key, _ in spec._steps] == windows[2:]
+        assert held_entries(spec) == 92 <= core.SECTION_MEMO_ENTRIES
+        assert sparse_section(spec, windows[3]) is steps[3]
+        assert sparse_section(spec, windows[0]) is not steps[0]
+        assert [key for key, _ in spec._steps] == [windows[3], windows[0]]
+        # a step above the bound is returned but not kept, and evicts all
+        wide = sparse_section(spec, Window(20, 20))
+        v = np.zeros(41)
+        v[20] = 1.0
+        assert wide(v)[19:22].tolist() == [0.2, 0.4, 0.2]
+        assert spec._steps == {}
+
+    def test_specs_never_share_a_step(self, unit_lattice):
+        _, spec, _ = unit_lattice
+        twin = InfiniteMatrixSpec(spec.row_generator, spec.sparsity_bound_k, spec.envelope)
+        assert twin == spec
+        window = Window(4, 4)
+        assert sparse_section(twin, window) is not sparse_section(spec, window)
+        copy = dataclasses.replace(spec)
+        assert copy._steps == {} and sparse_section(copy, window) is not sparse_section(spec, window)
+        # a new envelope is a new shift w: the step is built again for it
+        v = np.zeros(9)
+        v[4] = 1.0
+        before = sparse_section(spec, window)(v)
+        spec.envelope = SpectralEnvelope(1.0, 10.0)
+        after = sparse_section(spec, window)(v)
+        assert (before[4], after[4]) == (1.0 - 3.0 / 5.0, 1.0 - 3.0 / 10.0)
+        assert len(spec._steps) == 2
+
+    def test_concurrent_readers_match_serial(self, monkeypatch):
+        # four threads share one spec whose memo evicts all the time; every
+        # result equals the serial one bitwise
+        calls = memo_grid()[::3]
+        serial = outcomes(lattice_spec(LatticeModelParams(1.0, 1.0)), calls)
+        spec = lattice_spec(LatticeModelParams(1.0, 1.0))
+        monkeypatch.setattr(core, "SECTION_MEMO_ENTRIES", 600)
+        results, errors = [[] for _ in range(4)], []
+
+        def read(worker):
+            order = range(len(calls))
+            try:
+                for _ in range(3):
+                    for i in order if worker % 2 else reversed(order):
+                        results[worker].append((i, outcomes(spec, [calls[i]])[0]))
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [len(done) for done in results] == [3 * len(calls)] * 4
+        assert all(outcome == serial[i] for done in results for i, outcome in done)
+        assert held_entries(spec) <= core.SECTION_MEMO_ENTRIES

@@ -50,6 +50,9 @@ from oracles import (
 
 EPS = float(np.finfo(float).eps)
 
+# Limits with no integer value; inf certified before the limit was checked.
+NON_INTEGRAL_MAX_DIMS = [100.5, 65.5, float("nan"), float("inf"), "7", None]
+
 
 def count_linalg(monkeypatch):
     """Count calls of numpy's dense Hermitian eigensolvers from here on."""
@@ -320,12 +323,30 @@ class TestApproximateElement:
                 dense = evaluate_window(spec, zero_boundary, alpha, m, n, upper.window)
                 assert abs(upper.value - dense.value) <= upper.bound + dense.bound
 
-    @pytest.mark.parametrize("max_dim", [-1, 0, 1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize(
+        "max_dim",
+        [-1, 0, 1, 2, 3, 4, 5, 8, 8.0, np.int64(5), 65.0, *NON_INTEGRAL_MAX_DIMS],
+    )
     @pytest.mark.parametrize("m, n", [(0, 0), (0, 1), (1, 0), (0, 2), (3, -2), (-7, -7)])
     def test_degenerate_max_dim(self, unit_lattice, max_dim, m, n):
         # every small limit ends in a certificate or NotConvergedError; a best
-        # certificate is the sweep at its window's truncation depth
+        # certificate is the sweep at its window's truncation depth.  An
+        # integral limit of any type is its int; any other raises DomainError
         params, spec, policy = unit_lattice
+        if max_dim in NON_INTEGRAL_MAX_DIMS:
+            with pytest.raises(DomainError, match="max_dim must be an integer"):
+                approximate_element(spec, policy, -0.5, m, n, 1e-3, max_dim=max_dim)
+            with pytest.raises(DomainError, match="max_dim must be an integer"):
+                local_solve(spec, policy, {m: 1.0}, [n], 1e-3, max_dim=max_dim)
+            return
+        solutions = []  # a solution, or None for NotConvergedError with no certificate
+        for limit in (max_dim, int(max_dim)):
+            try:
+                solutions.append(local_solve(spec, policy, {m: 1.0}, [n], 1e-3, max_dim=limit))
+            except NotConvergedError as err:
+                assert err.best_certificate is None
+                solutions.append(None)
+        assert solutions[0] == solutions[1]
         try:
             cert = approximate_element(spec, policy, -0.5, m, n, 1e-3, max_dim=max_dim)
         except NotConvergedError as err:
