@@ -124,19 +124,28 @@ class InfiniteMatrixSpec:
         sequences.
 
     Validated rows are cached; the cache is append-only and derived purely
-    from the generator.  The series steps ``sparse_section`` builds are kept
-    too, keyed by window and shift ``w``, up to ``SECTION_MEMO_ENTRIES`` COO
-    entries (at most 3 MiB), the oldest evicted first.  Neither cache stores
-    a failure: a malformed row or section raises on every read.  Both hold
-    only what a fresh build makes, so concurrent readers are safe; two that
-    race at worst build a step twice or evict one early.
+    from the generator.  Two bounded memos sit beside it, the oldest entries
+    evicted first: the series steps ``sparse_section`` builds, keyed by
+    window and shift ``w``, up to ``SECTION_MEMO_ENTRIES`` COO entries (at
+    most 3 MiB), and the extents of the support walks ``SupportWalk`` takes,
+    keyed by start set, up to ``series.WALK_MEMO_STEPS`` steps and start
+    indices (at most 3 MiB).  No cache stores a failure: a malformed row or
+    section raises on every read.  The caches are fields no constructor sets,
+    so ``dataclasses.replace`` and equal specs never share them.
+
+    Concurrent readers are safe.  Each cache holds only what a fresh build
+    makes, and only immutable values: a step closure, or a walk's extents as
+    a tuple, never a live walk, which each reader takes for itself.  Readers
+    share nothing mutable beyond the dicts, so two that race at worst build
+    a value twice, keep the shorter of two walks, or evict an entry early.
     """
 
     row_generator: RowGenerator
     sparsity_bound_k: int
     envelope: SpectralEnvelope
-    _rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sparsity_bound_k < 1:
@@ -406,19 +415,28 @@ def sparse_section(
         As ``_section``.
     """
     key = (window, spec.envelope.w)
-    memo = spec._steps
-    held = memo.get(key)
+    held = spec._steps.get(key)
     if held is None:
         held = _step(spec, window)
-        memo[key] = held
-        total = sum(entries for _, entries in list(memo.values()))
-        for old in list(memo):  # oldest first; another reader may pop it first
-            if total <= SECTION_MEMO_ENTRIES:
-                break
-            evicted = memo.pop(old, None)
-            if evicted is not None:
-                total -= evicted[1]
+        _keep(spec._steps, key, held, SECTION_MEMO_ENTRIES)
     return held[0]
+
+
+def _keep(memo: dict, key, held: tuple, cap: int) -> None:
+    """Store ``held``, a tuple whose last item is its size, as the newest
+    entry of ``memo``; then evict the oldest entries (dict order) until the
+    sizes sum to at most ``cap``.  An entry larger than ``cap`` evicts every
+    entry, itself included.  Each dict operation is atomic, so concurrent
+    readers may share ``memo``: another may pop an entry first."""
+    memo.pop(key, None)
+    memo[key] = held
+    total = sum(entry[-1] for entry in list(memo.values()))
+    for old in list(memo):
+        if total <= cap:
+            break
+        evicted = memo.pop(old, None)
+        if evicted is not None:
+            total -= evicted[-1]
 
 
 def _step(spec: InfiniteMatrixSpec, window: Window):

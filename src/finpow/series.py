@@ -7,16 +7,31 @@ at ``(m, n)`` term by term for as long as the support frontier walked from
 walk, run forward from the requested indices, gives the smallest window
 that reaches a required depth.  ``SupportWalk`` takes the walk once, as far
 as asked, and answers both.
+
+The walk is a pure function of the spec's rows and the start set, so the
+spec keeps the extents each walk found, keyed by start set: a repeated start
+set reads them, and walks again only when it needs more steps than are held.
+The memo is bounded by ``WALK_MEMO_STEPS`` and holds snapshots, never a live
+walk (see ``SupportWalk``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Iterator
 
-from .core import InfiniteMatrixSpec, Window
+from .core import InfiniteMatrixSpec, Window, _keep
+
+# Cap on the steps plus start indices of the walks one spec keeps
+# (``SupportWalk``): about sixteen walks to the default ``max_dim`` on a
+# tridiagonal spec.  A step's ``(lo, hi)`` is at most 120 bytes with its
+# slot, a start index about 60, and each walk adds about 330 bytes over at
+# least three of them (measured with tracemalloc), so at most about 200 bytes
+# each: about 3 MiB per spec.
+WALK_MEMO_STEPS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,25 +81,59 @@ class SupportWalk:
     ``extents[s]`` is ``(min, max)`` of the indices within ``s`` steps of
     ``starts``.  The windows of every depth, and the truncation depth of
     every window, read these extents, so one walk serves all of them.
+
+    The extents are memoized on ``spec`` by ``frozenset(starts)``: a walk
+    starts from the extents an earlier walk from the same set found, and
+    whether that walk closed, and each ``window`` or ``depth`` call that
+    went further stores one new snapshot ``(tuple(extents), closed)``.  A
+    walk that needs more steps than its snapshot holds runs its own
+    ``_extents`` from the starts and skips the known prefix, so a miss costs
+    what an unmemoized walk costs.  The memo holds at most
+    ``WALK_MEMO_STEPS`` steps plus start indices, evicting the oldest walks
+    first; a walk larger than that is used but not kept.  Snapshots are
+    immutable and a live walk is never shared, so threads may walk one spec
+    at once.  A row that raises during the walk stores nothing and does not
+    close the walk: the next call walks again, and raises again.
     """
 
     def __init__(self, spec: InfiniteMatrixSpec, starts: Iterable[int]):
-        starts = set(starts)
-        self.extents = [(min(starts), max(starts))]
-        self._steps = _extents(spec, starts)
+        self._spec, self._starts = spec, frozenset(starts)
+        held = spec._walks.get(self._starts)
+        if held is None:
+            self.extents, self._closed = [(min(self._starts), max(self._starts))], False
+        else:
+            self.extents, self._closed = list(held[0]), held[1]
+        self._stored = (len(self.extents), self._closed)
+        self._steps: Iterator[tuple[int, int]] | None = None
 
     def _walk(self, steps: int, widest: float = math.inf) -> list[tuple[int, int]]:
         """``extents``, walked on to ``steps`` steps, unless the walk closes
         first or stops at an extent whose ``hi - lo`` exceeds ``widest``."""
         extents = self.extents
         lo, hi = extents[-1]
-        while len(extents) <= steps and hi - lo <= widest:
-            extent = next(self._steps, None)
-            if extent is None:
-                break
-            extents.append(extent)
-            lo, hi = extent
+        if len(extents) > steps or hi - lo > widest or self._closed:
+            return extents
+        if self._steps is None:
+            self._steps = islice(_extents(self._spec, self._starts), len(extents) - 1, None)
+        try:
+            for lo, hi in self._steps:
+                extents.append((lo, hi))
+                if len(extents) > steps or hi - lo > widest:
+                    return extents
+        except BaseException:
+            self._steps = None  # a walk that raised has not closed: walk again
+            raise
+        self._closed = True
         return extents
+
+    def _remember(self) -> None:
+        """Store a snapshot of the extents on the spec, if this walk found
+        more than the memo held when it started or last stored."""
+        state = (len(self.extents), self._closed)
+        if state != self._stored:
+            self._stored = state
+            snapshot = (tuple(self.extents), self._closed, state[0] + len(self._starts))
+            _keep(self._spec._walks, self._starts, snapshot, WALK_MEMO_STEPS)
 
     def window(self, steps: int, max_dim: int | None = None) -> Window:
         """Smallest window whose strict interior holds ``steps`` steps of the
@@ -97,7 +146,10 @@ class SupportWalk:
         """
         widest = math.inf if max_dim is None else max_dim - 3  # hi - lo of [lo - 1, hi + 1]
         extents = self._walk(steps, widest)
+        self._remember()
         lo, hi = extents[min(max(steps, 0), len(extents) - 1)]
+        if hi - lo > widest:  # the memo may hold extents past the first one that wide
+            lo, hi = extents[bisect_right(extents, widest, key=lambda e: e[1] - e[0])]
         return Window(1 - lo, hi + 1)
 
     def depth(self, window: Window, m: int, n: int) -> TruncationDepth:
@@ -113,10 +165,14 @@ class SupportWalk:
                 # The reachable support closed inside the window at the step
                 # before: every power agrees, the truncation is exact for
                 # this element.
-                return TruncationDepth(step - 1, window, m, n, saturated=True)
+                depth = TruncationDepth(step - 1, window, m, n, saturated=True)
+                break
             lo, hi = extents[step]
             if lo < inner_lo or hi > inner_hi:
-                return TruncationDepth(step, window, m, n)
+                depth = TruncationDepth(step, window, m, n)
+                break
+        self._remember()
+        return depth
 
 
 def truncation_depth(

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finpow import core
+from finpow import core, series
 from finpow import (
     BoundarySpec,
+    Certificate,
     FiniteHermitian,
     InfiniteMatrixSpec,
     InvalidBoundaryError,
@@ -23,10 +24,12 @@ from finpow import (
     local_solve,
     periodic_boundary,
     truncate,
+    truncation_depth,
     validate_truncation,
     zero_boundary,
 )
 from finpow.core import sparse_section
+from finpow.series import SupportWalk
 
 from oracles import dense_section
 
@@ -156,6 +159,20 @@ class TestRowGenerator:
     def test_stencil_must_be_hermitian(self):
         with pytest.raises(ValueError):
             banded_spec([-1, 0, 1], [1.0, 2.0, -1.0], SpectralEnvelope(0.0, 4.0))
+
+    def test_replace_reads_its_own_rows(self):
+        # a copy with a new generator serves its rows, not the original's
+        # cached ones, and certifies as a fresh spec does
+        spec = banded_spec([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0))
+        calls = memo_grid()[::4]
+        before = outcomes(spec, calls)
+        diagonal = lambda m: [(m, 2.0)]  # noqa: E731
+        copy = dataclasses.replace(spec, row_generator=diagonal)
+        assert copy.entry(0, 0) == 2.0 and copy.entry(0, 1) == 0.0
+        fresh = InfiniteMatrixSpec(diagonal, spec.sparsity_bound_k, spec.envelope)
+        assert outcomes(copy, calls) == outcomes(fresh, calls)
+        assert spec.entry(0, 0) == 3.0
+        assert outcomes(spec, calls) == before
 
     def test_entry_conjugate_symmetry(self):
         spec = banded_spec(
@@ -364,9 +381,42 @@ def outcomes(spec, calls):
             continue
         if isinstance(result, dict):
             out.append([(m, bits(v), b.hex()) for m, (v, b) in result.items()])
-        else:
+        elif isinstance(result, Certificate):
             out.append(certificate_bits(result))
+        else:
+            out.append(result)
     return out
+
+
+def run_concurrently(spec, calls, workers=4, rounds=3):
+    """Each worker's ``(index, outcome)`` pairs from running every call on
+    ``spec`` ``rounds`` times, odd workers in order and even ones reversed,
+    with the interpreter switching threads as often as it can."""
+    results, errors = [[] for _ in range(workers)], []
+
+    def read(worker):
+        order = range(len(calls))
+        try:
+            for _ in range(rounds):
+                for i in order if worker % 2 else reversed(order):
+                    results[worker].append((i, outcomes(spec, [calls[i]])[0]))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [len(done) for done in results] == [rounds * len(calls)] * workers
+    return results
 
 
 def held_entries(spec):
@@ -468,29 +518,172 @@ class TestSectionMemo:
         serial = outcomes(lattice_spec(LatticeModelParams(1.0, 1.0)), calls)
         spec = lattice_spec(LatticeModelParams(1.0, 1.0))
         monkeypatch.setattr(core, "SECTION_MEMO_ENTRIES", 600)
-        results, errors = [[] for _ in range(4)], []
-
-        def read(worker):
-            order = range(len(calls))
-            try:
-                for _ in range(3):
-                    for i in order if worker % 2 else reversed(order):
-                        results[worker].append((i, outcomes(spec, [calls[i]])[0]))
-            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert [len(done) for done in results] == [3 * len(calls)] * 4
+        results = run_concurrently(spec, calls)
         assert all(outcome == serial[i] for done in results for i, outcome in done)
         assert held_entries(spec) <= core.SECTION_MEMO_ENTRIES
+
+
+def held_steps(spec):
+    return sum(units for _, _, units in spec._walks.values())
+
+
+def walk_grid():
+    """Walks from one start set, {0, 1}, shallow and deep: elements, best
+    certificates, local solves, truncation depths and windows."""
+    calls = []
+    for alpha in (-1.0, 0.5, 1.5):
+        for tol, max_dim in [(1e-3, 2049), (1e-12, 2049), (1e-40, 41), (1e-40, 2049)]:
+            calls.append(lambda spec, a=alpha, t=tol, d=max_dim:
+                         approximate_element(spec, zero_boundary, a, 1, 0, t, max_dim=d))
+    for tol in (1e-4, 1e-12):
+        calls.append(lambda spec, t=tol:
+                     local_solve(spec, zero_boundary, {0: 1.0, 1: 0.5j}, [0, 1, 9], t))
+    for r in (1, 3, 40, 300):
+        calls.append(lambda spec, r=r: truncation_depth(spec, Window(r, r), 0, 1))
+    for steps, max_dim in [(-1, None), (5, None), (300, None), (300, 101), (5, 101)]:
+        calls.append(lambda spec, s=steps, d=max_dim: SupportWalk(spec, {0, 1}).window(s, d))
+    return calls
+
+
+def count_walks(monkeypatch):
+    """The start sets of the walks ``series._extents`` takes from now on."""
+    walks, real = [], series._extents
+
+    def counted(spec, starts):
+        walks.append(set(starts))
+        return real(spec, starts)
+
+    monkeypatch.setattr(series, "_extents", counted)
+    return walks
+
+
+class TestWalkMemo:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [lambda: lattice_spec(LatticeModelParams(1.0, 1.0)), complex_banded_spec],
+        ids=["unit_lattice", "complex_banded"],
+    )
+    def test_warm_equals_cold(self, make_spec):
+        # walks read from the memo give what fresh walks give: certificates,
+        # best certificates, local solves, truncation depths and windows, with
+        # the sections warm and with the walks warm alone
+        depths = [lambda spec, p=p, q=q, m=m, n=n: truncation_depth(spec, Window(p, q), m, n)
+                  for p, q in [(2, 2), (6, 9), (40, 35)] for m, n in [(0, 0), (-2, 3), (2, 2)]]
+        calls = memo_grid() + walk_grid() + depths
+        cold = [outcomes(make_spec(), [call])[0] for call in calls]
+        spec = make_spec()
+        assert outcomes(spec, calls) == cold
+        assert spec._walks
+        assert outcomes(spec, calls) == cold
+        spec._steps.clear()
+        assert outcomes(spec, calls) == cold
+        assert any(isinstance(o[0], str) and o[1] is not None for o in cold)
+
+    def test_repeated_call_takes_no_walk_and_reads_no_row(self, unit_lattice, monkeypatch):
+        _, spec, _ = unit_lattice
+        generated, generator = [], spec.row_generator
+        spec.row_generator = lambda m: generated.append(m) or generator(m)
+        walks = count_walks(monkeypatch)
+        calls = walk_grid() + memo_grid()[::5]
+        first = outcomes(spec, calls)
+        assert generated and walks
+        del generated[:], walks[:]
+        assert outcomes(spec, calls) == first
+        assert generated == [] and walks == []
+
+    def test_deeper_walk_extends_the_memo(self, monkeypatch):
+        spec = complex_banded_spec()
+        assert SupportWalk(spec, {0}).window(5) == Window(11, 11)
+        reference = truncation_depth(complex_banded_spec(), Window(80, 80), 0, 0)
+        walks = count_walks(monkeypatch)
+        fresh = SupportWalk(complex_banded_spec(), {0})
+        deeper = SupportWalk(spec, {0})
+        depths = (3, 5, 9, 30)
+        assert [deeper.window(s) for s in depths] == [fresh.window(s) for s in depths]
+        assert walks == [{0}, {0}]  # the fresh walk, and the warm one past step 5
+        assert deeper.extents == fresh.extents
+        extents, closed, _ = spec._walks[frozenset({0})]
+        assert list(extents) == fresh.extents and not closed
+        depth = SupportWalk(spec, {0}).depth(Window(80, 80), 0, 0)
+        assert depth == reference and depth.j_pq == 40
+        assert walks == [{0}, {0}, {0}]  # and the warm one past step 30
+
+    def test_closed_walk_stays_closed(self, monkeypatch):
+        spec = identity_spec()
+        assert SupportWalk(spec, {7}).window(999) == Window(-6, 8)
+        assert spec._walks[frozenset({7})] == (((7, 7), (7, 7)), True, 3)
+        fresh = truncation_depth(identity_spec(), Window(-6, 8), 7, 7)
+        walks = count_walks(monkeypatch)
+        assert SupportWalk(spec, {7}).window(10**6) == Window(-6, 8)
+        assert truncation_depth(spec, Window(-6, 8), 7, 7) == fresh
+        assert fresh.saturated and walks == []
+
+    def test_walk_stopped_by_max_dim_resumes(self, monkeypatch):
+        # offsets -30..30: each step widens the reach by 60 indices
+        offsets = list(range(-30, 31))
+        make = lambda: banded_spec(  # noqa: E731
+            offsets, [1.0 if o == 0 else -0.01 for o in offsets], SpectralEnvelope(0.4, 1.6)
+        )
+        spec, fresh = make(), make()
+        assert SupportWalk(spec, {0}).window(20, 101) == Window(61, 61)
+        assert len(spec._walks[frozenset({0})][0]) == 3
+        assert SupportWalk(spec, {0}).window(20, 1001) == SupportWalk(fresh, {0}).window(20, 1001)
+        assert len(spec._walks[frozenset({0})][0]) == 18
+        # a walk that holds more steps than max_dim allows returns the first
+        # window wider than max_dim, as a fresh walk does
+        walks = count_walks(monkeypatch)
+        assert SupportWalk(spec, {0}).window(20, 101) == Window(61, 61)
+        assert SupportWalk(spec, {0}).window(10, 501) == SupportWalk(make(), {0}).window(10, 501)
+        assert walks == [{0}]  # the fresh spec's
+
+    def test_walk_that_raised_is_not_closed(self):
+        # a row that raises ends the walk's generator; the walk must not read
+        # that as a closed reach, on this walk or on a later one
+        def poisoned(m):
+            return [(m, float("nan"))] if abs(m) >= 3 else [(m - 1, -1.0), (m, 3.0), (m + 1, -1.0)]
+
+        spec = InfiniteMatrixSpec(poisoned, 3, SpectralEnvelope(1.0, 5.0))
+        walk = SupportWalk(spec, {0})
+        for fresh in (walk, walk, SupportWalk(spec, {0})):
+            with pytest.raises(MalformedSpecError, match="non-finite"):
+                fresh.window(10)
+        assert walk.window(1) == Window(2, 2)
+        assert all(not closed for _, closed, _ in spec._walks.values())
+
+    def test_step_bound_evicts_the_oldest(self, unit_lattice, monkeypatch):
+        # a walk of s steps from one index holds s + 1 extents and one start
+        _, spec, _ = unit_lattice
+        monkeypatch.setattr(series, "WALK_MEMO_STEPS", 25)
+        for start, steps in [(0, 8), (1, 9), (2, 10)]:  # 10, 11, 12 units
+            SupportWalk(spec, {start}).window(steps)
+        assert list(spec._walks) == [frozenset({1}), frozenset({2})]
+        assert held_steps(spec) == 23 <= series.WALK_MEMO_STEPS
+        # a walk that goes further is stored again, as the newest
+        SupportWalk(spec, {1}).window(10)
+        assert list(spec._walks) == [frozenset({2}), frozenset({1})]
+        # a walk larger than the bound is used but not kept, and evicts all
+        assert SupportWalk(spec, {5}).window(30) == Window(26, 36)
+        assert spec._walks == {}
+
+    def test_specs_never_share_a_walk(self, unit_lattice):
+        _, spec, _ = unit_lattice
+        SupportWalk(spec, {0}).window(10)
+        twin = InfiniteMatrixSpec(spec.row_generator, spec.sparsity_bound_k, spec.envelope)
+        copy = dataclasses.replace(spec)
+        assert twin == spec and twin._walks == {} and copy._walks == {}
+        SupportWalk(copy, {0}).window(3)
+        assert len(spec._walks[frozenset({0})][0]) == 11
+        assert len(copy._walks[frozenset({0})][0]) == 4
+
+    def test_concurrent_walks_match_serial(self, monkeypatch):
+        # four threads take shallow and deep walks from one start set on one
+        # spec whose walk memo evicts all the time; every result equals the
+        # serial one bitwise
+        calls = walk_grid()
+        serial = outcomes(lattice_spec(LatticeModelParams(1.0, 1.0)), calls)
+        spec = lattice_spec(LatticeModelParams(1.0, 1.0))
+        monkeypatch.setattr(series, "WALK_MEMO_STEPS", 100)
+        monkeypatch.setattr(core, "SECTION_MEMO_ENTRIES", 600)
+        results = run_concurrently(spec, calls)
+        assert all(outcome == serial[i] for done in results for i, outcome in done)
+        assert held_steps(spec) <= series.WALK_MEMO_STEPS

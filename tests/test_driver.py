@@ -616,12 +616,13 @@ class TestSweptRegion:
         assert kinds == {False, True}
 
     def test_matvecs_walks_and_region(self, unit_lattice, monkeypatch):
-        # one walk per call, a region inside the window, and J // 2 + 1
-        # mat-vecs at most for a diagonal element below alpha = 1 (J off the
-        # diagonal; J + k at alpha >= 1)
+        # one walk per call on a cold spec and none when the call repeats, a
+        # region inside the window, and J // 2 + 1 mat-vecs at most for a
+        # diagonal element below alpha = 1 (J off the diagonal; J + k at
+        # alpha >= 1)
         from finpow import series
 
-        _, spec, policy = unit_lattice
+        params, _, _ = unit_lattice
         walks, regions, matvecs = [], [], []
         real_extents, real_section = series._extents, driver.sparse_section
 
@@ -645,18 +646,23 @@ class TestSweptRegion:
             k = max(math.floor(alpha), 0)
             for tol, max_dim in [(1e-6, MAX_DIM), (1e-12, MAX_DIM), (1e-40, 101)]:
                 for m, n in [(0, 0), (2, 2), (3, -2), (-1, 0)]:
-                    walks.clear(), regions.clear(), matvecs.clear()
-                    cert = _certificate(spec, alpha, m, n, tol, max_dim)
-                    assert walks == [{m, n}]
-                    terms = cert.depth.j_pq
-                    steps = min(terms - 1, (terms - 1 + k) // 2)
-                    region = SupportWalk(spec, {m, n}).window(steps)
-                    assert regions == [region]
-                    assert -cert.window.P <= -region.P and region.Q <= cert.window.Q
-                    if m == n and not k:
-                        assert len(matvecs) <= terms // 2 + 1
-                    else:
-                        assert len(matvecs) == terms + k
+                    spec = lattice_spec(params)
+                    for cold in (True, False):
+                        walks.clear(), regions.clear(), matvecs.clear()
+                        cert = _certificate(spec, alpha, m, n, tol, max_dim)
+                        assert walks == ([{m, n}] if cold else [])
+                        if cold:
+                            first = cert
+                        assert cert == first
+                        terms = cert.depth.j_pq
+                        steps = min(terms - 1, (terms - 1 + k) // 2)
+                        region = SupportWalk(lattice_spec(params), {m, n}).window(steps)
+                        assert regions == [region]
+                        assert -cert.window.P <= -region.P and region.Q <= cert.window.Q
+                        if m == n and not k:
+                            assert len(matvecs) <= terms // 2 + 1
+                        else:
+                            assert len(matvecs) == terms + k
 
     def test_walk_stops_past_max_dim(self):
         # offsets -30..30: each step widens the reach by 60 indices; the walks
