@@ -3,7 +3,8 @@
 An infinite matrix is presented as a row generator: a pure function mapping a
 row index to the finite list of ``(column, value)`` pairs of that row.  Its
 section over an index window ``[-P, Q]`` holds the generator entries inside
-the window, checked for Hermitian symmetry (``_section``).  The matrix-free
+the window, checked for Hermitian symmetry (``_section``); a banded spec's
+section is broadcast from its stencil.  The matrix-free
 sweeps step the binomial series by it, as the sparse mat-vec
 ``v -> (I - W_R/w) v`` (``sparse_section``, built once per spec and window
 and kept on the spec); the paper's dense
@@ -123,6 +124,14 @@ class InfiniteMatrixSpec:
         Spectral bracket of the matrix as an operator on square-summable
         sequences.
 
+    A spec that ``banded_spec`` builds also records its stencil, in a private
+    field no constructor sets: the support walk (``series._extents``) and the
+    section (``_section``) read the stencil instead of every row, after the
+    stencil row has passed ``row``'s checks.  Like the row cache, the
+    stencil describes the generator the spec was built with;
+    ``dataclasses.replace`` drops it, so a copy with a new generator reads
+    its own rows.
+
     Validated rows are cached; the cache is append-only and derived purely
     from the generator.  Two bounded memos sit beside it, the oldest entries
     evicted first: the series steps ``sparse_section`` builds, keyed by
@@ -146,6 +155,7 @@ class InfiniteMatrixSpec:
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _stencil: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sparsity_bound_k < 1:
@@ -201,13 +211,25 @@ def banded_spec(
     """Translation-invariant banded matrix from a stencil.
 
     ``offsets[i]`` is the column offset from the diagonal carrying the value
-    ``stencil[i]`` in every row.  Zero stencil values are dropped, so the
-    declared sparsity bound counts actual nonzeros.  The stencil must be
-    Hermitian: the value at offset ``-o`` equal to the conjugate of the value
-    at ``o``.
+    ``stencil[i]`` in every row; an offset is an integral number (``2`` or
+    ``2.0``, not ``2.5``).  Zero stencil values are dropped, so the declared
+    sparsity bound counts actual nonzeros.  The stencil must be Hermitian:
+    the value at offset ``-o`` equal to the conjugate of the value at ``o``.
+    That check is exact, so it covers every section's Hermitian spot-check.
+
+    The spec records the stencil, as read-only sorted offsets and complex
+    values, so the support walk and the sections are computed from it in
+    closed form (see ``InfiniteMatrixSpec``).
     """
     if len(offsets) != len(stencil):
         raise ValueError("offsets and stencil must have equal length")
+    for o in offsets:
+        try:
+            integral = int(o) == o
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"stencil offset {o!r} is not an integer")
     band = {int(o): v for o, v in zip(offsets, stencil) if v != 0}
     if len(band) != sum(1 for v in stencil if v != 0):
         raise ValueError("duplicate offsets in stencil")
@@ -223,7 +245,16 @@ def banded_spec(
     def generate(m: int):
         return [(m + o, v) for o, v in pairs]
 
-    return InfiniteMatrixSpec(generate, max(len(pairs), 1), envelope)
+    spec = InfiniteMatrixSpec(generate, max(len(pairs), 1), envelope)
+    try:
+        values = np.array([v for _, v in pairs], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        return spec  # the row checks reject such a value on first use
+    shifts = np.array([o for o, _ in pairs], dtype=np.intp)
+    shifts.setflags(write=False)
+    values.setflags(write=False)
+    spec._stencil = (shifts, values)
+    return spec
 
 
 @dataclass
@@ -354,11 +385,18 @@ class ValidationReport:
 
 def _section(spec: InfiniteMatrixSpec, window: Window):
     """The entries of ``spec`` inside ``window`` as COO arrays ``(rows, cols,
-    values)``, indexed by array position, row by row.
+    values)``, indexed by array position, row by row and, within a row, by
+    column as the row lists them.
 
     Every entry is checked against its conjugate partner, the entry at
     ``(col, row)`` or 0 if none.  ``values`` are real when no entry has an
     imaginary part.
+
+    A spec with a stencil (``banded_spec``) reads one row, the window's
+    first, through ``spec.row`` and its checks, and broadcasts the positions
+    against the stencil's offsets, in the same order.  It runs no
+    Hermitian spot-check: ``banded_spec``'s exact mirror check at
+    construction covers every section.
 
     Raises
     ------
@@ -367,6 +405,15 @@ def _section(spec: InfiniteMatrixSpec, window: Window):
         the Hermitian spot-check.
     """
     lo, hi, dim = -window.P, window.Q, window.dim
+    if spec._stencil is not None:
+        spec.row(lo)
+        offsets, values = spec._stencil
+        positions = np.arange(dim, dtype=np.intp)[:, np.newaxis]
+        cols = positions + offsets
+        inside = (cols >= 0) & (cols < dim)
+        rows = np.broadcast_to(positions, cols.shape)[inside]
+        vals = np.broadcast_to(values, cols.shape)[inside]
+        return rows, cols[inside], vals if vals.imag.any() else vals.real
     rows, cols, values = [], [], []
     for m in window.indices():
         for col, value in spec.row(m).items():

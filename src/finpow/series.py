@@ -6,7 +6,8 @@ at ``(m, n)`` term by term for as long as the support frontier walked from
 ``m`` and ``n`` stays strictly inside it: the truncation depth.  The same
 walk, run forward from the requested indices, gives the smallest window
 that reaches a required depth.  ``SupportWalk`` takes the walk once, as far
-as asked, and answers both.
+as asked, and answers both.  On a spec from ``banded_spec`` the walk is in
+closed form, from the stencil (``_extents``).
 
 The walk is a pure function of the spec's rows and the start set, so the
 spec keeps the extents each walk found, keyed by start set: a repeated start
@@ -56,9 +57,22 @@ class TruncationDepth:
 def _extents(spec: InfiniteMatrixSpec, starts: Iterable[int]) -> Iterator[tuple[int, int]]:
     """``(min, max)`` of the indices within ``s`` steps of the support walk
     from ``starts``, for ``s = 1, 2, ...``; it ends after the first step that
-    reaches nothing new, once the reachable support has closed."""
+    reaches nothing new, once the reachable support has closed.
+
+    A spec with a stencil (``banded_spec``) reads one row, the first start
+    the row walk would read, through ``spec.row`` and its checks, and yields
+    the closed form ``(min(starts) - s l, max(starts) + s l)``, ``l`` the
+    largest offset; with ``l = 0`` it closes after one step, as the row walk
+    does."""
     reach = set(starts)
     lo, hi = min(reach), max(reach)
+    if spec._stencil is not None:
+        spec.row(next(iter(reach)))
+        bandwidth = int(spec._stencil[0].max(initial=0))
+        for s in count(1):
+            yield lo - s * bandwidth, hi + s * bandwidth
+            if not bandwidth:
+                return  # a diagonal stencil reaches nothing new
     frontier = reach
     while frontier:
         fresh: set[int] = set()

@@ -12,6 +12,7 @@ import pytest
 from finpow import (
     BoundarySpec,
     DivergentSeriesError,
+    InfiniteMatrixSpec,
     LatticeModelParams,
     SpectralEnvelope,
     Window,
@@ -101,7 +102,8 @@ def test_criterion_2_certificate_soundness():
 
 
 def test_criterion_3_exactness_depth():
-    """Powers below j_PQ agree to 1e-12; closed form matches frontier 500/500."""
+    """Powers below j_PQ agree to 1e-12; closed form matches frontier 500/500,
+    on the stencil walk and on the row walk."""
     rng = np.random.default_rng(7)
     env = SpectralEnvelope(0.3, 4.0, 0.5)
     spec = banded_spec([-2, -1, 0, 1, 2], [0.25j, -1.0, 2.0, -1.0, -0.25j], env)
@@ -136,7 +138,7 @@ def test_criterion_3_exactness_depth():
             checked_powers += 1
 
     rng = np.random.default_rng(11)
-    agreements = 0
+    agreements = {"stencil": 0, "rows": 0}
     tuples = 0
     while tuples < 500:
         l = int(rng.integers(1, 4))
@@ -150,14 +152,19 @@ def test_criterion_3_exactness_depth():
         tuples += 1
         window = Window(p, q)
         closed = banded_depth_closed_form(l, window, m, n)
-        frontier = truncation_depth(banded, window, m, n)
-        assert not frontier.saturated
-        if closed == frontier.j_pq:
-            agreements += 1
-    assert agreements == 500
+        # a banded spec walks its stencil; the same rows from a plain
+        # generator are walked row by row
+        plain = InfiniteMatrixSpec(banded.row_generator, banded.sparsity_bound_k, banded.envelope)
+        for path, walked in [("stencil", banded), ("rows", plain)]:
+            frontier = truncation_depth(walked, window, m, n)
+            assert not frontier.saturated
+            if closed == frontier.j_pq:
+                agreements[path] += 1
+    assert agreements == {"stencil": 500, "rows": 500}
     print(
         f"\nPASS criterion 3: {checked_powers} truncated powers exact to "
-        f"1e-12, closed-form depth agreement {agreements}/500"
+        f"1e-12, closed-form depth agreement {agreements['stencil']}/500 on the "
+        f"stencil walk and {agreements['rows']}/500 on the row walk"
     )
 
 

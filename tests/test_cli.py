@@ -127,6 +127,22 @@ class TestApprox:
         assert out == ""
         assert "c = 0" in err
 
+    @pytest.mark.parametrize("m,n,row", [("0", "0", 0), ("3", "-2", 3)])
+    def test_non_finite_stencil_exit_3(self, capsys, tmp_path, m, n, row):
+        # JSON's Infinity passes the config checks and the mirror check; the
+        # first row read rejects it
+        config = tmp_path / "inf.json"
+        config.write_text(
+            '{"kind": "banded", "offsets": [-1, 0, 1], "stencil": [-1.0, Infinity, -1.0],'
+            ' "envelope": {"c": 1.0, "norm_bound": 4.0}}'
+        )
+        code, out, err = run_cli(
+            capsys, "approx", str(config), "--alpha", "-0.5", "--m", m, "--n", n, "--tol", "1e-6",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: row {row} has the non-finite entry inf at column {row}\n"
+
     @pytest.mark.parametrize(
         "alpha,tol",
         [("nan", "1e-6"), ("inf", "1e-6"), ("0.5", "-1"), ("0.5", "nan"), ("0.5", "inf")],

@@ -11,6 +11,7 @@ from finpow import (
     BoundarySpec,
     Certificate,
     FiniteHermitian,
+    FinpowError,
     InfiniteMatrixSpec,
     InvalidBoundaryError,
     LatticeModelParams,
@@ -20,6 +21,7 @@ from finpow import (
     Window,
     approximate_element,
     banded_spec,
+    evaluate_window,
     lattice_spec,
     local_solve,
     periodic_boundary,
@@ -159,6 +161,22 @@ class TestRowGenerator:
     def test_stencil_must_be_hermitian(self):
         with pytest.raises(ValueError):
             banded_spec([-1, 0, 1], [1.0, 2.0, -1.0], SpectralEnvelope(0.0, 4.0))
+
+    @pytest.mark.parametrize("offset", [1.5, -0.5, 1e-9, float("nan"), float("inf"), None, "1", 1j])
+    def test_non_integral_offset_rejected(self, offset):
+        # an offset is rejected, never truncated to a neighbouring column
+        with pytest.raises(ValueError, match="offset .* is not an integer"):
+            banded_spec([-1, 0, 1, offset], [-1.0, 3.0, -1.0, 0.0], SpectralEnvelope(1.0, 5.0))
+
+    def test_half_integer_offsets_not_truncated(self):
+        # int(-1.5) would make this the tridiagonal (-1, 3, -1)
+        with pytest.raises(ValueError, match="offset -1.5 is not an integer"):
+            banded_spec([-1.5, 0, 1.5], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0))
+
+    def test_integral_offsets_of_any_type_accepted(self):
+        spec = banded_spec([np.int64(-1), 0.0, True], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0))
+        assert spec.row(4) == {3: -1.0, 4: 3.0, 5: -1.0}
+        assert all(type(col) is int for col in spec.row(4))
 
     def test_replace_reads_its_own_rows(self):
         # a copy with a new generator serves its rows, not the original's
@@ -687,3 +705,120 @@ class TestWalkMemo:
         results = run_concurrently(spec, calls)
         assert all(outcome == serial[i] for done in results for i, outcome in done)
         assert held_steps(spec) <= series.WALK_MEMO_STEPS
+
+
+ENV_REAL = SpectralEnvelope(1.0, 5.0)
+STENCILS = {
+    "real": ([-1, 0, 1], [-1.0, 3.0, -1.0], ENV_REAL),
+    "complex": ([-2, -1, 0, 1, 2], [0.25j, -1.0, 3.0, -1.0, -0.25j], SpectralEnvelope(0.75, 5.25)),
+    "gapped": ([-2, 0, 2], [-1.0, 3.0, -1.0], ENV_REAL),
+    "gapped_wide": ([-30, 0, 30], [-0.02, 1.0, -0.02], SpectralEnvelope(0.96, 1.04)),
+    "diagonal_only": ([0], [2.0], SpectralEnvelope(1.0, 3.0)),
+    # no diagonal: the spectrum is [-2, 2], so the envelope is wrong and some
+    # calls fail; the two paths must fail alike
+    "no_diagonal": ([-1, 1], [-1.0, -1.0], SpectralEnvelope(0.0, 2.0)),
+}
+
+
+def plain_twin(spec):
+    """The same rows as ``spec``, presented by its generator alone."""
+    return InfiniteMatrixSpec(spec.row_generator, spec.sparsity_bound_k, spec.envelope)
+
+
+def parity_grid():
+    """Elements near and far, a complex local solve, and truncation depths
+    and dense certificates on windows off the origin, as calls of one spec."""
+    calls = []
+    for alpha in (-1.0, -0.5, 0.5, 1.5, 2.0):
+        for tol in (1e-4, 1e-10):
+            for m, n in [(0, 0), (1, -2), (100, 100)]:
+                calls.append(lambda spec, a=alpha, t=tol, m=m, n=n:
+                             approximate_element(spec, zero_boundary, a, m, n, t))
+    calls.append(lambda spec: local_solve(spec, zero_boundary, {0: 1.0, 3: 0.5 - 0.25j},
+                                          [-2, 0, 3, 7], 1e-8))
+    for window, m, n in [(Window(-3, 20), 5, 9), (Window(-3, 20), 3, 3), (Window(30, -10), -20, -15)]:
+        calls.append(lambda spec, w=window, m=m, n=n: truncation_depth(spec, w, m, n))
+        calls.append(lambda spec, w=window, m=m, n=n:
+                     evaluate_window(spec, zero_boundary, 0.5, m, n, w))
+    return calls
+
+
+def parity_outcomes(spec, calls):
+    """``outcomes``, with any other error as its type and message."""
+    out = []
+    for call in calls:
+        try:
+            out.append(outcomes(spec, [call])[0])
+        except FinpowError as err:
+            out.append((type(err).__name__, str(err)))
+    return out
+
+
+class TestStencilPath:
+    @pytest.mark.parametrize("name", list(STENCILS))
+    def test_paths_agree(self, name):
+        # a banded spec walks and sections from its stencil; a plain spec over
+        # the same rows walks them: certificates, solves, depths and errors
+        # agree bitwise, cold and warm
+        calls = parity_grid()
+        make = lambda: banded_spec(*STENCILS[name])  # noqa: E731
+        rows = [parity_outcomes(plain_twin(make()), [call])[0] for call in calls]
+        assert [parity_outcomes(make(), [call])[0] for call in calls] == rows
+        banded, plain = make(), plain_twin(make())
+        assert banded._stencil is not None and plain._stencil is None
+        for _ in range(2):
+            assert parity_outcomes(banded, calls) == rows
+            assert parity_outcomes(plain, calls) == rows
+
+    def test_stencil_is_read_only_and_not_replaced(self):
+        spec = banded_spec([1, 0, -1, 2], [-1.0, 3.0, -1.0, 0.0], ENV_REAL)
+        offsets, values = spec._stencil
+        assert offsets.tolist() == [-1, 0, 1] and values.tolist() == [-1.0, 3.0, -1.0]
+        assert not offsets.flags.writeable and not values.flags.writeable
+        assert dataclasses.replace(spec)._stencil is None
+        assert dataclasses.replace(spec, row_generator=lambda m: [(m, 2.0)])._stencil is None
+
+    @pytest.mark.parametrize("name", ["real", "complex", "gapped_wide"])
+    def test_fresh_spec_reads_fixed_rows(self, name):
+        # however deep the series, a fresh banded spec reads two rows: the
+        # walk's first start and the section's first row
+        def rows_read(call):
+            spec = banded_spec(*STENCILS[name])
+            generated, generator = [], spec.row_generator
+            spec.row_generator = lambda m: generated.append(m) or generator(m)
+            call(spec)
+            return len(generated)
+
+        tols = (1e-3, 1e-8, 1e-14)
+        elements = [rows_read(lambda s, t=t: approximate_element(s, zero_boundary, -0.5, 0, 0, t))
+                    for t in tols]
+        solves = [rows_read(lambda s, t=t: local_solve(s, zero_boundary, {0: 1.0, 4: 0.5j}, [0, 2], t))
+                  for t in tols]
+        assert elements == [2] * 3 and solves == [2] * 3
+        assert [rows_read(lambda s, r=r: truncate(s, Window(r, r + 3))) for r in (1, 40, 900)] == [1] * 3
+
+    def test_non_finite_stencil_raises_from_every_path(self):
+        # the stencil row passes the row checks before the stencil is used, so
+        # an inf in the stencil raises as the row path does, on every call
+        make = lambda: banded_spec([-1, 0, 1], [-1.0, float("inf"), -1.0], ENV_REAL)  # noqa: E731
+        calls = [lambda s: approximate_element(s, zero_boundary, -0.5, 0, 0, 1e-6),
+                 lambda s: approximate_element(s, zero_boundary, 0.5, 3, -2, 1e-10),
+                 lambda s: local_solve(s, zero_boundary, {2: 1.0j}, [0, 2], 1e-8),
+                 lambda s: truncate(s, Window(4, 2)),
+                 lambda s: truncation_depth(s, Window(5, 5), 1, 2)]
+        spec = make()
+        assert spec._stencil is not None
+        for call in calls:
+            messages = []
+            for target in (plain_twin(make()), spec, spec):
+                with pytest.raises(MalformedSpecError, match="non-finite entry inf") as err:
+                    call(target)
+                messages.append(str(err.value))
+            assert messages == messages[:1] * 3
+        assert spec._rows == {} and spec._steps == {} and spec._walks == {}
+
+    def test_value_beyond_complex_keeps_the_row_path(self):
+        spec = banded_spec([0], [10**400], ENV_REAL)
+        assert spec._stencil is None
+        with pytest.raises(MalformedSpecError, match="malformed entry"):
+            approximate_element(spec, zero_boundary, 0.5, 0, 0, 1e-6)
