@@ -44,7 +44,10 @@ def _require(data: dict, field: str, context: str):
 def _real(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"field '{field}' must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"field '{field}' is too large for a float") from exc
 
 
 def _parse_envelope(data, context: str) -> SpectralEnvelope:

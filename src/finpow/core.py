@@ -6,10 +6,11 @@ section over an index window ``[-P, Q]`` holds the generator entries inside
 the window, checked for Hermitian symmetry (``_section``); a banded spec's
 section is broadcast from its stencil.  The matrix-free
 sweeps step the binomial series by it, as the sparse mat-vec
-``v -> (I - W_R/w) v`` (``sparse_section``, built once per spec and window
-and kept on the spec); the paper's dense
-truncations (``truncate``) scatter it into an array and add a Hermitian
-boundary correction at the four window corners.
+``v -> (I - W_R/w) v`` (``sparse_section``): a banded spec's step is one
+convolution with its stencil, any other spec's is built once per window
+and kept on the spec.  The paper's dense
+truncations (``truncate``) scatter the section into an array and add a
+Hermitian boundary correction at the four window corners.
 """
 
 from __future__ import annotations
@@ -125,28 +126,25 @@ class InfiniteMatrixSpec:
         sequences.
 
     A spec that ``banded_spec`` builds also records its stencil, in a private
-    field no constructor sets: the support walk (``series._extents``) and the
-    section (``_section``) read the stencil instead of every row, after the
-    stencil row has passed ``row``'s checks.  Like the row cache, the
-    stencil describes the generator the spec was built with;
-    ``dataclasses.replace`` drops it, so a copy with a new generator reads
-    its own rows.
+    field no constructor sets: the support walk (``series.SupportWalk``),
+    the section (``_section``) and the series step (``sparse_section``) read
+    the stencil instead of every row, after the stencil row has passed
+    ``row``'s checks.  Like the row cache, the stencil describes the
+    generator the spec was built with; ``dataclasses.replace`` drops it, so
+    a copy with a new generator reads its own rows.
 
     Validated rows are cached; the cache is append-only and derived purely
-    from the generator.  Two bounded memos sit beside it, the oldest entries
-    evicted first: the series steps ``sparse_section`` builds, keyed by
-    window and shift ``w``, up to ``SECTION_MEMO_ENTRIES`` COO entries (at
-    most 3 MiB), and the extents of the support walks ``SupportWalk`` takes,
-    keyed by start set, up to ``series.WALK_MEMO_STEPS`` steps and start
-    indices (at most 3 MiB).  No cache stores a failure: a malformed row or
-    section raises on every read.  The caches are fields no constructor sets,
-    so ``dataclasses.replace`` and equal specs never share them.
+    from the generator.  A spec without a stencil also keeps the series
+    steps ``sparse_section`` builds, keyed by window and shift ``w``, in a
+    memo bounded by ``SECTION_MEMO_ENTRIES`` COO entries (at most 3 MiB),
+    the oldest evicted first.  No cache stores a failure: a malformed row or
+    section raises on every read.  The caches are fields no constructor
+    sets, so ``dataclasses.replace`` and equal specs never share them.
 
     Concurrent readers are safe.  Each cache holds only what a fresh build
-    makes, and only immutable values: a step closure, or a walk's extents as
-    a tuple, never a live walk, which each reader takes for itself.  Readers
+    makes, and only immutable values: a row, or a step closure.  Readers
     share nothing mutable beyond the dicts, so two that race at worst build
-    a value twice, keep the shorter of two walks, or evict an entry early.
+    a value twice or evict an entry early.
     """
 
     row_generator: RowGenerator
@@ -154,7 +152,6 @@ class InfiniteMatrixSpec:
     envelope: SpectralEnvelope
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _stencil: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -218,8 +215,9 @@ def banded_spec(
     That check is exact, so it covers every section's Hermitian spot-check.
 
     The spec records the stencil, as read-only sorted offsets and complex
-    values, so the support walk and the sections are computed from it in
-    closed form (see ``InfiniteMatrixSpec``).
+    values, so the support walk, the sections and the series step are
+    computed from it in closed form (see ``InfiniteMatrixSpec``).  An offset
+    must therefore be a machine integer (``np.intp``).
     """
     if len(offsets) != len(stencil):
         raise ValueError("offsets and stencil must have equal length")
@@ -230,6 +228,8 @@ def banded_spec(
             integral = False
         if not integral:
             raise ValueError(f"stencil offset {o!r} is not an integer")
+        if abs(int(o)) > np.iinfo(np.intp).max:
+            raise ValueError(f"stencil offset {o!r} is outside the machine-integer range")
     band = {int(o): v for o, v in zip(offsets, stencil) if v != 0}
     if len(band) != sum(1 for v in stencil if v != 0):
         raise ValueError("duplicate offsets in stencil")
@@ -444,29 +444,59 @@ def sparse_section(
     ``W_R`` is ``spec`` restricted to ``window`` and ``w`` is the envelope's
     shift, on arrays indexed by array position.
 
-    ``b_R`` is held as COO values: ``_section``'s entries divided by ``-w``,
-    with the identity added on the diagonal.  Each product is one
-    ``np.bincount``; a complex product is summed as interleaved real and
-    imaginary parts.
+    A spec with a stencil (``banded_spec``) steps by one ``np.convolve`` with
+    the kernel ``kernel[l - o] = -s_o / w``, plus 1 at the centre, over the
+    offsets ``o`` with ``|o| < dim`` (no other offset joins two positions of
+    the window), ``l`` the largest of them: ``b_R v`` is the full
+    convolution's ``[l, l + dim)``, for every ``dim``.  The kernel is real
+    when the stencil is.  The build reads the window's first row through
+    ``spec.row`` and its checks, as ``_section`` does, and is cheap enough
+    to keep nothing.
 
-    The step is memoized on ``spec`` by ``(window, w)``: a repeated call
-    returns the step the first one built, with no row read and no Hermitian
-    check.  The memo holds at most ``SECTION_MEMO_ENTRIES`` COO entries of
-    48 bytes (indices, values and interleaved indices), evicting the oldest
-    steps first; a step larger than that is returned but not kept.  A
-    section that raises stores nothing, so it raises on every call.
+    Any other spec holds ``b_R`` as COO values: ``_section``'s entries
+    divided by ``-w``, with the identity added on the diagonal.  Each
+    product is one ``np.bincount``; a complex product is summed as
+    interleaved real and imaginary parts.  That step is memoized on
+    ``spec`` by ``(window, w)``: a repeated call returns the step the first
+    one built, with no row read and no Hermitian check.  The memo holds at
+    most ``SECTION_MEMO_ENTRIES`` COO entries of 48 bytes (indices, values
+    and interleaved indices), evicting the oldest steps first; a step larger
+    than that is returned but not kept.  A section that raises stores
+    nothing, so it raises on every call.
 
     Raises
     ------
     MalformedSpecError
         As ``_section``.
     """
+    if spec._stencil is not None:
+        return _convolution(spec, window)
     key = (window, spec.envelope.w)
     held = spec._steps.get(key)
     if held is None:
         held = _step(spec, window)
         _keep(spec._steps, key, held, SECTION_MEMO_ENTRIES)
     return held[0]
+
+
+def _convolution(spec: InfiniteMatrixSpec, window: Window) -> Callable[[np.ndarray], np.ndarray]:
+    """``sparse_section``'s step for a spec with a stencil."""
+    spec.row(-window.P)
+    offsets, values = spec._stencil
+    dim = window.dim
+    near = np.abs(offsets) < dim
+    offsets, values = offsets[near], values[near]
+    if not values.imag.any():
+        values = values.real
+    reach = int(offsets.max(initial=0))
+    kernel = np.zeros(2 * reach + 1, dtype=values.dtype)
+    kernel[reach - offsets] = values / -spec.envelope.w
+    kernel[reach] += 1.0
+
+    def step(v: np.ndarray) -> np.ndarray:
+        return np.convolve(v, kernel)[reach : reach + dim]
+
+    return step
 
 
 def _keep(memo: dict, key, held: tuple, cap: int) -> None:

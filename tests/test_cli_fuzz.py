@@ -28,7 +28,13 @@ def mostly(valid, special):
     return st.tuples(st.integers(0, 7), valid, special).map(lambda t: t[2] if t[0] == 0 else t[1])
 
 
+# JSON integer literals beyond a float (400 digits) and beyond a machine
+# integer (10**30)
+HUGE_INTEGERS = [10**400, -(10**400), 10**30, -(10**30)]
+
+
 specials = st.sampled_from(SPECIAL_FLOATS)
+huge = st.sampled_from(HUGE_INTEGERS)
 reals = mostly(st.floats(-3.0, 3.0), specials)
 positives = mostly(st.floats(0.05, 6.0), specials)
 tols = mostly(st.sampled_from([1e-2, 1e-6, 1e-12, 1e-40]), specials)
@@ -45,7 +51,7 @@ window_tokens = mostly(
 )
 
 lattice_configs = st.fixed_dictionaries(
-    {"kind": st.just("lattice"), "a": positives, "b": positives},
+    {"kind": st.just("lattice"), "a": mostly(positives, huge), "b": mostly(positives, huge)},
     optional={"boundary": st.sampled_from([{"kind": "periodic"}, {"kind": "zero"}])},
 )
 
@@ -54,12 +60,15 @@ lattice_configs = st.fixed_dictionaries(
 def banded_configs(draw):
     """Real banded stencils, mostly with their exact spectral envelope."""
     half = draw(st.integers(0, 2))
-    couplings = [draw(mostly(st.floats(-1.0, 1.0), specials)) for _ in range(half)]
-    spread = 2.0 * sum(abs(b) for b in couplings)
+    couplings = [draw(mostly(st.floats(-1.0, 1.0), st.one_of(specials, huge))) for _ in range(half)]
+    spread = 2.0 * sum(abs(b) for b in couplings if isinstance(b, float))  # no huge integer
     c = draw(mostly(st.floats(0.0, 2.0), specials))
     norm_bound = draw(mostly(st.just(c + 2.0 * spread), specials))
     offsets = list(range(-half, half + 1))
     stencil = [couplings[abs(o) - 1] if o else c + spread for o in offsets]
+    far = draw(mostly(st.none(), huge.map(abs)))
+    if far is not None and half:
+        offsets[0], offsets[-1] = -far, far
     return {
         "kind": "banded",
         "offsets": offsets,
@@ -173,6 +182,13 @@ C0_BANDED_W_HALF = (
            "--windows", ",".join(["1025"] * 8)], LATTICE_B_OVERFLOW.replace("1e308", "1.0"), None))
 # the series guard fails after the quadrature passed: nothing may be printed
 @example((["example", "--a", "1", "--b", "1", "--alpha", "330.5", "--sizes", "5"], None, None))
+# integer literals too large for a float or a machine integer
+@example((["approx", "@config", "--alpha", "0.5", "--m", "0", "--n", "0", "--tol", "1e-6",
+           "--max-dim", "65"], '{"kind": "lattice", "a": 1%s, "b": 1}' % ("0" * 400), None))
+@example((["solve", "@config", "--rhs", "@rhs", "--out", "0", "--tol", "1e-6", "--max-dim", "65"],
+          C0_BANDED_W1.replace("[-1, 0, 1]", f"[{-(10**30)}, 0, {10**30}]"), "0,1.0,0.0\n"))
+@example((["table", "@config", "--alpha", "0.5", "--m", "0", "--n", "0", "--windows", "4"],
+          C0_BANDED_W1.replace("0.5,", f"{10**400},"), None))
 def test_cli_exits_cleanly(case):
     argv, config, rhs = case
     code, out = run_main(argv, config, rhs)
