@@ -3,14 +3,13 @@
 An infinite matrix is presented as a row generator: a pure function mapping a
 row index to the finite list of ``(column, value)`` pairs of that row.  Its
 section over an index window ``[-P, Q]`` holds the generator entries inside
-the window, checked for Hermitian symmetry (``_section``); a banded spec's
-section is broadcast from its stencil.  The matrix-free
+the window, checked for Hermitian symmetry (``_section``).  The matrix-free
 sweeps step the binomial series by it, as the sparse mat-vec
 ``v -> (I - W_R/w) v`` (``sparse_section``): a banded spec's step is one
-convolution with its stencil, any other spec's is built once per window
-and kept on the spec.  The paper's dense
-truncations (``truncate``) scatter the section into an array and add a
-Hermitian boundary correction at the four window corners.
+convolution with its stencil, any other spec's is built from the section on
+each call.  The paper's dense truncations (``truncate``) scatter the section
+into an array and add a Hermitian boundary correction at the four window
+corners.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ from .errors import (
 # Relative tolerance of the Hermitian spot-check performed on each section.
 # Violations beyond round-off indicate a malformed generator.
 HERMITIAN_SPOT_TOL = 1e-12
-
-# Cap on the COO entries of the series steps one spec keeps (``sparse_section``):
-# about ten of the largest sections a 3-sparse spec has under the default
-# ``max_dim``.  At 48 bytes an entry, at most 3 MiB of arrays per spec.
-SECTION_MEMO_ENTRIES = 1 << 16
 
 RowGenerator = Callable[[int], Sequence[tuple[int, complex]]]
 
@@ -125,33 +119,27 @@ class InfiniteMatrixSpec:
         Spectral bracket of the matrix as an operator on square-summable
         sequences.
 
-    A spec that ``banded_spec`` builds also records its stencil, in a private
-    field no constructor sets: the support walk (``series.SupportWalk``),
-    the section (``_section``) and the series step (``sparse_section``) read
-    the stencil instead of every row, after the stencil row has passed
-    ``row``'s checks.  Like the row cache, the stencil describes the
-    generator the spec was built with; ``dataclasses.replace`` drops it, so
-    a copy with a new generator reads its own rows.
+    A spec that ``banded_spec`` builds also records its stencil, checked in
+    full there, in a private field no constructor sets: the support walk
+    (``series.SupportWalk``) and the series step (``sparse_section``) read
+    the stencil and no row.  Like the row cache, the stencil describes the
+    generator the spec was built with.  ``dataclasses.replace`` drops it, so
+    use ``replace`` to give a banded spec a new generator: assigning
+    ``row_generator`` leaves the stencil, and so the walk and the step, as
+    they were.
 
     Validated rows are cached; the cache is append-only and derived purely
-    from the generator.  A spec without a stencil also keeps the series
-    steps ``sparse_section`` builds, keyed by window and shift ``w``, in a
-    memo bounded by ``SECTION_MEMO_ENTRIES`` COO entries (at most 3 MiB),
-    the oldest evicted first.  No cache stores a failure: a malformed row or
-    section raises on every read.  The caches are fields no constructor
-    sets, so ``dataclasses.replace`` and equal specs never share them.
-
-    Concurrent readers are safe.  Each cache holds only what a fresh build
-    makes, and only immutable values: a row, or a step closure.  Readers
-    share nothing mutable beyond the dicts, so two that race at worst build
-    a value twice or evict an entry early.
+    from the generator.  It never stores a failure: a malformed row raises
+    on every read.  It is a field no constructor sets, so
+    ``dataclasses.replace`` and equal specs never share it.  Concurrent
+    readers are safe: the cache holds only what a fresh read makes, so two
+    that race at worst read a row twice.
     """
 
     row_generator: RowGenerator
     sparsity_bound_k: int
     envelope: SpectralEnvelope
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _stencil: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,15 +197,18 @@ def banded_spec(
 
     ``offsets[i]`` is the column offset from the diagonal carrying the value
     ``stencil[i]`` in every row; an offset is an integral number (``2`` or
-    ``2.0``, not ``2.5``).  Zero stencil values are dropped, so the declared
+    ``2.0``, not ``2.5``).  Every value must be finite as a complex number
+    (``10**400`` is not).  Zero stencil values are dropped, so the declared
     sparsity bound counts actual nonzeros.  The stencil must be Hermitian:
     the value at offset ``-o`` equal to the conjugate of the value at ``o``.
-    That check is exact, so it covers every section's Hermitian spot-check.
+    Each check is exact, so every row passes ``row``'s checks and every
+    section the Hermitian spot-check; a stencil that fails one raises
+    ``ValueError`` here.
 
     The spec records the stencil, as read-only sorted offsets and complex
-    values, so the support walk, the sections and the series step are
-    computed from it in closed form (see ``InfiniteMatrixSpec``).  An offset
-    must therefore be a machine integer (``np.intp``).
+    values, so the support walk and the series step are computed from it in
+    closed form (see ``InfiniteMatrixSpec``).  An offset must therefore be a
+    machine integer (``np.intp``).
     """
     if len(offsets) != len(stencil):
         raise ValueError("offsets and stencil must have equal length")
@@ -230,6 +221,13 @@ def banded_spec(
             raise ValueError(f"stencil offset {o!r} is not an integer")
         if abs(int(o)) > np.iinfo(np.intp).max:
             raise ValueError(f"stencil offset {o!r} is outside the machine-integer range")
+    for o, v in zip(offsets, stencil):
+        try:
+            finite = cmath.isfinite(complex(v))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"stencil offset {int(o)} has the non-finite value {v}")
     band = {int(o): v for o, v in zip(offsets, stencil) if v != 0}
     if len(band) != sum(1 for v in stencil if v != 0):
         raise ValueError("duplicate offsets in stencil")
@@ -246,10 +244,7 @@ def banded_spec(
         return [(m + o, v) for o, v in pairs]
 
     spec = InfiniteMatrixSpec(generate, max(len(pairs), 1), envelope)
-    try:
-        values = np.array([v for _, v in pairs], dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        return spec  # the row checks reject such a value on first use
+    values = np.array([complex(v) for _, v in pairs], dtype=np.complex128)
     shifts = np.array([o for o, _ in pairs], dtype=np.intp)
     shifts.setflags(write=False)
     values.setflags(write=False)
@@ -390,13 +385,8 @@ def _section(spec: InfiniteMatrixSpec, window: Window):
 
     Every entry is checked against its conjugate partner, the entry at
     ``(col, row)`` or 0 if none.  ``values`` are real when no entry has an
-    imaginary part.
-
-    A spec with a stencil (``banded_spec``) reads one row, the window's
-    first, through ``spec.row`` and its checks, and broadcasts the positions
-    against the stencil's offsets, in the same order.  It runs no
-    Hermitian spot-check: ``banded_spec``'s exact mirror check at
-    construction covers every section.
+    imaginary part.  It serves the dense truncation (``truncate``) of every
+    spec, and the series step (``_step``) of a spec without a stencil.
 
     Raises
     ------
@@ -405,15 +395,6 @@ def _section(spec: InfiniteMatrixSpec, window: Window):
         the Hermitian spot-check.
     """
     lo, hi, dim = -window.P, window.Q, window.dim
-    if spec._stencil is not None:
-        spec.row(lo)
-        offsets, values = spec._stencil
-        positions = np.arange(dim, dtype=np.intp)[:, np.newaxis]
-        cols = positions + offsets
-        inside = (cols >= 0) & (cols < dim)
-        rows = np.broadcast_to(positions, cols.shape)[inside]
-        vals = np.broadcast_to(values, cols.shape)[inside]
-        return rows, cols[inside], vals if vals.imag.any() else vals.real
     rows, cols, values = [], [], []
     for m in window.indices():
         for col, value in spec.row(m).items():
@@ -449,39 +430,27 @@ def sparse_section(
     offsets ``o`` with ``|o| < dim`` (no other offset joins two positions of
     the window), ``l`` the largest of them: ``b_R v`` is the full
     convolution's ``[l, l + dim)``, for every ``dim``.  The kernel is real
-    when the stencil is.  The build reads the window's first row through
-    ``spec.row`` and its checks, as ``_section`` does, and is cheap enough
-    to keep nothing.
+    when the stencil is.  It reads no row: ``banded_spec`` checked the
+    stencil in full.
 
-    Any other spec holds ``b_R`` as COO values: ``_section``'s entries
-    divided by ``-w``, with the identity added on the diagonal.  Each
-    product is one ``np.bincount``; a complex product is summed as
-    interleaved real and imaginary parts.  That step is memoized on
-    ``spec`` by ``(window, w)``: a repeated call returns the step the first
-    one built, with no row read and no Hermitian check.  The memo holds at
-    most ``SECTION_MEMO_ENTRIES`` COO entries of 48 bytes (indices, values
-    and interleaved indices), evicting the oldest steps first; a step larger
-    than that is returned but not kept.  A section that raises stores
-    nothing, so it raises on every call.
+    Any other spec holds ``b_R`` as COO values, built on each call:
+    ``_section``'s entries divided by ``-w``, with the identity added on the
+    diagonal.  Each product is one ``np.bincount``; a complex product is
+    summed as interleaved real and imaginary parts.
 
     Raises
     ------
     MalformedSpecError
-        As ``_section``.
+        As ``_section``, for a spec without a stencil.
     """
     if spec._stencil is not None:
         return _convolution(spec, window)
-    key = (window, spec.envelope.w)
-    held = spec._steps.get(key)
-    if held is None:
-        held = _step(spec, window)
-        _keep(spec._steps, key, held, SECTION_MEMO_ENTRIES)
-    return held[0]
+    return _step(spec, window)
 
 
 def _convolution(spec: InfiniteMatrixSpec, window: Window) -> Callable[[np.ndarray], np.ndarray]:
-    """``sparse_section``'s step for a spec with a stencil."""
-    spec.row(-window.P)
+    """``sparse_section``'s step for a spec with a stencil, from the stencil
+    alone."""
     offsets, values = spec._stencil
     dim = window.dim
     near = np.abs(offsets) < dim
@@ -499,25 +468,9 @@ def _convolution(spec: InfiniteMatrixSpec, window: Window) -> Callable[[np.ndarr
     return step
 
 
-def _keep(memo: dict, key, held: tuple, cap: int) -> None:
-    """Store ``held``, a tuple whose last item is its size, as the newest
-    entry of ``memo``; then evict the oldest entries (dict order) until the
-    sizes sum to at most ``cap``.  An entry larger than ``cap`` evicts every
-    entry, itself included.  Each dict operation is atomic, so concurrent
-    readers may share ``memo``: another may pop an entry first."""
-    memo.pop(key, None)
-    memo[key] = held
-    total = sum(entry[-1] for entry in list(memo.values()))
-    for old in list(memo):
-        if total <= cap:
-            break
-        evicted = memo.pop(old, None)
-        if evicted is not None:
-            total -= evicted[-1]
-
-
-def _step(spec: InfiniteMatrixSpec, window: Window):
-    """``sparse_section``'s step, built afresh, and its number of COO entries."""
+def _step(spec: InfiniteMatrixSpec, window: Window) -> Callable[[np.ndarray], np.ndarray]:
+    """``sparse_section``'s step for a spec without a stencil, from
+    ``_section``'s COO entries."""
     rows, cols, vals = _section(spec, window)
     dim, w = window.dim, spec.envelope.w
     off = rows != cols
@@ -534,7 +487,7 @@ def _step(spec: InfiniteMatrixSpec, window: Window):
             return np.bincount(interleaved, prod.view(np.float64), 2 * dim).view(np.complex128)
         return np.bincount(rows, prod, dim)
 
-    return step, len(vals)
+    return step
 
 
 def truncate(

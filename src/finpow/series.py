@@ -7,7 +7,7 @@ at ``(m, n)`` term by term for as long as the support frontier walked from
 walk, run forward from the requested indices, gives the smallest window
 that reaches a required depth.  ``SupportWalk`` takes the walk once, as far
 as asked, and answers both.  On a spec from ``banded_spec`` it answers in
-closed form, from the stencil, and takes no walk.
+closed form, from the stencil: it takes no walk and reads no row.
 """
 
 from __future__ import annotations
@@ -70,26 +70,18 @@ class SupportWalk:
     walk whose row raised is spent: take a new one.
 
     On a spec with a stencil (``banded_spec``) both answers are closed
-    forms and no extent is walked: ``s`` steps reach
+    forms, read from the stencil, and no row is read: ``s`` steps reach
     ``(min(starts) - s l, max(starts) + s l)``, ``l`` the largest offset,
-    and with ``l = 0`` the reach closes after one step.  Where the row walk
-    would take its first step, they read the row of the first start it
-    would read, through ``spec.row`` and its checks.
+    and with ``l = 0`` the reach closes after one step.
     """
 
     def __init__(self, spec: InfiniteMatrixSpec, starts: Iterable[int]):
         starts = set(starts)
-        self._spec, self._first = spec, next(iter(starts))
         self.extents = [(min(starts), max(starts))]
-        self._steps = _extents(spec, starts) if spec._stencil is None else None
-
-    def _band(self) -> int | None:
-        """The stencil's largest offset, once its row passed the checks; or
-        ``None`` for a spec without a stencil, which walks its rows."""
-        if self._spec._stencil is None:
-            return None
-        self._spec.row(self._first)
-        return int(self._spec._stencil[0].max(initial=0))
+        # the stencil's largest offset; None for a spec that walks its rows
+        stencil = spec._stencil
+        self._band = None if stencil is None else int(stencil[0].max(initial=0))
+        self._steps = _extents(spec, starts) if stencil is None else None
 
     def _walk(self, steps: int, widest: float = math.inf) -> list[tuple[int, int]]:
         """``extents``, walked on to ``steps`` steps, unless the walk closes
@@ -117,7 +109,7 @@ class SupportWalk:
         lo, hi = self.extents[0]
         if steps < 1 or hi - lo > widest:  # no step to take
             return Window(1 - lo, hi + 1)
-        band = self._band()
+        band = self._band
         if band is None:
             extents = self._walk(steps, widest)
             lo, hi = extents[min(steps, len(extents) - 1)]
@@ -134,7 +126,7 @@ class SupportWalk:
         if window.is_corner(m) or window.is_corner(n):
             return TruncationDepth(1, window, m, n)
         inner_lo, inner_hi = -window.P + 1, window.Q - 1
-        band = self._band()
+        band = self._band
         if band == 0:
             return TruncationDepth(1, window, m, n, saturated=True)
         if band is not None:  # the first step that leaves the strict interior

@@ -127,21 +127,28 @@ class TestApprox:
         assert out == ""
         assert "c = 0" in err
 
-    @pytest.mark.parametrize("m,n,row", [("0", "0", 0), ("3", "-2", 3)])
-    def test_non_finite_stencil_exit_3(self, capsys, tmp_path, m, n, row):
-        # JSON's Infinity passes the config checks and the mirror check; the
-        # first row read rejects it
+    @pytest.mark.parametrize("m,n,out", [("0", "0", 0), ("3", "-2", 3)])
+    def test_non_finite_stencil_exit_3(self, capsys, tmp_path, m, n, out):
+        # JSON's Infinity passes the config's number checks; banded_spec
+        # rejects it, so every subcommand exits 3 before any output
         config = tmp_path / "inf.json"
         config.write_text(
             '{"kind": "banded", "offsets": [-1, 0, 1], "stencil": [-1.0, Infinity, -1.0],'
             ' "envelope": {"c": 1.0, "norm_bound": 4.0}}'
         )
-        code, out, err = run_cli(
-            capsys, "approx", str(config), "--alpha", "-0.5", "--m", m, "--n", n, "--tol", "1e-6",
-        )
-        assert code == 3
-        assert out == ""
-        assert err == f"error: row {row} has the non-finite entry inf at column {row}\n"
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("0,1.0,0.0\n")
+        for argv in (
+            ["approx", str(config), "--alpha", "-0.5", "--m", m, "--n", n, "--tol", "1e-6"],
+            ["table", str(config), "--alpha", "-0.5", "--m", m, "--n", n, "--windows", "4,8"],
+            ["solve", str(config), "--rhs", str(rhs), "--out", str(out), "--tol", "1e-6"],
+        ):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert stdout == ""
+            assert err == (
+                "error: invalid banded spec: stencil offset 0 has the non-finite value inf\n"
+            )
 
     @pytest.mark.parametrize(
         "alpha,tol",

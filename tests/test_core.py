@@ -165,6 +165,24 @@ class TestRowGenerator:
         with pytest.raises(ValueError):
             banded_spec([-1, 0, 1], [1.0, 2.0, -1.0], SpectralEnvelope(0.0, 4.0))
 
+    @pytest.mark.parametrize(
+        "stencil",
+        [
+            [-1.0, float("inf"), -1.0],
+            [-1.0, float("-inf"), -1.0],
+            [complex(0, float("inf")), 3.0, complex(0, -float("inf"))],
+            [-1.0, float("nan"), -1.0],
+            [float("nan"), 3.0, float("nan")],
+        ],
+        ids=["inf", "-inf", "complex_inf_mirrored", "nan_diagonal", "nan_off_diagonal"],
+    )
+    def test_non_finite_stencil_value_rejected(self, stencil):
+        # the finiteness check runs before the mirror check, so a nan is named
+        # as a non-finite value, not as a broken mirror
+        with pytest.raises(ValueError, match="stencil offset -?[01] has the non-finite value") as err:
+            banded_spec([-1, 0, 1], stencil, SpectralEnvelope(1.0, 5.0))
+        assert "not Hermitian" not in str(err.value)
+
     @pytest.mark.parametrize("offset", [1.5, -0.5, 1e-9, float("nan"), float("inf"), None, "1", 1j])
     def test_non_integral_offset_rejected(self, offset):
         # an offset is rejected, never truncated to a neighbouring column
@@ -449,10 +467,6 @@ def run_concurrently(spec, calls, workers=4, rounds=3):
     return results
 
 
-def held_entries(spec):
-    return sum(entries for _, entries in spec._steps.values())
-
-
 def plain_twin(spec):
     """The same rows as ``spec``, presented by its generator alone."""
     return InfiniteMatrixSpec(spec.row_generator, spec.sparsity_bound_k, spec.envelope)
@@ -462,8 +476,9 @@ def plain_lattice():
     return plain_twin(lattice_spec(LatticeModelParams(1.0, 1.0)))
 
 
-class TestSectionMemo:
-    """The memo of COO steps that a spec without a stencil keeps."""
+class TestPlainSpecStep:
+    """The COO step of a spec without a stencil, built on each call from its
+    cached rows."""
 
     @pytest.mark.parametrize(
         "make_spec",
@@ -471,39 +486,15 @@ class TestSectionMemo:
         ids=["unit_lattice", "complex_banded"],
     )
     def test_warm_equals_cold(self, make_spec):
-        # a step taken from the memo gives the certificates a fresh build gives,
-        # unconverged best certificates included
+        # a step built on a spec whose rows are cached gives the certificates
+        # a fresh spec gives, unconverged best certificates included
         calls = memo_grid()
         cold = [outcomes(make_spec(), [call])[0] for call in calls]
         spec = make_spec()
         assert outcomes(spec, calls) == cold
-        assert spec._steps
+        assert spec._rows
         assert outcomes(spec, calls) == cold
         assert any(isinstance(o[0], str) and o[1] is not None for o in cold)
-
-    def test_repeated_call_reads_no_row_and_builds_no_section(self, monkeypatch):
-        spec = plain_lattice()
-        generated, built = [], []
-        generator, build = spec.row_generator, core._section
-
-        def counted_rows(m):
-            generated.append(m)
-            return generator(m)
-
-        def counted_build(*args):
-            built.append(args[1])
-            return build(*args)
-
-        spec.row_generator = counted_rows
-        monkeypatch.setattr(core, "_section", counted_build)
-        calls = [lambda s: approximate_element(s, zero_boundary, -0.5, 3, -2, 1e-12),
-                 lambda s: approximate_element(s, zero_boundary, 0.5, 1, 1, 1e-40, max_dim=101),
-                 lambda s: local_solve(s, zero_boundary, {0: 1.0, 2: 0.5j}, [0, 1], 1e-10)]
-        first = outcomes(spec, calls)
-        assert generated and len(built) == 3
-        del generated[:], built[:]
-        assert outcomes(spec, calls) == first
-        assert generated == [] and built == []
 
     def test_errors_are_never_stored(self):
         def skewed(m):
@@ -515,56 +506,27 @@ class TestSectionMemo:
                 approximate_element(spec, zero_boundary, -0.5, 0, 0, 1e-6)
             with pytest.raises(MalformedSpecError, match="not Hermitian"):
                 sparse_section(spec, Window(2, 2))
-        assert spec._steps == {}
 
-    def test_entry_bound_evicts_the_oldest(self, monkeypatch):
-        # a step of the unit lattice on a window of dim d has 3 d - 2 entries
+    def test_new_envelope_gives_a_new_step(self):
+        # a new envelope is a new shift w, and the next step divides by it
         spec = plain_lattice()
-        monkeypatch.setattr(core, "SECTION_MEMO_ENTRIES", 100)
-        windows = [Window(r, r) for r in (5, 6, 7, 8)]  # 31, 37, 43, 49 entries
-        steps = [sparse_section(spec, window) for window in windows]
-        assert [key for key, _ in spec._steps] == windows[2:]
-        assert held_entries(spec) == 92 <= core.SECTION_MEMO_ENTRIES
-        assert sparse_section(spec, windows[3]) is steps[3]
-        assert sparse_section(spec, windows[0]) is not steps[0]
-        assert [key for key, _ in spec._steps] == [windows[3], windows[0]]
-        # a step above the bound is returned but not kept, and evicts all
-        wide = sparse_section(spec, Window(20, 20))
-        v = np.zeros(41)
-        v[20] = 1.0
-        assert wide(v)[19:22].tolist() == [0.2, 0.4, 0.2]
-        assert spec._steps == {}
-
-    def test_specs_never_share_a_step(self):
-        spec = plain_lattice()
-        twin = plain_twin(spec)
-        assert twin == spec
         window = Window(4, 4)
-        assert sparse_section(twin, window) is not sparse_section(spec, window)
-        copy = dataclasses.replace(spec)
-        assert copy._steps == {} and sparse_section(copy, window) is not sparse_section(spec, window)
-        # a new envelope is a new shift w: the step is built again for it
         v = np.zeros(9)
         v[4] = 1.0
         before = sparse_section(spec, window)(v)
         spec.envelope = SpectralEnvelope(1.0, 10.0)
         after = sparse_section(spec, window)(v)
         assert (before[4], after[4]) == (1.0 - 3.0 / 5.0, 1.0 - 3.0 / 10.0)
-        assert len(spec._steps) == 2
 
-    def test_concurrent_readers_match_serial(self, monkeypatch):
-        # four threads share one plain spec whose memo evicts all the time, and
-        # one banded spec whose row cache they fill at once; every result
-        # equals the serial one bitwise
+    def test_concurrent_readers_match_serial(self):
+        # four threads share one plain spec, whose row cache they fill at once
+        # as they build steps, and one banded spec, which steps from its
+        # stencil; every result equals the serial one bitwise
         calls = memo_grid()[::3]
-        monkeypatch.setattr(core, "SECTION_MEMO_ENTRIES", 600)
         for make_spec in (plain_lattice, complex_banded_spec):
             serial = outcomes(make_spec(), calls)
-            spec = make_spec()
-            results = run_concurrently(spec, calls)
+            results = run_concurrently(make_spec(), calls)
             assert all(outcome == serial[i] for done in results for i, outcome in done)
-            assert held_entries(spec) <= core.SECTION_MEMO_ENTRIES
-            assert spec._stencil is None or spec._steps == {}
 
 
 def walk_grid():
@@ -602,14 +564,14 @@ class TestSupportWalk:
     closed form and takes no walk."""
 
     def test_stencil_spec_takes_no_walk_and_repeats_read_no_row(self, monkeypatch):
+        # no row is read, cold or warm
         spec = lattice_spec(LatticeModelParams(1.0, 1.0))
         generated, generator = [], spec.row_generator
         spec.row_generator = lambda m: generated.append(m) or generator(m)
         walks = count_walks(monkeypatch)
         calls = walk_grid() + memo_grid()[::5]
         first = outcomes(spec, calls)
-        assert generated and walks == []
-        del generated[:]
+        assert generated == [] and walks == []
         assert outcomes(spec, calls) == first
         assert generated == [] and walks == []
         assert_agree_to_round_off(first, outcomes(plain_lattice(), calls))
@@ -719,7 +681,7 @@ def assert_agree_to_round_off(got, want):
 class TestStencilPath:
     @pytest.mark.parametrize("name", list(STENCILS))
     def test_paths_agree(self, name):
-        # a banded spec walks, sections and steps from its stencil; a plain
+        # a banded spec walks and steps from its stencil; a plain
         # spec over the same rows walks them and steps by COO arrays: windows,
         # depths, bounds, errors and messages agree bitwise, and values to
         # round-off, cold and warm
@@ -760,12 +722,11 @@ class TestStencilPath:
         window = Window(-first, first + dim - 1)
         v = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_vector else 0.0)
         got = sparse_section(spec, window)(v)
-        want = core._step(plain_twin(spec), window)[0](v)
+        want = core._step(plain_twin(spec), window)(v)
         assert got.dtype == want.dtype and got.shape == (dim,)
         w = spec.envelope.w
         tol = 4 * (2 * half_band + 1) * EPS * (1 + total / w) * np.abs(v).max()
         assert np.abs(got - want).max() <= tol
-        assert spec._steps == {}
 
     def test_far_offsets_keep_the_kernel_small(self):
         # offsets +-10**6 join no two indices of any region under max_dim: the
@@ -796,8 +757,8 @@ class TestStencilPath:
 
     @pytest.mark.parametrize("name", ["real", "complex", "gapped_wide"])
     def test_fresh_spec_reads_fixed_rows(self, name):
-        # however deep the series, a fresh banded spec reads two rows: the
-        # walk's first start and the section's first row
+        # however deep the series, a fresh banded spec reads no row: it walks
+        # and steps from the stencil that banded_spec checked
         def rows_read(call):
             spec = banded_spec(*STENCILS[name])
             generated, generator = [], spec.row_generator
@@ -810,31 +771,32 @@ class TestStencilPath:
                     for t in tols]
         solves = [rows_read(lambda s, t=t: local_solve(s, zero_boundary, {0: 1.0, 4: 0.5j}, [0, 2], t))
                   for t in tols]
-        assert elements == [2] * 3 and solves == [2] * 3
-        assert [rows_read(lambda s, r=r: truncate(s, Window(r, r + 3))) for r in (1, 40, 900)] == [1] * 3
+        assert elements == [0] * 3 and solves == [0] * 3
 
     def test_non_finite_stencil_raises_from_every_path(self):
-        # the stencil row passes the row checks before the stencil is used, so
-        # an inf in the stencil raises as the row path does, on every call
-        make = lambda: banded_spec([-1, 0, 1], [-1.0, float("inf"), -1.0], ENV_REAL)  # noqa: E731
+        # a generator with an inf raises from every path, on every call; the
+        # same stencil is rejected by banded_spec at construction
+        def poisoned(m):
+            return [(m - 1, -1.0), (m, float("inf")), (m + 1, -1.0)]
+
         calls = [lambda s: approximate_element(s, zero_boundary, -0.5, 0, 0, 1e-6),
                  lambda s: approximate_element(s, zero_boundary, 0.5, 3, -2, 1e-10),
                  lambda s: local_solve(s, zero_boundary, {2: 1.0j}, [0, 2], 1e-8),
                  lambda s: truncate(s, Window(4, 2)),
                  lambda s: truncation_depth(s, Window(5, 5), 1, 2)]
-        spec = make()
-        assert spec._stencil is not None
+        spec = InfiniteMatrixSpec(poisoned, 3, ENV_REAL)
         for call in calls:
             messages = []
-            for target in (plain_twin(make()), spec, spec):
+            for target in (InfiniteMatrixSpec(poisoned, 3, ENV_REAL), spec, spec):
                 with pytest.raises(MalformedSpecError, match="non-finite entry inf") as err:
                     call(target)
                 messages.append(str(err.value))
             assert messages == messages[:1] * 3
-        assert spec._rows == {} and spec._steps == {}
+        assert spec._rows == {}
+        with pytest.raises(ValueError, match="stencil offset 0 has the non-finite value inf"):
+            banded_spec([-1, 0, 1], [-1.0, float("inf"), -1.0], ENV_REAL)
 
-    def test_value_beyond_complex_keeps_the_row_path(self):
-        spec = banded_spec([0], [10**400], ENV_REAL)
-        assert spec._stencil is None
-        with pytest.raises(MalformedSpecError, match="malformed entry"):
-            approximate_element(spec, zero_boundary, 0.5, 0, 0, 1e-6)
+    def test_value_beyond_complex_rejected(self):
+        # 10**400 overflows a complex, so it is not finite as one
+        with pytest.raises(ValueError, match="stencil offset 0 has the non-finite value 1000"):
+            banded_spec([0], [10**400], ENV_REAL)
