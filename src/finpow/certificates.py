@@ -31,6 +31,9 @@ CLOSED_FORM_GAP = 1e-9
 MAX_TAIL_TERMS = 10_000_000
 MAX_DEPTH = 1 << 20
 _FIRST_CHUNK = 256
+# ``_closed_sum`` sums a head of at most this many terms as floats: numpy sums
+# fewer than 8 numbers in order, so the floats come out the same.
+_SCALAR_HEAD = 7
 _SLOW_DECAY = 1 << 13
 _CLOSED_FORM_ULPS = 16
 _LOG_DBL_MAX = float(np.log(np.finfo(np.float64).max))
@@ -133,12 +136,12 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
             > _LOG_DBL_MAX + 1.0
         ):
             raise OverflowError
-        with np.errstate(over="ignore", invalid="ignore"):
-            if _is_nonneg_integer(alpha):
-                # the series terminates: C(alpha, j) = 0 exactly for j > alpha
+        if _is_nonneg_integer(alpha):
+            # the series terminates: C(alpha, j) = 0 exactly for j > alpha
+            with np.errstate(over="ignore", invalid="ignore"):
                 total = float(_tails(alpha, x, 0)[0])
-            else:
-                total = _closed_sum(alpha, x, c / w)
+        else:
+            total = _closed_sum(alpha, x, c / w)
         # The largest bound in log form: w**alpha may underflow where the
         # sum is large, and their product is still a float.
         if not math.isfinite(total) or (
@@ -155,24 +158,52 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
 
 def _closed_sum(alpha: float, x: float, r: float) -> float:
     """``full_series_sum`` at ``x``, ``r = 1 - x > 0``, for ``alpha`` not a
-    nonnegative integer."""
+    nonnegative integer.
+
+    The head is every other term up to ``floor(alpha)``.  When it has at
+    most ``_SCALAR_HEAD`` terms, they are multiplied and summed as floats in
+    the order numpy takes: its cumulative product runs in order, and so does
+    its sum of fewer than 8 numbers (pairwise from 8).  A longer head takes
+    ``_abs_terms`` and numpy's sum.
+    """
     if alpha < 0.0:
         return r ** alpha
     fl = math.floor(alpha)
-    # C(alpha, j) >= 0 up to j = floor(alpha) + 1: these are the series' terms
-    terms, _ = _abs_terms(alpha, x, 0, 1.0, fl + 2)
     sign = -1.0 if fl % 2 else 1.0
-    return 2.0 * float(terms[fl % 2 :: 2].sum()) - sign * r ** alpha
+    # C(alpha, j) >= 0 up to j = floor(alpha) + 1: these are the series' terms
+    if fl // 2 < _SCALAR_HEAD:
+        head, term = 0.0, 1.0
+        for i in range(fl + 1):
+            if i % 2 == fl % 2:
+                head += term
+            term *= abs(alpha - i) * x / (i + 1)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf
+            terms, _ = _abs_terms(alpha, x, 0, 1.0, fl + 2)
+            head = float(terms[fl % 2 :: 2].sum())
+    return 2.0 * head - sign * r ** alpha
 
 
 def _abs_terms(alpha: float, x: float, j: int, term: float, count: int):
     """``count`` terms ``|C(alpha, i)| x**i`` from ``i = j``, the first being
-    ``term``, by the ratio recurrence; and the term after them."""
-    idx = np.arange(j, j + count, dtype=np.float64)
+    ``term``, by the ratio recurrence; and the term after them.
+
+    The ratios are built in place and multiplied up by one
+    ``np.multiply.accumulate``, which runs in order; ``term`` scales the
+    products after, as ``term * np.cumprod(ratios)`` would.
+    """
+    k = np.arange(j, j + count - 1, dtype=np.float64)  # i - 1 for the ratio into term i
     ratios = np.empty(count)
     ratios[0] = 1.0
-    ratios[1:] = np.abs(alpha - idx[:-1]) * x / (idx[:-1] + 1.0)
-    terms = term * np.cumprod(ratios)
+    into = ratios[1:]
+    np.subtract(alpha, k, out=into)
+    np.abs(into, out=into)
+    into *= x
+    k += 1.0
+    into /= k
+    terms = np.multiply.accumulate(ratios)
+    if term != 1.0:
+        terms *= term
     after = float(terms[-1]) * abs(alpha - (j + count - 1)) * x / (j + count)
     return terms, after
 
@@ -226,11 +257,11 @@ def _tails(alpha: float, x: float, depth: int, floor: float = 0.0) -> np.ndarray
     full = math.nan  # the closed-form full sum, once the decay is slow
     # from the start where x alone could not end the pass by _SLOW_DECAY terms
     slow = _SLOW_DECAY if x**_SLOW_DECAY <= TAIL_TERM_CUTOFF else 0
-    terms, term, n = np.empty(0), 1.0, 0
+    terms, term, n = None, 1.0, 0
     while True:
         count = max(n, _FIRST_CHUNK)
         block, term = _abs_terms(alpha, x, n, term, count)
-        terms = np.concatenate((terms, block))
+        terms = np.concatenate((terms, block)) if n else block
         n += count
         rho = max(abs(alpha - n) * x / (n + 1), x)
         rest = 0.0 if not term else term / (1.0 - rho) if rho < 1.0 else math.inf
@@ -253,15 +284,21 @@ def _tails(alpha: float, x: float, depth: int, floor: float = 0.0) -> np.ndarray
                     f"within {n} terms"
                 )
             continue
-        tails = np.cumsum(np.append(terms, rest)[::-1])[::-1]
+        # the cumulative sum of rest, t_{n-1}, ..., t_0, in that order
+        summed = np.empty(n + 1)
+        summed[0] = rest
+        summed[1:] = terms[::-1]
+        tails = np.add.accumulate(summed)[::-1]
         top = min(depth, n)
-        met = np.flatnonzero(tails[1 : top + 1] <= floor)
-        head = int(met[0]) + 1 if met.size else top
+        below = tails[1 : top + 1] <= floor
+        first = int(below.argmax()) if top else 0
+        met = top > 0 and bool(below[first])
+        head = first + 1 if met else top
         known = rest <= TAIL_TERM_CUTOFF * tails[head] or (
             n >= slow and rest - low <= CLOSED_FORM_GAP * tails[head]
         )
         missed = n >= depth and 0.0 < floor < tails[top] - (rest - low)
-        if ((met.size or n >= depth) and known) or missed or n >= MAX_DEPTH:
+        if ((met or n >= depth) and known) or missed or n >= MAX_DEPTH:
             return tails[: top + 1]
 
 

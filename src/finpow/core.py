@@ -31,6 +31,9 @@ from .errors import (
 # Violations beyond round-off indicate a malformed generator.
 HERMITIAN_SPOT_TOL = 1e-12
 
+# The largest offset a banded spec records: its offsets are np.intp.
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
 RowGenerator = Callable[[int], Sequence[tuple[int, complex]]]
 
 
@@ -200,52 +203,60 @@ def banded_spec(
     ``2.0``, not ``2.5``).  Every value must be finite as a complex number
     (``10**400`` is not).  Zero stencil values are dropped, so the declared
     sparsity bound counts actual nonzeros.  The stencil must be Hermitian:
-    the value at offset ``-o`` equal to the conjugate of the value at ``o``.
-    Each check is exact, so every row passes ``row``'s checks and every
-    section the Hermitian spot-check; a stencil that fails one raises
-    ``ValueError`` here.
+    the value at offset ``-o``, as a complex number, equal to the conjugate
+    of the value at ``o``.  Each check is exact, so every row passes
+    ``row``'s checks and every section the Hermitian spot-check; a stencil
+    that fails one raises ``ValueError`` here.
 
     The spec records the stencil, as read-only sorted offsets and complex
     values, so the support walk and the series step are computed from it in
     closed form (see ``InfiniteMatrixSpec``).  An offset must therefore be a
-    machine integer (``np.intp``).
+    machine integer (``np.intp``).  The checks run on Python numbers: each
+    value is converted by ``complex()`` once, and compared with its mirror by
+    ``complex.conjugate()``.
     """
     if len(offsets) != len(stencil):
         raise ValueError("offsets and stencil must have equal length")
     for o in offsets:
         try:
-            integral = int(o) == o
+            shift = int(o)
+            integral = shift == o
         except (TypeError, ValueError, OverflowError):
             integral = False
         if not integral:
             raise ValueError(f"stencil offset {o!r} is not an integer")
-        if abs(int(o)) > np.iinfo(np.intp).max:
+        if abs(shift) > _INTP_MAX:
             raise ValueError(f"stencil offset {o!r} is outside the machine-integer range")
+    band, nonzero = {}, 0  # offset -> (value, complex value), for the nonzero values
     for o, v in zip(offsets, stencil):
         try:
-            finite = cmath.isfinite(complex(v))
+            z = complex(v)
+            finite = cmath.isfinite(z)
         except OverflowError:
             finite = False
         if not finite:
             raise ValueError(f"stencil offset {int(o)} has the non-finite value {v}")
-    band = {int(o): v for o, v in zip(offsets, stencil) if v != 0}
-    if len(band) != sum(1 for v in stencil if v != 0):
+        if v != 0:
+            band[int(o)] = (v, z)
+            nonzero += 1
+    if len(band) != nonzero:
         raise ValueError("duplicate offsets in stencil")
-    for o, v in band.items():
-        mirror = band.get(-o)
-        if mirror is None or mirror != np.conj(v):
+    for o, (v, z) in band.items():
+        mirror, conjugate = band.get(-o, (None, None))
+        if conjugate != z.conjugate():
             raise ValueError(
                 f"stencil is not Hermitian: offset {o} has value {v}, "
                 f"offset {-o} has {mirror}"
             )
-    pairs = tuple(sorted(band.items()))
+    order = sorted(band)
+    pairs = tuple((o, band[o][0]) for o in order)
 
     def generate(m: int):
         return [(m + o, v) for o, v in pairs]
 
     spec = InfiniteMatrixSpec(generate, max(len(pairs), 1), envelope)
-    values = np.array([complex(v) for _, v in pairs], dtype=np.complex128)
-    shifts = np.array([o for o, _ in pairs], dtype=np.intp)
+    shifts = np.array(order, dtype=np.intp)
+    values = np.array([band[o][1] for o in order], dtype=np.complex128)
     shifts.setflags(write=False)
     values.setflags(write=False)
     spec._stencil = (shifts, values)
@@ -450,14 +461,19 @@ def sparse_section(
 
 def _convolution(spec: InfiniteMatrixSpec, window: Window) -> Callable[[np.ndarray], np.ndarray]:
     """``sparse_section``'s step for a spec with a stencil, from the stencil
-    alone."""
+    alone.
+
+    The offsets are sorted and come in pairs ``+-o``, so the last is the
+    largest ``|o|``: when it is below ``dim``, as on every region of one walk
+    step or more, the kernel takes every offset and no mask is built."""
     offsets, values = spec._stencil
     dim = window.dim
-    near = np.abs(offsets) < dim
-    offsets, values = offsets[near], values[near]
+    if len(offsets) and offsets[-1] >= dim:
+        near = np.abs(offsets) < dim
+        offsets, values = offsets[near], values[near]
+    reach = int(offsets[-1]) if len(offsets) else 0
     if not values.imag.any():
         values = values.real
-    reach = int(offsets.max(initial=0))
     kernel = np.zeros(2 * reach + 1, dtype=values.dtype)
     kernel[reach - offsets] = values / -spec.envelope.w
     kernel[reach] += 1.0

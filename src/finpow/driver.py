@@ -58,7 +58,7 @@ from .errors import (
     SingularOperatorError,
 )
 from .powers import (
-    binomial_coefficients,
+    _binomial_rows,
     finite_power,  # noqa: F401 - perfbench/tracer.py wraps it by this name
     power_eigenvalues,
     spectral_element,
@@ -158,18 +158,26 @@ def _check_rayleigh(
     envelope: SpectralEnvelope, region: Window, u: np.ndarray, b_u: np.ndarray
 ) -> None:
     """Reject an envelope ``[c, norm_bound]`` that excludes ``<u, W u> / <u, u>``,
-    read as ``w (1 - <u, b u> / <u, u>)``.
+    read as ``w (1 - <u, b u> / <u, u>)`` (``_check_quotient``).
 
     ``u`` is supported on ``region``, where ``b_u`` is ``b u``; so this is the
     quadratic form of the infinite matrix, which any sound envelope holds.  A
     ``u`` whose entries all lie below the normal floats (zero included) has
-    too few bits for a quotient and passes unchecked.
+    too few bits for a quotient and passes unchecked.  ``_terms`` checks a
+    unit start vector without this scaling (see there).
     """
     largest = np.abs(u).max()
     if largest < _TINY:
         return
     u, b_u = u / largest, b_u / largest
-    quotient = envelope.w * (1.0 - np.vdot(u, b_u).real / np.vdot(u, u).real)
+    _check_quotient(envelope, region, np.vdot(u, b_u).real / np.vdot(u, u).real)
+
+
+def _check_quotient(envelope: SpectralEnvelope, region: Window, ratio) -> None:
+    """Reject an envelope ``[c, norm_bound]`` that excludes the Rayleigh
+    quotient ``w (1 - ratio)`` of ``W`` on ``region``, ``ratio`` that of
+    ``b``."""
+    quotient = envelope.w * (1.0 - ratio)
     slack = SPECTRUM_TOL * max(envelope.w, 1.0)
     if not envelope.c - slack <= quotient <= envelope.norm_bound + slack:
         raise MalformedSpecError(
@@ -182,16 +190,22 @@ def _terms(
     spec: InfiniteMatrixSpec,
     region: Window,
     step: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
+    start: np.ndarray | int,
     count: int,
 ):
     """The pairs ``(v_j, b v_j)`` for the ``count`` terms ``v_j = b**j start``
     of the series on the region ``R``, with ``b = I - W_R/w`` and ``step``
-    its product, ``sparse_section(spec, R)``: one step per term.
+    its product, ``sparse_section(spec, R)``: one step per term.  ``start``
+    is a vector on ``R``, or the array position ``p`` of the unit vector
+    ``e_p``.
 
     The Rayleigh quotients of ``start`` and of the last term must lie in the
-    envelope.  The last is checked before it is yielded, so a consumer that
-    takes exactly ``count`` pairs has run both checks.  The caller owns the
+    envelope (``_check_rayleigh``).  For ``e_p`` the quotient of ``b`` is
+    ``<e_p, b e_p> / <e_p, e_p> = (b e_p)[p]``, which the one dot product
+    ``<e_p, b e_p>`` gives bitwise as the scaled check does (``e_p`` has
+    norm 1, so it scales nothing), a non-finite entry of ``b e_p`` included.
+    The last is checked before it is yielded, so a consumer that takes
+    exactly ``count`` pairs has run both checks.  The caller owns the
     floating-point error state: an overflow shows as a non-finite sum.
 
     Raises
@@ -201,13 +215,46 @@ def _terms(
         it too, when a row breaks the spec's contract or the entries on ``R``
         fail the Hermitian spot-check.)
     """
-    term = start
+    unit = isinstance(start, int)
+    if unit:
+        term = np.zeros(region.dim)
+        term[start] = 1.0
+    else:
+        term = start
     for j in range(count):
         after = step(term)
-        if j == 0 or j == count - 1:
+        if j == 0 and unit:
+            _check_quotient(spec.envelope, region, np.vdot(term, after).real)
+        elif j == 0 or j == count - 1:
             _check_rayleigh(spec.envelope, region, term, after)
         yield term, after
         term = after
+
+
+def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
+    """The series ``C(beta, j) (-1)**j``, ``j < terms``, of an element sweep,
+    ``beta = alpha - k`` with ``k = floor(alpha)`` (0 for ``alpha < 0``), and
+    its ``k`` carries ``C(beta + r, terms - 1) (-1)**(terms - 1)``, ``r < k``
+    (see ``_element_certificate``), as floats.
+
+    The series runs the recurrence ``C(beta, j - 1) (beta - (j - 1)) / j``
+    one float at a time, in order, as numpy's cumulative product in
+    ``binomial_coefficients`` does, so every float is the same; a sweep has
+    only ``terms`` of them.  Carry 0 is the series' last term; the others are
+    the last column of one table, ``_binomial_rows``, whose rows run the same
+    recurrence at ``beta + r``.
+    """
+    k = max(math.floor(alpha), 0)
+    beta = alpha - k
+    series, coefficient = [1.0], 1.0
+    for j in range(1, terms):
+        coefficient *= (beta - (j - 1)) / j
+        series.append(-coefficient if j % 2 else coefficient)
+    carries = series[-1:] if k else []
+    if k > 1:
+        sign = (-1.0) ** (terms - 1)
+        carries += (sign * _binomial_rows(beta, k, terms)[1:, -1]).tolist()
+    return series, carries
 
 
 def _element_certificate(
@@ -257,9 +304,7 @@ def _element_certificate(
     envelope = spec.envelope
     w = envelope.w
     k = max(math.floor(alpha), 0)
-    beta = alpha - k
-    sign = (-1.0) ** (terms - 1)
-    carries = [sign * binomial_coefficients(beta + r, terms)[-1] for r in range(k)]
+    series, carries = _coefficients(alpha, terms)
     x = (w - envelope.c) / w
     if terms * _EPS * (2.0 + x ** terms * sum(map(abs, carries))) >= 1.0:
         raise NumericalFailureError(
@@ -270,10 +315,7 @@ def _element_certificate(
     lo, hi = min(m, n), max(m, n)
     region = walk.window(min(terms - 1, (terms - 1 + k) // 2))
     step = sparse_section(spec, region)
-    start = np.zeros(region.dim)
-    start[region.offset(lo)] = 1.0
-    series = binomial_coefficients(beta, terms)
-    series[1::2] *= -1.0
+    start = region.offset(lo)  # e_lo
     read = 0.0
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
         if not k and m == n:

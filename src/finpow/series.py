@@ -78,9 +78,12 @@ class SupportWalk:
     def __init__(self, spec: InfiniteMatrixSpec, starts: Iterable[int]):
         starts = set(starts)
         self.extents = [(min(starts), max(starts))]
-        # the stencil's largest offset; None for a spec that walks its rows
+        # the stencil's largest offset, the last of its sorted offsets (they
+        # come in pairs +-o); None for a spec that walks its rows
         stencil = spec._stencil
-        self._band = None if stencil is None else int(stencil[0].max(initial=0))
+        self._band = None
+        if stencil is not None:
+            self._band = int(stencil[0][-1]) if len(stencil[0]) else 0
         self._steps = _extents(spec, starts) if stencil is None else None
 
     def _walk(self, steps: int, widest: float = math.inf) -> list[tuple[int, int]]:

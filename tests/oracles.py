@@ -12,7 +12,16 @@ FFT-diagonalized power of the periodic lattice truncation
 (``circulant_power_element``), exact integer powers at one element by path
 expansion (``integer_power_element``) and the closed-form truncation depth
 of a fully populated band (``banded_depth_closed_form``).
+
+The ``numpy_*`` functions are the whole-array numpy formulations of the
+series plan that the library computes with fewer numpy calls, kept verbatim
+as the references its helpers must equal bitwise: the binomial
+coefficients, the terms ``|C(alpha, j)| x**j``, the closed-form full sum,
+the suffix sums of the tails, and the series and carries of an element
+sweep.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +38,17 @@ from finpow import (
     periodic_boundary,
     truncate,
 )
+from finpow.certificates import (
+    _CLOSED_FORM_ULPS,
+    _EPS,
+    _FIRST_CHUNK,
+    _SLOW_DECAY,
+    CLOSED_FORM_GAP,
+    MAX_DEPTH,
+    TAIL_TERM_CUTOFF,
+    _is_nonneg_integer,
+)
+from finpow.errors import NumericalFailureError
 from finpow.powers import _check_spectrum
 
 mp.mp.dps = 40
@@ -309,3 +329,116 @@ def banded_depth_closed_form(l, window, m, n):
             f"got (m, n)=({m}, {n}) in [-{window.P}, {window.Q}]"
         )
     return 1 + min(mi + window.P - 1, window.Q - ma - 1) // l
+
+
+def numpy_binomial_coefficients(alpha, count):
+    """First ``count`` coefficients C(alpha, 0..count-1) by the recurrence."""
+    if count <= 0:
+        return np.zeros(0)
+    j = np.arange(1, count)
+    ratios = (alpha - (j - 1)) / j
+    out = np.empty(count)
+    out[0] = 1.0
+    np.cumprod(ratios, out=out[1:])
+    return out
+
+
+def numpy_series_and_carries(alpha, terms):
+    """The signed series ``C(beta, j) (-1)**j``, ``j < terms``, and the
+    ``k = floor(alpha)`` carries ``C(beta + r, terms - 1) (-1)**(terms - 1)``
+    of an element sweep, ``beta = alpha - k``: one coefficient array per
+    carry."""
+    k = max(math.floor(alpha), 0)
+    beta = alpha - k
+    sign = (-1.0) ** (terms - 1)
+    carries = [sign * numpy_binomial_coefficients(beta + r, terms)[-1] for r in range(k)]
+    series = numpy_binomial_coefficients(beta, terms)
+    series[1::2] *= -1.0
+    return series, carries
+
+
+def numpy_closed_sum(alpha, x, r):
+    """``sum_j |C(alpha, j)| x**j`` in closed form, ``r = 1 - x``, for
+    ``alpha`` not a nonnegative integer."""
+    if alpha < 0.0:
+        return r ** alpha
+    fl = math.floor(alpha)
+    # C(alpha, j) >= 0 up to j = floor(alpha) + 1: these are the series' terms
+    terms, _ = numpy_abs_terms(alpha, x, 0, 1.0, fl + 2)
+    sign = -1.0 if fl % 2 else 1.0
+    return 2.0 * float(terms[fl % 2 :: 2].sum()) - sign * r ** alpha
+
+
+def numpy_abs_terms(alpha, x, j, term, count):
+    """``count`` terms ``|C(alpha, i)| x**i`` from ``i = j``, the first being
+    ``term``, by the ratio recurrence; and the term after them."""
+    idx = np.arange(j, j + count, dtype=np.float64)
+    ratios = np.empty(count)
+    ratios[0] = 1.0
+    ratios[1:] = np.abs(alpha - idx[:-1]) * x / (idx[:-1] + 1.0)
+    terms = term * np.cumprod(ratios)
+    after = float(terms[-1]) * abs(alpha - (j + count - 1)) * x / (j + count)
+    return terms, after
+
+
+def numpy_tails(alpha, x, depth, floor=0.0):
+    """Suffix sums ``S[j] = sum_{i>=j} |C(alpha, i)| x**i``, ``j = 0..n``, as
+    ``finpow.certificates._tails`` defines them."""
+    depth = min(depth, MAX_DEPTH)
+    if alpha == -1.0 and x < 1.0:
+        n = depth
+        if 0.0 < x and 0.0 < floor * (1.0 - x) < math.inf:
+            n = min(depth, 2 + max(0, math.ceil(math.log(floor * (1.0 - x)) / math.log(x))))
+        tails = x ** np.arange(n + 1.0) * ((1.0 + 4.0 * _EPS) / (1.0 - x))
+        tails[0] = 1.0 / (1.0 - x)
+        return tails
+    if x == 1.0 and alpha > 0.0:
+        last = math.floor(alpha)
+        n = max(depth, last + 1)
+        tails = np.empty(n + 1)
+        steps = np.arange(1, n + 1, dtype=np.float64)
+        tails[1:] = numpy_abs_terms(alpha - 1.0, 1.0, 0, 1.0, n)[0] * (1.0 + 4.0 * _EPS * steps)
+        head = np.append(numpy_abs_terms(alpha, 1.0, 0, 1.0, last + 1)[0], tails[last + 1])
+        tails[: last + 2] = np.cumsum(head[::-1])[::-1]
+        return tails[: depth + 1]
+    if x == 1.0:
+        raise NumericalFailureError(f"the series terms for alpha={alpha}, x={x} do not decay")
+    full = math.nan
+    slow = _SLOW_DECAY if x**_SLOW_DECAY <= TAIL_TERM_CUTOFF else 0
+    terms, term, n = np.empty(0), 1.0, 0
+    while True:
+        count = max(n, _FIRST_CHUNK)
+        block, term = numpy_abs_terms(alpha, x, n, term, count)
+        terms = np.concatenate((terms, block))
+        n += count
+        rho = max(abs(alpha - n) * x / (n + 1), x)
+        rest = 0.0 if not term else term / (1.0 - rho) if rho < 1.0 else math.inf
+        if alpha > 0.0 and n > alpha:
+            rest = min(rest, term * n / alpha)
+        low = 0.0
+        if n >= slow and rest and not _is_nonneg_integer(alpha):
+            if math.isnan(full):
+                try:
+                    full = numpy_closed_sum(alpha, x, 1.0 - x)
+                except OverflowError:
+                    full = math.inf
+            err = _CLOSED_FORM_ULPS * _EPS * full
+            left = full - float(terms.sum())
+            rest, low = min(rest, left + err), max(0.0, left - err)
+        if rest == math.inf:
+            if n >= MAX_DEPTH:
+                raise NumericalFailureError(
+                    f"the series terms for alpha={alpha}, x={x} do not decay "
+                    f"within {n} terms"
+                )
+            continue
+        tails = np.cumsum(np.append(terms, rest)[::-1])[::-1]
+        top = min(depth, n)
+        met = np.flatnonzero(tails[1 : top + 1] <= floor)
+        head = int(met[0]) + 1 if met.size else top
+        known = rest <= TAIL_TERM_CUTOFF * tails[head] or (
+            n >= slow and rest - low <= CLOSED_FORM_GAP * tails[head]
+        )
+        missed = n >= depth and 0.0 < floor < tails[top] - (rest - low)
+        if ((met.size or n >= depth) and known) or missed or n >= MAX_DEPTH:
+            return tails[: top + 1]

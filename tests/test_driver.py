@@ -1061,3 +1061,99 @@ class TestLocalSolve:
         _, spec, policy = unit_lattice
         result = local_solve(spec, policy, {0: 0.0}, [0, 1], 1e-6)
         assert result == {0: (0.0 + 0.0j, 0.0), 1: (0.0 + 0.0j, 0.0)}
+
+
+def _twins(offsets, stencil, envelope):
+    """A banded spec and its plain twin, the same rows presented by the
+    generator alone."""
+    spec = banded_spec(offsets, stencil, envelope)
+    return spec, InfiniteMatrixSpec(spec.row_generator, spec.sparsity_bound_k, envelope)
+
+
+class TestStartQuotient:
+    """An element sweep checks the quotient of its unit start vector from one
+    dot product; the errors are those of the scaled check on that vector."""
+
+    LOW = SpectralEnvelope(3.5, 6.0)  # the diagonal 3 lies below c
+    HIGH = SpectralEnvelope(0.5, 2.5)  # and above norm_bound
+
+    @pytest.mark.parametrize(
+        "envelope,alpha,m,n,region",
+        [
+            (LOW, 0.5, 4, 4, "[-5, 13]"),
+            (LOW, 0.5, 4, 6, "[-5, 15]"),
+            (LOW, 1.5, 6, 4, "[-5, 15]"),
+            (HIGH, 0.5, 4, 4, "[-26, 34]"),
+            (HIGH, 0.5, 4, 6, "[-26, 36]"),
+            (HIGH, 1.5, 6, 4, "[-21, 31]"),
+        ],
+    )
+    def test_diagonal_outside_the_envelope(self, envelope, alpha, m, n, region):
+        # diagonal, off-diagonal and alpha = 1.5 elements, on a banded spec
+        # and its plain twin: the same error and message, the quotient of e_lo
+        bounds = f"[{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
+        message = f"a Rayleigh quotient of W on the region {region} is 3, outside the envelope {bounds}"
+        for spec in _twins([-1, 0, 1], [-1.0, 3.0, -1.0], envelope):
+            with pytest.raises(MalformedSpecError) as err:
+                approximate_element(spec, zero_boundary, alpha, m, n, 1e-8)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "envelope,region", [(LOW, "[-18, 24]"), (HIGH, "[-86, 92]")]
+    )
+    def test_local_solve_checks_the_rhs(self, envelope, region):
+        # a solve's start vector is f, checked by the scaled quotient
+        bounds = f"[{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
+        message = f"a Rayleigh quotient of W on the region {region} is 3, outside the envelope {bounds}"
+        for spec in _twins([-1, 0, 1], [-1.0, 3.0, -1.0], envelope):
+            with pytest.raises(MalformedSpecError) as err:
+                local_solve(spec, zero_boundary, {3: 2.0}, [3], 1e-8)
+            assert str(err.value) == message
+
+    def test_unit_start_matches_the_scaled_check(self):
+        # on random regions and stencils, real and complex, the quotient of
+        # e_p passes or fails exactly as the scaled check on e_p does
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            l = int(rng.integers(1, 4))
+            upper = rng.normal(size=l) + 1j * rng.normal(size=l) * rng.integers(0, 2)
+            stencil = [*np.conj(upper[::-1]), float(rng.uniform(-1.0, 4.0)), *upper]
+            c = float(rng.uniform(0.0, 2.0))
+            envelope = SpectralEnvelope(c, c + float(rng.uniform(0.0, 3.0)))
+            spec = banded_spec(range(-l, l + 1), stencil, envelope)
+            region = Window(int(rng.integers(0, 9)), int(rng.integers(0, 9)))
+            p = int(rng.integers(0, region.dim))
+            step = sparse_section(spec, region)
+            unit = np.zeros(region.dim)
+            unit[p] = 1.0
+
+            def failure(check):
+                try:
+                    check()
+                except MalformedSpecError as exc:
+                    return str(exc)
+                return None
+
+            want = failure(lambda: driver._check_rayleigh(envelope, region, unit, step(unit)))
+            got = failure(lambda: next(driver._terms(spec, region, step, p, 2)))
+            assert got == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "offsets,diagonal,m,n,tol",
+        [
+            ([-1, 0, 1], 0.05, 0, 1, 1e-8),
+            ([-1, 0, 1], 0.5, 0, 1, 1e-8),
+            # one term, on the region [-1, 1]: from 0 the taps +-2 reach past
+            # it, so the entry (b e_0)[0] alone is finite, and in the envelope
+            ([-2, 0, 2], 0.05, 0, 0, 0.99),
+        ],
+    )
+    def test_non_finite_step_reads_nan(self, offsets, diagonal, m, n, tol):
+        # taps of 1e308 / w overflow to inf: the dot product <e_lo, b e_lo>
+        # meets 0 * inf, so the quotient reads nan whether or not the
+        # diagonal lies in the envelope, as the scaled check's does
+        envelope = SpectralEnvelope(0.01, 0.1)
+        for spec in _twins(offsets, [1e308, diagonal, 1e308], envelope):
+            with pytest.raises(MalformedSpecError, match=r"is nan, outside"):
+                approximate_element(spec, zero_boundary, 0.5, m, n, tol)
