@@ -7,21 +7,12 @@ a local solve, is the binomial series summed by sparse mat-vecs on the
 finite window its depth reaches; each answer ships with an a-priori error
 certificate, the series' tail.  The paper's dense window truncations with
 Hermitian corner corrections remain as the reference (``evaluate_window``,
-``convergence_table``).
+``convergence_table``).  The package exports that pipeline only; the layers
+under it stay in their modules (``finpow.certificates.tail_bound``, ...).
 """
 
-from .certificates import Certificate, certify, full_series_sum, tail_bound
-from .core import (
-    BoundarySpec,
-    FiniteHermitian,
-    InfiniteMatrixSpec,
-    SpectralEnvelope,
-    ValidationReport,
-    Window,
-    banded_spec,
-    truncate,
-    validate_truncation,
-)
+from .certificates import Certificate
+from .core import BoundarySpec, InfiniteMatrixSpec, SpectralEnvelope, Window, banded_spec
 from .driver import (
     approximate_element,
     convergence_table,
@@ -45,13 +36,9 @@ from .errors import (
 from .lattice import (
     LatticeModelParams,
     dispersion_integral_element,
-    fourier_symbol,
     lattice_spec,
-    periodic_boundary,
     periodic_policy,
 )
-from .powers import binomial_coefficients, finite_power
-from .series import TruncationDepth, truncation_depth
 
 __version__ = "0.1.0"
 
@@ -62,7 +49,6 @@ __all__ = [
     "DegenerateWindowError",
     "DivergentSeriesError",
     "DomainError",
-    "FiniteHermitian",
     "FinpowError",
     "InfiniteMatrixSpec",
     "InvalidBoundaryError",
@@ -73,26 +59,14 @@ __all__ = [
     "SingularOperatorError",
     "SingularityError",
     "SpectralEnvelope",
-    "TruncationDepth",
-    "ValidationReport",
     "Window",
     "approximate_element",
     "banded_spec",
-    "binomial_coefficients",
-    "certify",
     "convergence_table",
     "dispersion_integral_element",
     "evaluate_window",
-    "finite_power",
-    "fourier_symbol",
-    "full_series_sum",
     "lattice_spec",
     "local_solve",
-    "periodic_boundary",
     "periodic_policy",
-    "tail_bound",
-    "truncate",
-    "truncation_depth",
-    "validate_truncation",
     "zero_boundary",
 ]

@@ -252,7 +252,7 @@ def _tails(alpha: float, x: float, depth: int, floor: float = 0.0) -> np.ndarray
         head = np.append(_abs_terms(alpha, 1.0, 0, 1.0, last + 1)[0], tails[last + 1])
         tails[: last + 2] = np.cumsum(head[::-1])[::-1]
         return tails[: depth + 1]
-    if x == 1.0:
+    if x == 1.0 and alpha < 0.0:  # at alpha = 0 every term past the first is 0
         raise NumericalFailureError(f"the series terms for alpha={alpha}, x={x} do not decay")
     full = math.nan  # the closed-form full sum, once the decay is slow
     # from the start where x alone could not end the pass by _SLOW_DECAY terms
@@ -325,8 +325,8 @@ def tail_bound(alpha: float, c: float, w: float, j_start: int) -> float:
         As ``full_series_sum`` (``DivergentSeriesError`` included), or
         ``j_start < 0``.
     NumericalFailureError
-        As ``full_series_sum``, or the terms do not decay in float (``c``
-        so small against ``w`` that ``x`` rounds to 1).
+        As ``full_series_sum``, or the terms of a negative ``alpha`` do not
+        decay in float (``c`` so small against ``w`` that ``x`` rounds to 1).
     """
     full_series_sum(alpha, c, w)
     if j_start < 0:

@@ -58,7 +58,6 @@ from .errors import (
     SingularOperatorError,
 )
 from .powers import (
-    _binomial_rows,
     finite_power,  # noqa: F401 - perfbench/tracer.py wraps it by this name
     power_eigenvalues,
     spectral_element,
@@ -231,6 +230,23 @@ def _terms(
         term = after
 
 
+def _binomial_rows(alpha: float, rows: int, count: int) -> np.ndarray:
+    """``C(alpha + r, 0..count-1)`` in row ``r < rows``, ``count >= 1``.
+
+    The recurrence's ratios ``(alpha + r - (j - 1)) / j`` are multiplied up
+    along each row by one ``np.multiply.accumulate``, which runs in order: so
+    every row is bitwise the one-row recurrence at ``alpha + r`` (row 0 at
+    ``alpha`` itself, a zero's sign included).
+    """
+    top = alpha + np.arange(rows)
+    top[0] = alpha
+    j = np.arange(1.0, count)
+    ratios = np.empty((rows, count))
+    ratios[:, 0] = 1.0
+    np.divide(top[:, None] - (j - 1.0), j, out=ratios[:, 1:])
+    return np.multiply.accumulate(ratios, axis=1)
+
+
 def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     """The series ``C(beta, j) (-1)**j``, ``j < terms``, of an element sweep,
     ``beta = alpha - k`` with ``k = floor(alpha)`` (0 for ``alpha < 0``), and
@@ -238,11 +254,10 @@ def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     (see ``_element_certificate``), as floats.
 
     The series runs the recurrence ``C(beta, j - 1) (beta - (j - 1)) / j``
-    one float at a time, in order, as numpy's cumulative product in
-    ``binomial_coefficients`` does, so every float is the same; a sweep has
-    only ``terms`` of them.  Carry 0 is the series' last term; the others are
-    the last column of one table, ``_binomial_rows``, whose rows run the same
-    recurrence at ``beta + r``.
+    one float at a time, in order, as row 0 of ``_binomial_rows`` does, so
+    every float is the same; a sweep has only ``terms`` of them.  Carry 0 is
+    the series' last term; the others are the last column of one table,
+    ``_binomial_rows``, whose rows run the same recurrence at ``beta + r``.
     """
     k = max(math.floor(alpha), 0)
     beta = alpha - k
@@ -314,10 +329,10 @@ def _element_certificate(
         )
     lo, hi = min(m, n), max(m, n)
     region = walk.window(min(terms - 1, (terms - 1 + k) // 2))
-    step = sparse_section(spec, region)
     start = region.offset(lo)  # e_lo
     read = 0.0
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
+        step = sparse_section(spec, region)
         if not k and m == n:
             sweep = _terms(spec, region, step, start, (terms + 1) // 2)
             for i, (term, after) in zip(range(0, terms, 2), sweep):
@@ -388,10 +403,10 @@ def approximate_element(
         ``n`` or ``max_dim`` not an integer.
     NumericalFailureError
         The bound at ``alpha`` overflows a float, ``alpha`` is above
-        ``MAX_TAIL_TERMS``, or the series terms do not decay in float (``c``
-        so small against ``w`` that ``x`` rounds to 1), all raised before any
-        sweep; or the value overflows, or its round-off would leave no
-        certain digit.
+        ``MAX_TAIL_TERMS``, or the series terms of a negative ``alpha`` do
+        not decay in float (``c`` so small against ``w`` that ``x`` rounds to
+        1), all raised before any sweep; or the value overflows, or its
+        round-off would leave no certain digit.
     MalformedSpecError
         As ``_terms``.
     """
@@ -515,10 +530,10 @@ def local_solve(
         rhs[region.offset(n)] = fn / scale
     if not rhs.imag.any():
         rhs = rhs.real
-    step = sparse_section(spec, region)
     inside = [m for m in outs if region.contains(m)]
     at = np.array([region.offset(m) for m in inside], dtype=np.intp)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
+        step = sparse_section(spec, region)
         x = sum(term[at] for term, _ in _terms(spec, region, step, rhs, depth))
         x = x / envelope.w * scale
     if not np.isfinite(x).all():

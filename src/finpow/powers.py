@@ -15,32 +15,6 @@ from .errors import DomainError, SingularityError
 EIG_CLAMP_FACTOR = 1e-10
 
 
-def binomial_coefficients(alpha: float, count: int) -> np.ndarray:
-    """First ``count`` coefficients C(alpha, 0..count-1) by the recurrence
-    ``C(alpha, j) = C(alpha, j - 1) (alpha - (j - 1)) / j``: row 0 of
-    ``_binomial_rows``."""
-    if count <= 0:
-        return np.zeros(0)
-    return _binomial_rows(alpha, 1, count)[0]
-
-
-def _binomial_rows(alpha: float, rows: int, count: int) -> np.ndarray:
-    """``C(alpha + r, 0..count-1)`` in row ``r < rows``, ``count >= 1``.
-
-    The recurrence's ratios ``(alpha + r - (j - 1)) / j`` are multiplied up
-    along each row by one ``np.multiply.accumulate``, which runs in order: so
-    every row is bitwise the one-row recurrence at ``alpha + r`` (row 0 at
-    ``alpha`` itself, a zero's sign included).
-    """
-    top = alpha + np.arange(rows)
-    top[0] = alpha
-    j = np.arange(1.0, count)
-    ratios = np.empty((rows, count))
-    ratios[:, 0] = 1.0
-    np.divide(top[:, None] - (j - 1.0), j, out=ratios[:, 1:])
-    return np.multiply.accumulate(ratios, axis=1)
-
-
 def _check_spectrum(evals, alpha) -> float:
     """Check ascending eigenvalues for ``alpha``; return the clamp tolerance."""
     scale = max(abs(evals[0]), abs(evals[-1]), np.finfo(float).tiny)

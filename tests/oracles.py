@@ -28,15 +28,11 @@ import numpy as np
 
 from finpow import (
     DomainError,
-    FiniteHermitian,
     FinpowError,
     SingularityError,
     SpectralEnvelope,
     banded_spec,
-    binomial_coefficients,
     lattice_spec,
-    periodic_boundary,
-    truncate,
 )
 from finpow.certificates import (
     _CLOSED_FORM_ULPS,
@@ -48,7 +44,9 @@ from finpow.certificates import (
     TAIL_TERM_CUTOFF,
     _is_nonneg_integer,
 )
+from finpow.core import FiniteHermitian, truncate
 from finpow.errors import NumericalFailureError
+from finpow.lattice import periodic_boundary
 from finpow.powers import _check_spectrum
 
 mp.mp.dps = 40
@@ -98,7 +96,7 @@ def finite_power_series(matrix, alpha, w, terms):
 
     dim = matrix.dim
     ratio = (matrix.data - w * np.eye(dim, dtype=matrix.data.dtype)) / w
-    coeffs = binomial_coefficients(alpha, terms)
+    coeffs = numpy_binomial_coefficients(alpha, terms)
     total = np.zeros_like(ratio)
     power = np.eye(dim, dtype=ratio.dtype)
     for j in range(terms):

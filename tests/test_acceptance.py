@@ -18,20 +18,17 @@ from finpow import (
     Window,
     approximate_element,
     banded_spec,
-    certify,
     dispersion_integral_element,
     evaluate_window,
-    finite_power,
-    full_series_sum,
     lattice_spec,
-    periodic_boundary,
     periodic_policy,
-    tail_bound,
-    truncate,
-    truncation_depth,
-    validate_truncation,
     zero_boundary,
 )
+from finpow.certificates import certify, full_series_sum, tail_bound
+from finpow.core import truncate, validate_truncation
+from finpow.lattice import periodic_boundary
+from finpow.powers import finite_power
+from finpow.series import truncation_depth
 
 from oracles import (
     banded_depth_closed_form,
@@ -214,19 +211,20 @@ def test_criterion_5_power_identities():
 
 
 def test_criterion_6_exact_alpha_one_and_zero():
-    """approximate_element is exact with bound 0 for alpha in {0, 1}."""
-    spec = lattice_spec(UNIT)
-    policy = periodic_policy(UNIT)
-    for m, n in [(0, 0), (0, 1), (2, -1), (-3, -3)]:
-        cert = approximate_element(spec, policy, 1.0, m, n, 1e-12)
-        assert cert.bound == 0.0
-        assert abs(cert.value - spec.entry(m, n)) <= 1e-12
-        cert0 = approximate_element(spec, policy, 0.0, m, n, 1e-12)
-        assert cert0.bound == 0.0
-        assert abs(cert0.value - (1.0 if m == n else 0.0)) <= 1e-12
+    """approximate_element is exact with bound 0 for alpha in {0, 1}, on the
+    unit lattice and on a spec with c = 0 (x = 1)."""
+    c0 = banded_spec([-1, 0, 1], [-1.0, 2.0, -1.0], SpectralEnvelope(0.0, 4.0))
+    for spec, policy in [(lattice_spec(UNIT), periodic_policy(UNIT)), (c0, zero_boundary)]:
+        for m, n in [(0, 0), (0, 1), (2, -1), (-3, -3)]:
+            cert = approximate_element(spec, policy, 1.0, m, n, 1e-12)
+            assert cert.bound == 0.0
+            assert abs(cert.value - spec.entry(m, n)) <= 1e-12
+            cert0 = approximate_element(spec, policy, 0.0, m, n, 1e-12)
+            assert cert0.bound == 0.0
+            assert abs(cert0.value - (1.0 if m == n else 0.0)) <= 1e-12
     print(
         "\nPASS criterion 6: alpha=1 returns the entry and alpha=0 the "
-        "Kronecker delta, both with bound 0"
+        "Kronecker delta, both with bound 0, c = 0 included"
     )
 
 

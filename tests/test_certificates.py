@@ -12,17 +12,21 @@ from finpow import (
     DomainError,
     NumericalFailureError,
     SpectralEnvelope,
-    TruncationDepth,
     Window,
     approximate_element,
     banded_spec,
-    certify,
-    full_series_sum,
-    tail_bound,
     zero_boundary,
 )
 from finpow import certificates
-from finpow.certificates import _FIRST_CHUNK, _tails, required_depth
+from finpow.certificates import (
+    _FIRST_CHUNK,
+    _tails,
+    certify,
+    full_series_sum,
+    required_depth,
+    tail_bound,
+)
+from finpow.series import TruncationDepth
 
 from oracles import mp_abs_binom_full, mp_abs_binom_partial, mp_abs_binom_tail
 

@@ -127,6 +127,26 @@ class TestApprox:
         assert out == ""
         assert "c = 0" in err
 
+    @pytest.mark.parametrize("m,n,value", [("0", "0", 1), ("0", "1", 0)])
+    def test_power_zero_with_c_zero_exit_0(self, capsys, banded_c0_config, m, n, value):
+        # C(0, j) = 0 past j = 0: the series is the identity and its tail is
+        # 0 at every depth, though x = 1
+        code, out, err = run_cli(
+            capsys, "approx", banded_c0_config,
+            "--alpha", "0", "--m", m, "--n", n, "--tol", "1e-6",
+        )
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["value"] == [value, 0]
+        assert (record["bound"], record["j_pq"]) == (0, 1)
+        code, out, err = run_cli(
+            capsys, "table", banded_c0_config,
+            "--alpha", "0", "--m", m, "--n", n, "--windows", "2,5",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",0") for row in rows)
+
     @pytest.mark.parametrize("m,n,out", [("0", "0", 0), ("3", "-2", 3)])
     def test_non_finite_stencil_exit_3(self, capsys, tmp_path, m, n, out):
         # JSON's Infinity passes the config's number checks; banded_spec

@@ -12,7 +12,6 @@ from finpow import core, series
 from finpow import (
     BoundarySpec,
     Certificate,
-    FiniteHermitian,
     FinpowError,
     InfiniteMatrixSpec,
     InvalidBoundaryError,
@@ -26,14 +25,11 @@ from finpow import (
     evaluate_window,
     lattice_spec,
     local_solve,
-    periodic_boundary,
-    truncate,
-    truncation_depth,
-    validate_truncation,
     zero_boundary,
 )
-from finpow.core import sparse_section
-from finpow.series import SupportWalk
+from finpow.core import FiniteHermitian, sparse_section, truncate, validate_truncation
+from finpow.lattice import periodic_boundary
+from finpow.series import SupportWalk, truncation_depth
 
 from oracles import dense_section
 

@@ -24,26 +24,22 @@ from finpow import (
     convergence_table,
     dispersion_integral_element,
     evaluate_window,
-    finite_power,
-    full_series_sum,
     lattice_spec,
     local_solve,
     periodic_policy,
-    tail_bound,
-    truncate,
-    truncation_depth,
     zero_boundary,
 )
-from finpow.certificates import required_depth
-from finpow.core import sparse_section
+from finpow.certificates import full_series_sum, required_depth, tail_bound
+from finpow.core import sparse_section, truncate
 from finpow.driver import MAX_DIM
-from finpow.powers import binomial_coefficients
-from finpow.series import SupportWalk
+from finpow.powers import finite_power
+from finpow.series import SupportWalk, truncation_depth
 
 from oracles import (
     dense_section,
     mp_abs_binom_tail,
     mp_dispersion_integral,
+    numpy_binomial_coefficients,
     random_banded_spec,
     toeplitz_power_element,
 )
@@ -532,7 +528,7 @@ def _one_sided(spec, alpha, cert):
     lo, hi = min(m, n), max(m, n)
     start = np.zeros(window.dim)
     start[window.offset(lo)] = 1.0
-    series = binomial_coefficients(alpha, terms)
+    series = numpy_binomial_coefficients(alpha, terms)
     series[1::2] *= -1.0
     sweep = driver._terms(spec, window, sparse_section(spec, window), start, terms)
     at = window.offset(hi)
@@ -1138,7 +1134,6 @@ class TestStartQuotient:
             got = failure(lambda: next(driver._terms(spec, region, step, p, 2)))
             assert got == want
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize(
         "offsets,diagonal,m,n,tol",
         [
@@ -1152,8 +1147,19 @@ class TestStartQuotient:
     def test_non_finite_step_reads_nan(self, offsets, diagonal, m, n, tol):
         # taps of 1e308 / w overflow to inf: the dot product <e_lo, b e_lo>
         # meets 0 * inf, so the quotient reads nan whether or not the
-        # diagonal lies in the envelope, as the scaled check's does
+        # diagonal lies in the envelope, as the scaled check's does; the
+        # step is built under the sweep's error state, so no overflow
+        # warning escapes (the suite turns one into an error)
         envelope = SpectralEnvelope(0.01, 0.1)
         for spec in _twins(offsets, [1e308, diagonal, 1e308], envelope):
             with pytest.raises(MalformedSpecError, match=r"is nan, outside"):
                 approximate_element(spec, zero_boundary, 0.5, m, n, tol)
+
+    @pytest.mark.parametrize("f", [{0: 1.0}, {0: 1j, 2: 1.0}])
+    def test_non_finite_step_solve_reads_nan(self, f):
+        # a solve's step overflows as an element's does: the quotient of f
+        # reads nan, with no overflow warning
+        envelope = SpectralEnvelope(0.01, 0.1)
+        for spec in _twins([-1, 0, 1], [1e308, 0.05, 1e308], envelope):
+            with pytest.raises(MalformedSpecError, match=r"is nan, outside"):
+                local_solve(spec, zero_boundary, f, [0, 1], 1e-8)

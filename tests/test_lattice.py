@@ -9,13 +9,11 @@ from finpow import (
     SingularityError,
     Window,
     dispersion_integral_element,
-    finite_power,
-    fourier_symbol,
     lattice_spec,
-    periodic_boundary,
-    truncate,
-    validate_truncation,
 )
+from finpow.core import truncate, validate_truncation
+from finpow.lattice import fourier_symbol, periodic_boundary
+from finpow.powers import finite_power
 
 from oracles import circulant_power_element, mp_dispersion_integral
 

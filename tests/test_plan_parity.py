@@ -12,10 +12,9 @@ past it.
 import numpy as np
 import pytest
 
-from finpow import NumericalFailureError, binomial_coefficients
+from finpow import NumericalFailureError
 from finpow.certificates import _FIRST_CHUNK, _abs_terms, _closed_sum, _tails
-from finpow.driver import _coefficients
-from finpow.powers import _binomial_rows
+from finpow.driver import _binomial_rows, _coefficients
 from oracles import (
     numpy_abs_terms,
     numpy_binomial_coefficients,
@@ -45,12 +44,6 @@ def outcome(fn, *args):
 
 
 class TestBinomials:
-    @pytest.mark.parametrize("alpha", ALPHAS + (-0.0, 0.0, 2.0, 1e-3))
-    def test_coefficients(self, alpha):
-        for count in (-1, 0, *COUNTS):
-            got, want = binomial_coefficients(alpha, count), numpy_binomial_coefficients(alpha, count)
-            assert same(got, want), (alpha, count)
-
     @pytest.mark.parametrize("alpha", ALPHAS + (-0.0, 0.0, 1.0, 2.0, 3.0, 400.5))
     def test_series_and_carries(self, alpha):
         # an element sweep's series as floats; its carries from the series
@@ -100,6 +93,11 @@ class TestTails:
             for floor in (0.0, 1e-300, 1e-40, 1e-12, 1e-6, 0.5):
                 got = outcome(_tails, alpha, x, depth, floor)
                 want = outcome(numpy_tails, alpha, x, depth, floor)
+                if (alpha, x) == (0.0, 1.0):
+                    # numpy_tails raises "do not decay" here; C(0, j) = 0
+                    # past j = 0, so the tails are exact in the first chunk
+                    want = np.zeros(min(depth, _FIRST_CHUNK) + 1)
+                    want[0] = 1.0
                 if isinstance(want, tuple):
                     assert got == want
                     continue

@@ -10,10 +10,9 @@ from finpow import (
     Window,
     banded_spec,
     lattice_spec,
-    truncate,
-    truncation_depth,
 )
-from finpow.series import SupportWalk
+from finpow.core import truncate
+from finpow.series import SupportWalk, truncation_depth
 
 from oracles import (
     BudgetExceededError,
