@@ -352,43 +352,6 @@ class FiniteHermitian:
         return self.data[w.offset(m), w.offset(n)]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Eigenvalue extremes of a truncation checked against its envelope."""
-
-    min_eigenvalue: float
-    max_eigenvalue: float
-    lower_limit: float
-    upper_limit: float
-    tol: float
-    lower_ok: bool
-    upper_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.lower_ok and self.upper_ok
-
-    @classmethod
-    def from_eigenvalues(
-        cls,
-        eigenvalues: np.ndarray,
-        envelope: SpectralEnvelope,
-        tol: float,
-    ) -> "ValidationReport":
-        """Check ascending eigenvalues against ``[c - tol, w + tol]``."""
-        lo = float(eigenvalues[0])
-        hi = float(eigenvalues[-1])
-        return cls(
-            min_eigenvalue=lo,
-            max_eigenvalue=hi,
-            lower_limit=envelope.c,
-            upper_limit=envelope.w,
-            tol=tol,
-            lower_ok=lo >= envelope.c - tol,
-            upper_ok=hi <= envelope.w + tol,
-        )
-
-
 def _section(spec: InfiniteMatrixSpec, window: Window):
     """The entries of ``spec`` inside ``window`` as COO arrays ``(rows, cols,
     values)``, indexed by array position, row by row and, within a row, by
@@ -543,15 +506,13 @@ def validate_truncation(
     matrix: FiniteHermitian,
     envelope: SpectralEnvelope,
     tol: float,
-) -> ValidationReport:
-    """Check the eigenvalue extremes of a truncation against its envelope.
-
-    Passes when the smallest eigenvalue is at least ``c - tol`` and the
-    largest at most ``norm_bound + d + tol``.  The caller decides whether a
-    failure is fatal.
+) -> bool:
+    """Whether the eigenvalue extremes of a truncation lie in its envelope:
+    the smallest at least ``c - tol``, the largest at most
+    ``norm_bound + d + tol``.  The caller decides whether a failure is fatal.
     """
     try:
         eigenvalues = np.linalg.eigvalsh(matrix.data)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    return ValidationReport.from_eigenvalues(eigenvalues, envelope, tol)
+    return bool(envelope.c - tol <= eigenvalues[0] and eigenvalues[-1] <= envelope.w + tol)

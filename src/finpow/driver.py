@@ -42,7 +42,6 @@ from .core import (
     BoundarySpec,
     InfiniteMatrixSpec,
     SpectralEnvelope,
-    ValidationReport,
     Window,
     sparse_section,
     truncate,
@@ -74,6 +73,9 @@ SPECTRUM_TOL = 1e-9
 # Default cap on the region dimension and depth of a sweep; the command line
 # also caps the windows of `table` and `example` with it.
 MAX_DIM = 2049
+
+# The most entries of one block of the carries' binomial table (8 MB).
+_TABLE_ENTRIES = 2**20
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -131,15 +133,12 @@ def evaluate_window(
         evals, vecs = np.linalg.eigh(matrix.data)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    report = ValidationReport.from_eigenvalues(
-        evals, envelope, SPECTRUM_TOL * max(envelope.w, 1.0)
-    )
-    if not report.passed:
+    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
+    lo, hi = float(evals[0]), float(evals[-1])
+    if not (envelope.c - slack <= lo and hi <= envelope.w + slack):
         raise InvalidBoundaryError(
-            f"truncation at window {window} violates the "
-            f"envelope: eigenvalues in [{report.min_eigenvalue:.6g}, "
-            f"{report.max_eigenvalue:.6g}], required "
-            f"[{report.lower_limit:.6g}, {report.upper_limit:.6g}]"
+            f"truncation at window {window} violates the envelope: eigenvalues in "
+            f"[{lo:.6g}, {hi:.6g}], required [{envelope.c:.6g}, {envelope.w:.6g}]"
         )
     powered = power_eigenvalues(evals, alpha)
     value = spectral_element(vecs, powered, window.offset(m), window.offset(n))
@@ -230,16 +229,18 @@ def _terms(
         term = after
 
 
-def _binomial_rows(alpha: float, rows: int, count: int) -> np.ndarray:
-    """``C(alpha + r, 0..count-1)`` in row ``r < rows``, ``count >= 1``.
+def _binomial_rows(alpha: float, rows: int, count: int, first: int = 0) -> np.ndarray:
+    """``C(alpha + r, 0..count-1)`` in the row of ``r``, for the ``rows`` rows
+    ``r = first, first + 1, ...``, ``count >= 1``.
 
     The recurrence's ratios ``(alpha + r - (j - 1)) / j`` are multiplied up
     along each row by one ``np.multiply.accumulate``, which runs in order: so
     every row is bitwise the one-row recurrence at ``alpha + r`` (row 0 at
-    ``alpha`` itself, a zero's sign included).
+    ``alpha`` itself, a zero's sign included), whatever block it is built in.
     """
-    top = alpha + np.arange(rows)
-    top[0] = alpha
+    top = alpha + np.arange(first, first + rows)
+    if first == 0:
+        top[0] = alpha
     j = np.arange(1.0, count)
     ratios = np.empty((rows, count))
     ratios[:, 0] = 1.0
@@ -256,8 +257,15 @@ def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     The series runs the recurrence ``C(beta, j - 1) (beta - (j - 1)) / j``
     one float at a time, in order, as row 0 of ``_binomial_rows`` does, so
     every float is the same; a sweep has only ``terms`` of them.  Carry 0 is
-    the series' last term; the others are the last column of one table,
-    ``_binomial_rows``, whose rows run the same recurrence at ``beta + r``.
+    the series' last term; the others are the last column of the rows of
+    ``_binomial_rows``, which run the same recurrence at ``beta + r``.  The
+    rows are built in blocks of at most ``_TABLE_ENTRIES`` entries, and the
+    first block that holds a non-finite carry ends the build.
+
+    Raises
+    ------
+    NumericalFailureError
+        A carry overflows (``C(beta + r, terms - 1)`` grows with ``r``).
     """
     k = max(math.floor(alpha), 0)
     beta = alpha - k
@@ -266,9 +274,16 @@ def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
         coefficient *= (beta - (j - 1)) / j
         series.append(-coefficient if j % 2 else coefficient)
     carries = series[-1:] if k else []
-    if k > 1:
-        sign = (-1.0) ** (terms - 1)
-        carries += (sign * _binomial_rows(beta, k, terms)[1:, -1]).tolist()
+    block = max(_TABLE_ENTRIES // terms, 1)
+    for first in range(1, k, block):
+        with np.errstate(all="ignore"):  # a non-finite carry raises below
+            last = _binomial_rows(beta, min(block, k - first), terms, first)[:, -1]
+        if not np.isfinite(last).all():
+            raise NumericalFailureError(
+                f"at alpha={alpha} the sweep's carries C({beta:g} + r, {terms - 1}), "
+                f"r < {k}, overflow a float"
+            )
+        carries += ((-1.0) ** (terms - 1) * last).tolist()
     return series, carries
 
 
@@ -294,8 +309,9 @@ def _element_certificate(
     step.  Every factor there has norm at most 1.  Its round-off is about
     ``J eps w**alpha (2 + x**J sum|a_r|)``, ``a_r = C(beta + r, J - 1)``;
     ``w**alpha`` bounds every element of ``W**alpha``, so when that round-off
-    reaches it the call fails rather than certify a value with no certain
-    digit (``NumericalFailureError``, as for a value that overflows).
+    reaches it (or the estimate is NaN) the call fails rather than certify a
+    value with no certain digit (``NumericalFailureError``, as for a carry or
+    a value that overflows).
 
     Each piece of the read is a polynomial of degree at most
     ``L = J - 1 + k`` in ``W`` at ``(max(m, n), min(m, n))``: a sum over
@@ -321,7 +337,8 @@ def _element_certificate(
     k = max(math.floor(alpha), 0)
     series, carries = _coefficients(alpha, terms)
     x = (w - envelope.c) / w
-    if terms * _EPS * (2.0 + x ** terms * sum(map(abs, carries))) >= 1.0:
+    # fails closed: 0 * inf, from x**terms underflowing, is NaN
+    if not terms * _EPS * (2.0 + x ** terms * sum(map(abs, carries))) < 1.0:
         raise NumericalFailureError(
             f"at alpha={alpha} the round-off of the sweep's {terms} terms "
             f"reaches w**alpha, which bounds every element: it would leave no "
@@ -405,8 +422,9 @@ def approximate_element(
         The bound at ``alpha`` overflows a float, ``alpha`` is above
         ``MAX_TAIL_TERMS``, or the series terms of a negative ``alpha`` do
         not decay in float (``c`` so small against ``w`` that ``x`` rounds to
-        1), all raised before any sweep; or the value overflows, or its
-        round-off would leave no certain digit.
+        1), all raised before any sweep; or a carry of ``floor(alpha)``
+        overflows, or the round-off would leave no certain digit, both
+        raised before the sweep; or the value overflows.
     MalformedSpecError
         As ``_terms``.
     """

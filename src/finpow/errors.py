@@ -22,8 +22,10 @@ class DegenerateWindowError(FinpowError):
 
 
 class NumericalFailureError(FinpowError):
-    """A numerical routine (eigendecomposition, quadrature, series
-    summation) failed to converge within its iteration guard."""
+    """A numerical routine failed: an eigendecomposition or the dispersion
+    quadrature did not converge, the series terms do not decay in float, a
+    bound, a carry or a value overflows a float, or the round-off of a sweep
+    would leave no certain digit."""
 
 
 class DomainError(FinpowError, ValueError):

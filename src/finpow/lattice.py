@@ -24,7 +24,9 @@ from .core import (
 )
 from .errors import DegenerateWindowError, DomainError, NumericalFailureError
 
-# Constants of dispersion_integral_element's Romberg quadrature.
+# Constants of dispersion_integral_element's periodic trapezoid rule: the
+# first number of points, the agreement that stops the doubling, and the most
+# doublings.
 QUADRATURE_POINTS = 16
 QUADRATURE_TOL = 1e-12
 QUADRATURE_MAX_REFINEMENTS = 18
@@ -105,39 +107,28 @@ def dispersion_integral_element(
     """Infinite-matrix element by quadrature of the dispersion integral.
 
     Integrates ``symbol(kappa)**alpha * cos(2 pi kappa (m - n))`` over one
-    period with the periodic trapezoid rule on ``QUADRATURE_POINTS`` points,
-    doubling the points and Richardson-extrapolating (a Romberg table) until
-    two successive estimates agree to ``QUADRATURE_TOL`` relative, or
-    absolute when the estimate is below one.
+    period as the mean of its samples on ``QUADRATURE_POINTS`` equispaced
+    points (the periodic trapezoid rule), doubling the points until two
+    successive estimates agree to ``QUADRATURE_TOL`` relative, or absolute
+    when the estimate is below one.  The integrand is periodic and analytic
+    (the symbol lies in ``[a, a + 4b]``, away from 0), so the rule converges
+    geometrically in the number of points, with no ``h**2`` error term to
+    extrapolate away (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 
     Raises
     ------
     NumericalFailureError
-        If ``QUADRATURE_MAX_REFINEMENTS`` refinements pass before
-        convergence.
+        If ``QUADRATURE_MAX_REFINEMENTS`` estimates pass with no two
+        successive ones agreeing.
     """
-    delta = m - n
-
-    def mean_of_samples(points: int) -> float:
+    points, previous = QUADRATURE_POINTS, math.inf  # the first estimate cannot agree
+    for _ in range(QUADRATURE_MAX_REFINEMENTS):
         kappa = np.arange(points) / points
         values = fourier_symbol(params, kappa) ** alpha
-        return float(np.mean(values * np.cos(2.0 * np.pi * kappa * delta)))
-
-    # Romberg table over successive doublings of the periodic trapezoid rule.
-    rows: list[list[float]] = []
-    points = QUADRATURE_POINTS
-    previous = math.inf
-    for level in range(QUADRATURE_MAX_REFINEMENTS):
-        row = [mean_of_samples(points)]
-        for k in range(1, level + 1):
-            factor = 4.0 ** k
-            row.append(row[k - 1] + (row[k - 1] - rows[level - 1][k - 1]) / (factor - 1.0))
-        rows.append(row)
-        estimate = row[-1]
-        if level > 0 and abs(estimate - previous) <= QUADRATURE_TOL * max(1.0, abs(estimate)):
+        estimate = float(np.mean(values * np.cos(2.0 * np.pi * kappa * (m - n))))
+        if abs(estimate - previous) <= QUADRATURE_TOL * max(1.0, abs(estimate)):
             return estimate
-        previous = estimate
-        points *= 2
+        previous, points = estimate, 2 * points
     raise NumericalFailureError(
         f"dispersion quadrature did not reach tol={QUADRATURE_TOL} within "
         f"{QUADRATURE_MAX_REFINEMENTS} refinements"

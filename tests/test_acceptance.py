@@ -76,7 +76,7 @@ def test_criterion_2_certificate_soundness():
         window = Window(margin, margin)
         ambient = Window(8 * margin, 8 * margin)
         matrix = truncate(spec, window)
-        assert validate_truncation(matrix, spec.envelope, 1e-12).passed
+        assert validate_truncation(matrix, spec.envelope, 1e-12)
         reference_matrix = truncate(spec, ambient)
         for alpha in (-1.0, -0.5, 0.5, 1.5):
             cases += 1
@@ -195,7 +195,7 @@ def test_criterion_5_power_identities():
         half = (size - 1) // 2
         window = Window(half, half)
         matrix = truncate(spec, window, periodic_boundary(window, UNIT))
-        assert validate_truncation(matrix, spec.envelope, 1e-9).passed
+        assert validate_truncation(matrix, spec.envelope, 1e-9)
         root = finite_power(matrix, 0.5)
         squared = root.data @ root.data
         gap_sq = np.abs(squared - matrix.data).max() / np.abs(matrix.data).max()

@@ -41,7 +41,6 @@ PUBLIC = [
 # names the package no longer exports, by the module that keeps them
 INTERNAL = {
     "FiniteHermitian": "finpow.core",
-    "ValidationReport": "finpow.core",
     "truncate": "finpow.core",
     "validate_truncation": "finpow.core",
     "TruncationDepth": "finpow.series",
@@ -77,6 +76,11 @@ def test_all_is_the_pipeline():
 def test_internals_stay_in_their_modules(name, module):
     assert not hasattr(finpow, name)
     assert getattr(importlib.import_module(module), name) is not None
+
+
+def test_validation_report_is_gone():
+    assert not hasattr(finpow, "ValidationReport")
+    assert not hasattr(importlib.import_module("finpow.core"), "ValidationReport")
 
 
 def test_binomial_coefficients_is_gone():

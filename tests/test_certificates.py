@@ -47,6 +47,12 @@ class TestFullSeriesSum:
     def test_alpha_zero(self):
         assert full_series_sum(0.0, 0.5, 2.0) == 1.0
 
+    def test_bound_overflowing_only_in_log_form(self):
+        # the sum (c/w)**alpha = 1e200 is a float, and so is w**alpha = 1e200;
+        # 2 w**alpha times the sum is not
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            full_series_sum(-100.0, 1e-4, 1e-2)
+
     def test_c_equal_w(self):
         for alpha in ALPHA_GRID:
             assert full_series_sum(alpha, 3.0, 3.0) == pytest.approx(1.0, rel=1e-12)

@@ -570,6 +570,84 @@ class TestUsageAndConfig:
         row = out.strip().splitlines()[1]
         assert float(row.split(",")[2]) == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"kind": "banded", "offsets": [0], "stencil": [2.0], "envelope": [2.0, 2.0]}',
+             "field 'envelope' in banded config must be an object"),
+            ('{"kind": "lattice", "a": 1.0, "b": 1.0, "boundary": "periodic"}',
+             "field 'boundary' must be an object"),
+            ('{"kind": "lattice", "a": 1.0, "b": 1.0,'
+             ' "boundary": {"kind": "corners", "entries": {"0": 1.0}}}',
+             "field 'boundary.entries' must be a list"),
+            ('{"kind": "lattice", "a": 1.0, "b": 1.0,'
+             ' "boundary": {"kind": "corners", "entries": [[-4, 4, -1.0]]}}',
+             "must be [i, j, re, im]"),
+            ('{"kind": "lattice", "a": 1.0, "b": 1.0,'
+             ' "boundary": {"kind": "corners", "entries": [[-4.0, 4, -1.0, 0.0]]}}',
+             "boundary entry indices must be integers"),
+            ('{"kind": "lattice", "a": 1.0, "b": 1.0, "boundary": {"kind": "mirror"}}',
+             "unknown boundary kind 'mirror'"),
+            ('{"kind": "banded", "offsets": [-1, 0, 1], "stencil": [-1.0, 3.0],'
+             ' "envelope": {"c": 1.0, "norm_bound": 5.0}}',
+             "field 'stencil' must be a list matching 'offsets'"),
+        ],
+        ids=[
+            "envelope_not_object", "boundary_not_object", "entries_not_list",
+            "entry_not_four", "entry_index_not_int", "unknown_boundary", "short_stencil",
+        ],
+    )
+    def test_config_error_named(self, capsys, tmp_path, config, message):
+        path = tmp_path / "bad.json"
+        path.write_text(config)
+        for argv in (
+            ["approx", "--tol", "1e-9"],
+            ["table", "--windows", "4"],
+        ):
+            code, out, err = run_cli(
+                capsys, argv[0], str(path), "--alpha", "1", "--m", "0", "--n", "0", *argv[1:]
+            )
+            assert code == 3
+            assert out == ""
+            assert message in err
+
+    def test_unreadable_config_exit_3(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "approx", str(tmp_path / "missing.json"),
+            "--alpha", "1", "--m", "0", "--n", "0", "--tol", "1e-9",
+        )
+        assert code == 3
+        assert out == ""
+        assert "cannot read config" in err
+
+    def test_empty_window_list_exit_3(self, capsys, lattice_config, no_truncation):
+        code, out, err = run_cli(
+            capsys, "table", lattice_config,
+            "--alpha", "1", "--m", "0", "--n", "0", "--windows", ",",
+        )
+        assert code == 3
+        assert out == ""
+        assert "must list at least one window" in err
+
+    def test_bad_out_list_exit_3(self, capsys, lattice_config, tmp_path):
+        rhs = tmp_path / "rhs.txt"
+        rhs.write_text("0,1.0,0.0\n")
+        code, out, err = run_cli(
+            capsys, "solve", lattice_config, "--rhs", str(rhs), "--out", "0,x", "--tol", "1e-6",
+        )
+        assert code == 3
+        assert out == ""
+        assert "bad index list '0,x'" in err
+
+    def test_unreadable_rhs_exit_3(self, capsys, lattice_config, tmp_path):
+        code, out, err = run_cli(
+            capsys, "solve", lattice_config,
+            "--rhs", str(tmp_path / "missing.txt"), "--out", "0", "--tol", "1e-6",
+        )
+        assert code == 3
+        assert out == ""
+        assert "cannot read rhs file" in err
+
     def test_module_entry_point(self, lattice_config):
         def run_module(*argv):
             return subprocess.run(

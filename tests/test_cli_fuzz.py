@@ -161,6 +161,12 @@ C0_BANDED_W_HALF = (
     ' "envelope": {"c": 0.0, "norm_bound": 0.5}}'
 )
 
+# symbol in [0.9993, 0.9997]: a sound envelope whose large powers need few terms
+TIGHT_BANDED = (
+    '{"kind": "banded", "offsets": [-1, 0, 1], "stencil": [-1e-4, 0.9995, -1e-4],'
+    ' "envelope": {"c": 0.999, "norm_bound": 1.0}}'
+)
+
 
 @given(command_lines())
 @settings(max_examples=1000, deadline=5000, derandomize=True)
@@ -189,6 +195,9 @@ C0_BANDED_W_HALF = (
           C0_BANDED_W1.replace("[-1, 0, 1]", f"[{-(10**30)}, 0, {10**30}]"), "0,1.0,0.0\n"))
 @example((["table", "@config", "--alpha", "0.5", "--m", "0", "--n", "0", "--windows", "4"],
           C0_BANDED_W1.replace("0.5,", f"{10**400},"), None))
+# the carries of floor(alpha) overflow: exit 3 before any sweep
+@example((["approx", "@config", "--alpha", "100000.5", "--m", "0", "--n", "0", "--tol", "1e-6"],
+          TIGHT_BANDED, None))
 def test_cli_exits_cleanly(case):
     argv, config, rhs = case
     code, out = run_main(argv, config, rhs)

@@ -161,6 +161,14 @@ class TestRowGenerator:
         with pytest.raises(ValueError):
             banded_spec([-1, 0, 1], [1.0, 2.0, -1.0], SpectralEnvelope(0.0, 4.0))
 
+    def test_stencil_length_must_match_offsets(self):
+        with pytest.raises(ValueError, match="offsets and stencil must have equal length"):
+            banded_spec([-1, 0, 1], [-1.0, 3.0], SpectralEnvelope(1.0, 5.0))
+
+    def test_duplicate_offset_rejected(self):
+        with pytest.raises(ValueError, match="duplicate offsets in stencil"):
+            banded_spec([0, 0], [1.0, 2.0], SpectralEnvelope(1.0, 5.0))
+
     @pytest.mark.parametrize(
         "stencil",
         [
@@ -325,12 +333,11 @@ class TestTruncate:
 
 class TestValidateTruncation:
     def test_identity_passes(self):
-        report = validate_truncation(
-            FiniteHermitian(Window(1, 1), np.eye(3)), IDENTITY_ENV, 1e-12
-        )
-        assert report.passed
-        assert report.min_eigenvalue == pytest.approx(1.0)
-        assert report.max_eigenvalue == pytest.approx(1.0)
+        matrix = FiniteHermitian(Window(1, 1), np.eye(3))
+        assert validate_truncation(matrix, IDENTITY_ENV, 1e-12) is True
+        eigenvalues = np.linalg.eigvalsh(matrix.data)
+        assert eigenvalues[0] == pytest.approx(1.0)
+        assert eigenvalues[-1] == pytest.approx(1.0)
 
     def test_periodic_3x3_eigenvalues(self, unit_lattice):
         params, spec, _ = unit_lattice
@@ -339,18 +346,20 @@ class TestValidateTruncation:
         # brute-force oracle for the 3x3 circulant
         oracle = np.sort(np.linalg.eigvalsh(matrix.data))
         np.testing.assert_allclose(oracle, [1.0, 4.0, 4.0], atol=1e-12)
-        report = validate_truncation(matrix, SpectralEnvelope(1.0, 5.0, 0.0), 1e-9)
-        assert report.passed
-        assert report.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
+        assert validate_truncation(matrix, SpectralEnvelope(1.0, 5.0, 0.0), 1e-9) is True
+        assert oracle[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tightened_envelope_fails(self, unit_lattice):
         params, spec, _ = unit_lattice
         window = Window(1, 1)
         matrix = truncate(spec, window, periodic_boundary(window, params))
-        report = validate_truncation(matrix, SpectralEnvelope(2.0, 5.0, 0.0), 1e-9)
-        assert not report.passed
-        assert not report.lower_ok
-        assert report.upper_ok
+        envelope = SpectralEnvelope(2.0, 5.0, 0.0)
+        assert validate_truncation(matrix, envelope, 1e-9) is False
+        eigenvalues = np.linalg.eigvalsh(matrix.data)
+        lower_ok = eigenvalues[0] >= envelope.c - 1e-9
+        upper_ok = eigenvalues[-1] <= envelope.w + 1e-9
+        assert not lower_ok
+        assert upper_ok
 
     @pytest.mark.parametrize("P,Q", [(1, 1), (3, 5), (8, 8), (16, 2)])
     def test_lattice_validates_at_every_window(self, unit_lattice, P, Q):
@@ -358,15 +367,16 @@ class TestValidateTruncation:
         window = Window(P, Q)
         for boundary in (None, periodic_boundary(window, params)):
             matrix = truncate(spec, window, boundary)
-            assert validate_truncation(matrix, spec.envelope, 1e-9).passed
+            assert validate_truncation(matrix, spec.envelope, 1e-9) is True
 
     def test_entry_bounded_by_spectral_radius(self, unit_lattice):
         params, spec, _ = unit_lattice
         for P, Q in [(2, 2), (5, 3), (7, 7)]:
             window = Window(P, Q)
             matrix = truncate(spec, window, periodic_boundary(window, params))
-            report = validate_truncation(matrix, spec.envelope, 1e-9)
-            radius = max(abs(report.min_eigenvalue), abs(report.max_eigenvalue))
+            assert validate_truncation(matrix, spec.envelope, 1e-9) is True
+            eigenvalues = np.linalg.eigvalsh(matrix.data)
+            radius = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
             assert np.abs(matrix.data).max() <= radius + 1e-12
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,12 @@ def record_windows(monkeypatch):
 
     monkeypatch.setattr(driver, "truncate", recording)
     return truncated
+
+
+def tight_spec():
+    """Symbol 0.9995 - 2e-4 cos(theta), in [0.9993, 0.9997]: a sound, tight
+    envelope, so a large alpha needs few terms and many carries."""
+    return banded_spec([-1, 0, 1], [-1e-4, 0.9995, -1e-4], SpectralEnvelope(0.999, 1.0))
 
 
 def free_laplacian_spec():
@@ -221,6 +228,27 @@ class TestApproximateElement:
         _, spec, policy = unit_lattice
         with pytest.raises(NumericalFailureError, match="no certain digit"):
             approximate_element(spec, policy, 100.5, 0, 0, 1e-30, max_dim=65)
+
+    def test_many_carries_on_a_tight_envelope(self):
+        # k = 20000 carries of J = 65 terms, all finite
+        cert = approximate_element(tight_spec(), zero_boundary, 20000.5, 0, 0, 1e-6)
+        assert cert.depth.j_pq == 65
+        assert cert.bound <= 1e-6
+        reference = toeplitz_power_element(tight_spec(), 20000.5, 0, 0)
+        assert abs(cert.value - reference) <= cert.bound + 65 * EPS
+
+    @pytest.mark.parametrize("alpha", [50000.5, 100000.5, 700000.5])
+    def test_overflowing_carries_fail_in_bounded_memory(self, alpha):
+        # C(0.5 + r, J - 1) overflows for large r: the carries' table stops at
+        # its first non-finite block, with no warning, before any sweep
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalFailureError, match="carries .* overflow"):
+                approximate_element(tight_spec(), zero_boundary, alpha, 0, 0, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_alpha_rejected(self, unit_lattice, alpha):

@@ -6,11 +6,13 @@ from finpow import (
     DegenerateWindowError,
     DomainError,
     LatticeModelParams,
+    NumericalFailureError,
     SingularityError,
     Window,
     dispersion_integral_element,
     lattice_spec,
 )
+from finpow import lattice
 from finpow.core import truncate, validate_truncation
 from finpow.lattice import fourier_symbol, periodic_boundary
 from finpow.powers import finite_power
@@ -87,7 +89,7 @@ class TestPeriodicBoundary:
         # the constant vector is the ground mode at exactly a
         assert eigenvalues[0] == pytest.approx(params.a, abs=1e-10)
         assert eigenvalues[-1] <= params.a + 4.0 * params.b + 1e-10
-        assert validate_truncation(matrix, spec.envelope, 1e-9).passed
+        assert validate_truncation(matrix, spec.envelope, 1e-9)
 
 
 class TestCirculantPowerElement:
@@ -192,6 +194,13 @@ class TestDispersionIntegral:
             mine = dispersion_integral_element(params, alpha, delta, 0)
             oracle = float(mp_dispersion_integral(1.0, 1.0, alpha, delta))
             assert mine == pytest.approx(oracle, abs=1e-12)
+
+    def test_no_agreement_within_the_refinements_raises(self, unit_lattice, monkeypatch):
+        # the first estimate has none before it to agree with
+        params, _, _ = unit_lattice
+        monkeypatch.setattr(lattice, "QUADRATURE_MAX_REFINEMENTS", 1)
+        with pytest.raises(NumericalFailureError, match="did not reach tol"):
+            dispersion_integral_element(params, 1.0, 0, 0)
 
     def test_circulant_converges_to_integral(self):
         # a narrow spectral gap slows convergence enough to see the trend;
