@@ -95,9 +95,10 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
 
     Negative ``alpha`` (requires c > 0) sums to ``(c/w)**alpha``.  Positive
     non-integer ``alpha`` sums to a short alternating-sign finite sum plus a
-    ``(c/w)**alpha`` remainder.  Nonnegative integer ``alpha`` is a finite sum
-    evaluated directly.  This is the premise check of every bound; the driver
-    runs it before it plans any window.
+    ``(c/w)**alpha`` remainder.  Nonnegative integer ``alpha`` sums to
+    ``(1 + x)**alpha``: its terms are nonnegative and end at ``alpha``.  This
+    is the premise check of every bound; the driver runs it before it plans
+    any window.
 
     Raises
     ------
@@ -107,7 +108,9 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
         ``alpha`` not finite, or ``c > w``, ``c < 0`` or ``w <= 0``.
     NumericalFailureError
         ``alpha`` above ``MAX_TAIL_TERMS``, the sum is not a finite float, or
-        the largest bound, ``2 w**alpha`` times the sum, is not.
+        the largest bound, ``2 w**alpha`` times the sum, is not; or
+        ``alpha < 0`` with ``c/w`` so small that it rounds to 0 (``x`` is 1,
+        where the terms do not decay).
     """
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
@@ -126,6 +129,8 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
             f"alpha={alpha} needs more than {MAX_TAIL_TERMS} series terms"
         )
     x = (w - c) / w
+    if alpha < 0.0 and c / w == 0.0:  # (c/w)**alpha would divide by zero
+        raise NumericalFailureError(f"the series terms for alpha={alpha}, x={x} do not decay")
     try:
         # For alpha > 0 the sum is at least (1 + x)**floor(alpha).  When
         # that puts the sum, or the largest bound, a factor e or more past
@@ -137,9 +142,9 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
         ):
             raise OverflowError
         if _is_nonneg_integer(alpha):
-            # the series terminates: C(alpha, j) = 0 exactly for j > alpha
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = float(_tails(alpha, x, 0)[0])
+            # the binomial theorem: C(alpha, j) = 0 for j > alpha, and every
+            # earlier term is nonnegative
+            total = math.pow(1.0 + x, alpha)
         else:
             total = _closed_sum(alpha, x, c / w)
         # The largest bound in log form: w**alpha may underflow where the

@@ -74,9 +74,6 @@ SPECTRUM_TOL = 1e-9
 # also caps the windows of `table` and `example` with it.
 MAX_DIM = 2049
 
-# The most entries of one block of the carries' binomial table (8 MB).
-_TABLE_ENTRIES = 2**20
-
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -229,25 +226,6 @@ def _terms(
         term = after
 
 
-def _binomial_rows(alpha: float, rows: int, count: int, first: int = 0) -> np.ndarray:
-    """``C(alpha + r, 0..count-1)`` in the row of ``r``, for the ``rows`` rows
-    ``r = first, first + 1, ...``, ``count >= 1``.
-
-    The recurrence's ratios ``(alpha + r - (j - 1)) / j`` are multiplied up
-    along each row by one ``np.multiply.accumulate``, which runs in order: so
-    every row is bitwise the one-row recurrence at ``alpha + r`` (row 0 at
-    ``alpha`` itself, a zero's sign included), whatever block it is built in.
-    """
-    top = alpha + np.arange(first, first + rows)
-    if first == 0:
-        top[0] = alpha
-    j = np.arange(1.0, count)
-    ratios = np.empty((rows, count))
-    ratios[:, 0] = 1.0
-    np.divide(top[:, None] - (j - 1.0), j, out=ratios[:, 1:])
-    return np.multiply.accumulate(ratios, axis=1)
-
-
 def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     """The series ``C(beta, j) (-1)**j``, ``j < terms``, of an element sweep,
     ``beta = alpha - k`` with ``k = floor(alpha)`` (0 for ``alpha < 0``), and
@@ -255,12 +233,12 @@ def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     (see ``_element_certificate``), as floats.
 
     The series runs the recurrence ``C(beta, j - 1) (beta - (j - 1)) / j``
-    one float at a time, in order, as row 0 of ``_binomial_rows`` does, so
-    every float is the same; a sweep has only ``terms`` of them.  Carry 0 is
-    the series' last term; the others are the last column of the rows of
-    ``_binomial_rows``, which run the same recurrence at ``beta + r``.  The
-    rows are built in blocks of at most ``_TABLE_ENTRIES`` entries, and the
-    first block that holds a non-finite carry ends the build.
+    one float at a time, in order; a sweep has only ``terms`` of them.  Carry
+    0 is the series' last term.  The others run the same recurrence at
+    ``beta + r``, as one vector over ``r`` multiplied once per ``j``, in the
+    same order.  The largest, ``r = k - 1``, is run first, one float at a
+    time: ``|C(a, j)|`` is at most 1 for ``0 <= a <= j`` and grows with ``a``
+    above ``j``, so when it is finite every carry is, at every ``j``.
 
     Raises
     ------
@@ -273,18 +251,20 @@ def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     for j in range(1, terms):
         coefficient *= (beta - (j - 1)) / j
         series.append(-coefficient if j % 2 else coefficient)
-    carries = series[-1:] if k else []
-    block = max(_TABLE_ENTRIES // terms, 1)
-    for first in range(1, k, block):
-        with np.errstate(all="ignore"):  # a non-finite carry raises below
-            last = _binomial_rows(beta, min(block, k - first), terms, first)[:, -1]
-        if not np.isfinite(last).all():
-            raise NumericalFailureError(
-                f"at alpha={alpha} the sweep's carries C({beta:g} + r, {terms - 1}), "
-                f"r < {k}, overflow a float"
-            )
-        carries += ((-1.0) ** (terms - 1) * last).tolist()
-    return series, carries
+    if k < 2:
+        return series, series[-1:] if k else []
+    largest, top = 1.0, beta + (k - 1)
+    for j in range(1, terms):
+        largest *= (top - (j - 1)) / j
+    if not math.isfinite(largest):
+        raise NumericalFailureError(
+            f"at alpha={alpha} the sweep's carries C({beta:g} + r, {terms - 1}), "
+            f"r < {k}, overflow a float"
+        )
+    top, carries = beta + np.arange(1.0, k), np.ones(k - 1)
+    for j in range(1, terms):
+        carries *= (top - (j - 1)) / j
+    return series, series[-1:] + ((-1.0) ** (terms - 1) * carries).tolist()
 
 
 def _element_certificate(

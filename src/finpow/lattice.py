@@ -5,7 +5,9 @@ The model matrix generates the quadratic form
 ``{-1: -b, 0: a+2b, +1: -b}``.  With the periodic wrap term the truncation is
 a circulant, diagonalized by the discrete Fourier basis; the infinite-matrix
 element of every power is the corresponding dispersion integral, which is
-independently checkable against the generic truncation pipeline.
+independently checkable against the generic truncation pipeline.  The
+integral states the model on its own, by the symbol ``a + 4b sin(pi kappa)**2``
+(``fourier_symbol``): it does not read ``lattice_spec``, the code it checks.
 """
 
 from __future__ import annotations
@@ -88,14 +90,11 @@ def periodic_policy(params: LatticeModelParams):
 
 
 def fourier_symbol(params: LatticeModelParams, kappa):
-    """Dispersion relation of the infinite stencil at frequency ``kappa``."""
-    spec = lattice_spec(params)
-    row = spec.row(0)
+    """Dispersion relation ``a + 4b sin(pi kappa)**2`` of the infinite stencil
+    at frequency ``kappa``: ``a + 2b - 2b cos(2 pi kappa)`` without its
+    cancellation near ``kappa = 0``."""
     kappa = np.asarray(kappa, dtype=np.float64)
-    total = np.zeros_like(kappa)
-    for offset, value in row.items():
-        total = total + float(np.real(value)) * np.cos(2.0 * np.pi * offset * kappa)
-    return total
+    return params.a + 4.0 * params.b * np.sin(np.pi * kappa) ** 2
 
 
 def dispersion_integral_element(

@@ -53,6 +53,22 @@ class TestFullSeriesSum:
         with pytest.raises(NumericalFailureError, match="overflows"):
             full_series_sum(-100.0, 1e-4, 1e-2)
 
+    def test_integer_alpha_overflow_raises(self):
+        # (1 + x)**alpha = 2**1024 passes the log-form screen and overflows
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            full_series_sum(1024.0, 0.0, 1.0)
+
+    def test_underflowing_ratio_with_negative_alpha_raises(self):
+        # c/w rounds to 0, so x = 1: the terms of a negative power do not
+        # decay, and (c/w)**alpha would divide by zero
+        for alpha, c, w in [(-0.5, 1e-300, 1e300), (-1.0, 1e-320, 1e308)]:
+            with pytest.raises(NumericalFailureError, match="do not decay"):
+                full_series_sum(alpha, c, w)
+            with pytest.raises(NumericalFailureError, match="do not decay"):
+                tail_bound(alpha, c, w, 5)
+        # a positive power sums as at c = 0
+        assert full_series_sum(0.5, 1e-300, 1e300) == full_series_sum(0.5, 0.0, 1e300)
+
     def test_c_equal_w(self):
         for alpha in ALPHA_GRID:
             assert full_series_sum(alpha, 3.0, 3.0) == pytest.approx(1.0, rel=1e-12)
@@ -234,6 +250,13 @@ class TestTailBound:
                 tail_bound(alpha, 1e-320, 2.0, 10)
             with pytest.raises(NumericalFailureError, match="do not decay"):
                 required_depth(alpha, SpectralEnvelope(1e-320, 2.0), 1e-6, 1.0, 65)
+
+    def test_terms_that_do_not_decay_within_the_depth_limit_raise(self):
+        # x rounds to 1 - 2**-52, so the closed-form full sum (1 - x)**alpha
+        # overflows where (c/w)**alpha does not: it closes no pass, and the
+        # terms have not decayed by MAX_DEPTH
+        with pytest.raises(NumericalFailureError, match="do not decay within"):
+            tail_bound(-19.7, 2.5e-16, 1.0, 5)
 
     def test_slow_decay_keeps_an_upper_bound(self):
         # at c/w = 1e-9 the terms decay too slowly to sum out; the closed-form

@@ -62,8 +62,14 @@ def banded_configs(draw):
     half = draw(st.integers(0, 2))
     couplings = [draw(mostly(st.floats(-1.0, 1.0), st.one_of(specials, huge))) for _ in range(half)]
     spread = 2.0 * sum(abs(b) for b in couplings if isinstance(b, float))  # no huge integer
-    c = draw(mostly(st.floats(0.0, 2.0), specials))
-    norm_bound = draw(mostly(st.just(c + 2.0 * spread), specials))
+    if draw(st.integers(0, 7)) == 0:
+        # an envelope whose c/w underflows: drawn one by one, such a pair
+        # comes up about once in 10,000 draws
+        c = draw(st.sampled_from([1e-320, 1e-300]))
+        norm_bound = draw(st.sampled_from([1e300, 1e308]))
+    else:
+        c = draw(mostly(st.floats(0.0, 2.0), specials))
+        norm_bound = draw(mostly(st.just(c + 2.0 * spread), specials))
     offsets = list(range(-half, half + 1))
     stencil = [couplings[abs(o) - 1] if o else c + spread for o in offsets]
     far = draw(mostly(st.none(), huge.map(abs)))
@@ -161,6 +167,12 @@ C0_BANDED_W_HALF = (
     ' "envelope": {"c": 0.0, "norm_bound": 0.5}}'
 )
 
+# c/w rounds to 0: the terms of a negative power do not decay
+UNDERFLOWING_BANDED = (
+    '{"kind": "banded", "offsets": [0], "stencil": [1.0],'
+    ' "envelope": {"c": 1e-320, "norm_bound": 1e308}}'
+)
+
 # symbol in [0.9993, 0.9997]: a sound envelope whose large powers need few terms
 TIGHT_BANDED = (
     '{"kind": "banded", "offsets": [-1, 0, 1], "stencil": [-1e-4, 0.9995, -1e-4],'
@@ -198,6 +210,15 @@ TIGHT_BANDED = (
 # the carries of floor(alpha) overflow: exit 3 before any sweep
 @example((["approx", "@config", "--alpha", "100000.5", "--m", "0", "--n", "0", "--tol", "1e-6"],
           TIGHT_BANDED, None))
+# c/w underflows with alpha < 0: exit 3, where (c/w)**alpha divided by zero
+@example((["approx", "@config", "--alpha", "-0.5", "--m", "0", "--n", "0", "--tol", "1e-6",
+           "--max-dim", "65"], UNDERFLOWING_BANDED, None))
+@example((["table", "@config", "--alpha", "-0.5", "--m", "0", "--n", "0", "--windows", "4"],
+          UNDERFLOWING_BANDED, None))
+@example((["solve", "@config", "--rhs", "@rhs", "--out", "0", "--tol", "1e-6", "--max-dim", "65"],
+          UNDERFLOWING_BANDED, "0,1.0,0.0\n"))
+@example((["example", "--a", "1e-300", "--b", "1e300", "--alpha", "-0.5", "--sizes", "5"],
+          None, None))
 def test_cli_exits_cleanly(case):
     argv, config, rhs = case
     code, out = run_main(argv, config, rhs)

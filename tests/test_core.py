@@ -18,6 +18,7 @@ from finpow import (
     LatticeModelParams,
     MalformedSpecError,
     NotConvergedError,
+    NumericalFailureError,
     SpectralEnvelope,
     Window,
     approximate_element,
@@ -331,6 +332,18 @@ class TestTruncate:
                     assert result.element(m, n) == spec.entry(m, n)
 
 
+class TestFiniteHermitian:
+    def test_shape_must_match_the_window(self):
+        with pytest.raises(ValueError, match="does not match"):
+            FiniteHermitian(Window(1, 1), np.eye(2))
+
+    def test_element_outside_the_window(self):
+        matrix = FiniteHermitian(Window(1, 1), np.eye(3))
+        assert matrix.element(-1, -1) == 1.0
+        with pytest.raises(IndexError, match="outside window"):
+            matrix.element(2, 0)
+
+
 class TestValidateTruncation:
     def test_identity_passes(self):
         matrix = FiniteHermitian(Window(1, 1), np.eye(3))
@@ -368,6 +381,15 @@ class TestValidateTruncation:
         for boundary in (None, periodic_boundary(window, params)):
             matrix = truncate(spec, window, boundary)
             assert validate_truncation(matrix, spec.envelope, 1e-9) is True
+
+    def test_failed_eigendecomposition_is_numerical_failure(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        matrix = FiniteHermitian(Window(1, 1), np.eye(3))
+        with pytest.raises(NumericalFailureError, match="eigendecomposition failed"):
+            validate_truncation(matrix, IDENTITY_ENV, 1e-12)
 
     def test_entry_bounded_by_spectral_radius(self, unit_lattice):
         params, spec, _ = unit_lattice

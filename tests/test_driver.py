@@ -239,8 +239,8 @@ class TestApproximateElement:
 
     @pytest.mark.parametrize("alpha", [50000.5, 100000.5, 700000.5])
     def test_overflowing_carries_fail_in_bounded_memory(self, alpha):
-        # C(0.5 + r, J - 1) overflows for large r: the carries' table stops at
-        # its first non-finite block, with no warning, before any sweep
+        # C(0.5 + r, J - 1) overflows for large r: the largest carry is run
+        # first, and overflows with no warning, before any sweep
         tracemalloc.start()
         try:
             with pytest.raises(NumericalFailureError, match="carries .* overflow"):
@@ -748,6 +748,16 @@ class TestEvaluateWindow:
         with pytest.raises(InvalidBoundaryError):
             evaluate_window(spec, inflating, 0.5, 0, 0, Window(8, 8))
 
+    def test_failed_eigendecomposition_is_numerical_failure(self, unit_lattice, monkeypatch):
+        _, spec, policy = unit_lattice
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError, match="eigendecomposition failed"):
+            evaluate_window(spec, policy, 0.5, 0, 0, Window(4, 4))
+
 
 class TestConvergenceTable:
     def test_alpha_one_value_constant(self, unit_lattice):
@@ -806,6 +816,30 @@ class TestConvergenceTable:
 
         with pytest.raises(RuntimeError):
             convergence_table(spec, broken, 0.5, 0, 0, [Window(4, 4)])
+
+
+class TestUnderflowingRatio:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            banded_spec([0], [1.0], SpectralEnvelope(1e-300, 1e300)),
+            lattice_spec(LatticeModelParams(1e-300, 1e300)),
+        ],
+        ids=["banded", "lattice"],
+    )
+    def test_every_entry_point_raises(self, spec):
+        # c/w rounds to 0, so x = 1, where the terms of a negative power do
+        # not decay: each entry point raises before (c/w)**alpha divides by 0
+        window = Window(2, 2)
+        calls = [
+            lambda: approximate_element(spec, zero_boundary, -0.5, 0, 0, 1e-6),
+            lambda: local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-6),
+            lambda: convergence_table(spec, zero_boundary, -0.5, 0, 0, [window]),
+            lambda: evaluate_window(spec, zero_boundary, -0.5, 0, 0, window),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalFailureError, match="do not decay"):
+                call()
 
 
 class TestOneBoundPerDepth:

@@ -14,10 +14,9 @@ import pytest
 
 from finpow import NumericalFailureError
 from finpow.certificates import _FIRST_CHUNK, _abs_terms, _closed_sum, _tails
-from finpow.driver import _binomial_rows, _coefficients
+from finpow.driver import _coefficients
 from oracles import (
     numpy_abs_terms,
-    numpy_binomial_coefficients,
     numpy_closed_sum,
     numpy_series_and_carries,
     numpy_tails,
@@ -53,14 +52,6 @@ class TestBinomials:
             want_series, want_carries = numpy_series_and_carries(alpha, terms)
             assert [c.hex() for c in series] == [c.hex() for c in want_series.tolist()], terms
             assert [c.hex() for c in carries] == [float(c).hex() for c in want_carries], terms
-
-    def test_rows_match_one_row_each(self):
-        # every row is the one-row recurrence at its own alpha, a zero's sign
-        # included (-0.0 + 0 is +0.0, so row 0 is built at alpha itself)
-        for alpha in (-0.0, 0.25, 3.75):
-            rows = _binomial_rows(alpha, 6, 40)
-            for r in range(6):
-                assert same(rows[r], numpy_binomial_coefficients(alpha + r if r else alpha, 40))
 
 
 class TestTerms:

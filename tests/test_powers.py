@@ -11,7 +11,7 @@ from finpow import (
 )
 from finpow.certificates import tail_bound
 from finpow.core import FiniteHermitian, truncate
-from finpow.driver import _binomial_rows
+from finpow.driver import _coefficients
 from finpow.lattice import periodic_boundary
 from finpow.powers import finite_power
 
@@ -53,9 +53,9 @@ class TestBinomialCoefficient:
         assert mine == pytest.approx(oracle, rel=1e-12, abs=1e-30)
 
     def test_vectorized_matches_scalar(self):
-        coeffs = _binomial_rows(-0.5, 1, 12)[0]
+        series = _coefficients(-0.5, 12)[0]
         for j in range(12):
-            assert coeffs[j] == binomial_coefficient(-0.5, j)
+            assert series[j] == (-1.0) ** j * binomial_coefficient(-0.5, j)
 
 
 class TestFinitePower:
