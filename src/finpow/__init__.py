@@ -30,7 +30,6 @@ from .errors import (
     MalformedSpecError,
     NotConvergedError,
     NumericalFailureError,
-    SingularOperatorError,
     SingularityError,
 )
 from .lattice import (
@@ -56,7 +55,6 @@ __all__ = [
     "MalformedSpecError",
     "NotConvergedError",
     "NumericalFailureError",
-    "SingularOperatorError",
     "SingularityError",
     "SpectralEnvelope",
     "Window",

@@ -105,15 +105,20 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
     DivergentSeriesError
         ``alpha < 0`` with ``c = 0``.
     DomainError
-        ``alpha`` not finite, or ``c > w``, ``c < 0`` or ``w <= 0``.
+        ``alpha`` not a finite real number, or ``c > w``, ``c < 0`` or
+        ``w <= 0``.
     NumericalFailureError
         ``alpha`` above ``MAX_TAIL_TERMS``, the sum is not a finite float, or
         the largest bound, ``2 w**alpha`` times the sum, is not; or
         ``alpha < 0`` with ``c/w`` so small that it rounds to 0 (``x`` is 1,
         where the terms do not decay).
     """
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
+    try:
+        finite = math.isfinite(alpha)
+    except (TypeError, OverflowError):  # not a real number, or too large for a float
+        finite = False
+    if not finite:
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     if not (w > 0.0) or not math.isfinite(w):
         raise DomainError(f"series shift w must be positive and finite, got {w}")
     if c < 0.0 or not math.isfinite(c):

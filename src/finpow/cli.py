@@ -263,14 +263,10 @@ def main(argv=None) -> int:
             print(exc.best_certificate.to_json())
         print(f"not converged: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, FinpowError) as exc:
+    except FinpowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
 
 def run() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

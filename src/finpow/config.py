@@ -41,6 +41,11 @@ def _require(data: dict, field: str, context: str):
     return data[field]
 
 
+def _integer(value) -> bool:
+    """Whether a JSON value is an integer: ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _real(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"field '{field}' must be a real number, got {value!r}")
@@ -85,8 +90,10 @@ def _parse_boundary(data, kind: str) -> BoundaryPolicy | None:
                     f"boundary entry {item!r} must be [i, j, re, im]"
                 )
             i, j, re, im = item
-            if not isinstance(i, int) or not isinstance(j, int):
-                raise ConfigError(f"boundary entry indices must be integers: {item!r}")
+            if not (_integer(i) and _integer(j)):
+                raise ConfigError(
+                    f"field 'boundary.entries': boundary entry indices must be integers: {item!r}"
+                )
             entries[(i, j)] = complex(
                 _real(re, "boundary.entries re"), _real(im, "boundary.entries im")
             )
@@ -119,8 +126,8 @@ def parse_config(data: dict) -> ModelConfig:
     if kind == "banded":
         offsets = _require(data, "offsets", "banded config")
         stencil = _require(data, "stencil", "banded config")
-        if not isinstance(offsets, list) or not all(isinstance(o, int) for o in offsets):
-            raise ConfigError("field 'offsets' must be a list of integers")
+        if not isinstance(offsets, list) or not all(map(_integer, offsets)):
+            raise ConfigError(f"field 'offsets' must be a list of integers, got {offsets!r}")
         if not isinstance(stencil, list) or len(stencil) != len(offsets):
             raise ConfigError("field 'stencil' must be a list matching 'offsets'")
         values = [_real(v, "stencil") for v in stencil]

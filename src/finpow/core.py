@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class Window:
 
     def contains(self, i: int) -> bool:
         return -self.P <= i <= self.Q
-
-    def is_corner(self, i: int) -> bool:
-        return i == -self.P or i == self.Q
 
     def indices(self) -> range:
         return range(-self.P, self.Q + 1)
@@ -181,10 +178,6 @@ class InfiniteMatrixSpec:
             )
         self._rows[m] = entries
         return entries
-
-    def support(self, m: int) -> Iterable[int]:
-        """Column indices of the nonzero entries of row ``m``."""
-        return self.row(m).keys()
 
     def entry(self, m: int, n: int) -> complex:
         """Matrix element at ``(m, n)``; zero outside the row support."""
@@ -296,10 +289,6 @@ class BoundarySpec:
                 )
         self.entries = completed
 
-    @classmethod
-    def zero(cls) -> "BoundarySpec":
-        return cls({})
-
     def validate_for(self, window: Window) -> None:
         """Reject entries outside the corner set {-P, Q} x {-P, Q}."""
         corners = set(window.corners)
@@ -330,19 +319,12 @@ class FiniteHermitian:
                 f"{self.window.dim}"
             )
         # Halving first (exact above the subnormal range) keeps entries near
-        # the float limit from overflowing.
-        if not np.iscomplexobj(arr):
-            half = np.asarray(arr, dtype=np.float64) / 2.0
-            sym = half + half.T
-        else:
-            half = np.asarray(arr, dtype=np.complex128) / 2.0
-            sym = half + half.conj().T
+        # the float limit from overflowing.  A real array's conj() is the
+        # array itself, so a real matrix is symmetrized as half + half.T.
+        half = np.asarray(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64) / 2.0
+        sym = half + half.conj().T
         sym.setflags(write=False)
         object.__setattr__(self, "data", sym)
-
-    @property
-    def dim(self) -> int:
-        return self.window.dim
 
     def element(self, m: int, n: int) -> complex:
         """Entry at logical indices ``(m, n)``."""
@@ -489,7 +471,7 @@ def truncate(
         If boundary entries fall outside the window corners.
     """
     if boundary is None:
-        boundary = BoundarySpec.zero()
+        boundary = BoundarySpec()
     boundary.validate_for(window)
     rows, cols, vals = _section(spec, window)
     needs_complex = np.iscomplexobj(vals) or any(

@@ -54,7 +54,6 @@ from .errors import (
     MalformedSpecError,
     NotConvergedError,
     NumericalFailureError,
-    SingularOperatorError,
 )
 from .powers import (
     finite_power,  # noqa: F401 - perfbench/tracer.py wraps it by this name
@@ -80,12 +79,16 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 def zero_boundary(window: Window) -> BoundarySpec:
     """Boundary policy that applies no corner correction."""
-    return BoundarySpec.zero()
+    return BoundarySpec()
 
 
 def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    try:
+        valid = math.isfinite(tol) and tol > 0.0
+    except (TypeError, OverflowError):  # not a real number, or too large for a float
+        valid = False
+    if not valid:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _index(i, name: str = "an index") -> int:
@@ -96,6 +99,15 @@ def _index(i, name: str = "an index") -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{name} must be an integer, got {i!r}")
+
+
+def _rhs_value(v) -> complex:
+    """A value of a right-hand side as a ``complex``."""
+    try:
+        return complex(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"a rhs value must be a complex number, got {v!r}")
 
 
 def evaluate_window(
@@ -112,6 +124,8 @@ def evaluate_window(
 
     Raises
     ------
+    DivergentSeriesError, DomainError, NumericalFailureError
+        As ``full_series_sum``, which checks the premise.
     DomainError
         An index is not an integer, or the element lies outside ``window``.
     InvalidBoundaryError
@@ -396,8 +410,8 @@ def approximate_element(
     DivergentSeriesError
         ``alpha < 0`` with an envelope touching zero.
     DomainError
-        ``alpha`` not finite, ``tol`` not positive and finite, or ``m``,
-        ``n`` or ``max_dim`` not an integer.
+        ``alpha`` not a finite real number, ``tol`` not positive and finite,
+        or ``m``, ``n`` or ``max_dim`` not an integer.
     NumericalFailureError
         The bound at ``alpha`` overflows a float, ``alpha`` is above
         ``MAX_TAIL_TERMS``, or the series terms of a negative ``alpha`` do
@@ -484,14 +498,19 @@ def local_solve(
     wider than ``max_dim``.  ``boundary_policy`` is not read; no truncation is
     made.
 
+    The premise, ``full_series_sum(-1.0, c, w)``, is checked first, before
+    any argument: a failed one raises whatever ``f``, ``tol`` or the indices
+    are, a zero ``f`` included.
+
     Raises
     ------
-    SingularOperatorError
-        The envelope does not bound the spectrum away from zero.
+    DivergentSeriesError
+        The envelope touches zero (``c = 0``), where the series at
+        ``alpha = -1`` diverges.
     DomainError
         ``tol`` not positive and finite, ``max_dim``, a key of ``f`` or an
-        output index not an integer, or ``f`` has a non-finite value or a
-        non-finite ``sum |f_n|``.
+        output index not an integer, a value of ``f`` not a complex number,
+        or ``f`` has a non-finite value or a non-finite ``sum |f_n|``.
     NotConvergedError
         ``J`` or the dimension of ``R`` is above ``max_dim`` (``J`` is
         searched up to ``MAX_DEPTH``); carries no certificate.
@@ -502,21 +521,17 @@ def local_solve(
         ``approximate_element``), or a returned component of ``x`` overflows.
     """
     envelope = spec.envelope
-    if envelope.c <= 0.0:
-        raise SingularOperatorError(
-            f"local solve requires c > 0, envelope has c = {envelope.c}"
-        )
+    full_series_sum(-1.0, envelope.c, envelope.w)
     _check_tol(tol)
     max_dim = _index(max_dim, "max_dim")
     outs = [_index(m) for m in out_indices]
-    support = {_index(k): complex(v) for k, v in f.items()}
+    support = {_index(k): _rhs_value(v) for k, v in f.items()}
     support = {k: v for k, v in support.items() if v != 0}
     if not support:
         return {m: (0.0 + 0.0j, 0.0) for m in outs}
     weight = sum(abs(v) for v in support.values())
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
-    full_series_sum(-1.0, envelope.c, envelope.w)
     depth, bound = required_depth(-1.0, envelope, tol, weight, max_dim)
     region = SupportWalk(spec, support).window(depth - 1, max_dim) if bound <= tol else None
     if region is None or region.dim > max_dim:

@@ -38,12 +38,8 @@ class SingularityError(DomainError):
 
 class DivergentSeriesError(DomainError):
     """Tail series requested for alpha < 0 with lower spectral bound c = 0,
-    where the bounding series does not converge."""
-
-
-class SingularOperatorError(DomainError):
-    """Local solve requested for an operator whose lower spectral bound is
-    not strictly positive."""
+    where the bounding series does not converge: a negative power, or a
+    local solve (alpha = -1), of a matrix whose envelope touches zero."""
 
 
 class ConfigError(FinpowError):

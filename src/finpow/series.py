@@ -49,7 +49,7 @@ def _extents(spec: InfiniteMatrixSpec, starts: Iterable[int]) -> Iterator[tuple[
     while frontier:
         fresh: set[int] = set()
         for p in frontier:
-            for q in spec.support(p):
+            for q in spec.row(p):
                 if q not in reach:
                     fresh.add(q)
                     if q < lo:
@@ -126,7 +126,7 @@ class SupportWalk:
         """``truncation_depth(spec, window, m, n)``, for a walk from ``{m, n}``."""
         if not (window.contains(m) and window.contains(n)):
             return TruncationDepth(0, window, m, n)
-        if window.is_corner(m) or window.is_corner(n):
+        if m in window.corners or n in window.corners:
             return TruncationDepth(1, window, m, n)
         inner_lo, inner_hi = -window.P + 1, window.Q - 1
         band = self._band

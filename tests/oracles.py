@@ -94,7 +94,7 @@ def finite_power_series(matrix, alpha, w, terms):
             f"[0, {w}]; the binomial series does not apply"
         )
 
-    dim = matrix.dim
+    dim = matrix.window.dim
     ratio = (matrix.data - w * np.eye(dim, dtype=matrix.data.dtype)) / w
     coeffs = numpy_binomial_coefficients(alpha, terms)
     total = np.zeros_like(ratio)

@@ -23,7 +23,6 @@ PUBLIC = [
     "MalformedSpecError",
     "NotConvergedError",
     "NumericalFailureError",
-    "SingularOperatorError",
     "SingularityError",
     "SpectralEnvelope",
     "Window",
@@ -99,3 +98,5 @@ def test_readme_lists_the_pipeline():
     section = readme.read_text().split("### Public API", 1)[1].split("\n## ", 1)[0]
     exported = section.split("The layers under them", 1)[0]
     assert set(re.findall(r"`(\w+)`", exported)) - {"finpow"} == set(PUBLIC)
+    count = re.search(r"nothing under it, (\d+) names", " ".join(exported.split()))
+    assert int(count.group(1)) == len(finpow.__all__)

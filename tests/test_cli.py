@@ -348,12 +348,13 @@ class TestSolve:
     def test_singular_exit_3(self, capsys, banded_c0_config, tmp_path):
         rhs = tmp_path / "rhs.txt"
         rhs.write_text("0,1.0,0.0\n")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "solve", banded_c0_config,
             "--rhs", str(rhs), "--out", "0", "--tol", "1e-6",
         )
         assert code == 3
-        assert "c > 0" in err
+        assert out == ""
+        assert "c = 0" in err
 
     def test_envelope_excluding_a_rayleigh_quotient_exit_3(self, capsys, tmp_path):
         # the symbol 3 - 2 cos(theta) reaches down to 1, below the declared c = 2
@@ -591,10 +592,18 @@ class TestUsageAndConfig:
             ('{"kind": "banded", "offsets": [-1, 0, 1], "stencil": [-1.0, 3.0],'
              ' "envelope": {"c": 1.0, "norm_bound": 5.0}}',
              "field 'stencil' must be a list matching 'offsets'"),
+            # JSON booleans are no indices: false and true are not read as 0 and 1
+            ('{"kind": "banded", "offsets": [false, true, -1], "stencil": [3.0, -1.0, -1.0],'
+             ' "envelope": {"c": 1.0, "norm_bound": 5.0}}',
+             "field 'offsets' must be a list of integers"),
+            ('{"kind": "lattice", "a": 1.0, "b": 1.0,'
+             ' "boundary": {"kind": "corners", "entries": [[-4, true, -1.0, 0.0]]}}',
+             "field 'boundary.entries'"),
         ],
         ids=[
             "envelope_not_object", "boundary_not_object", "entries_not_list",
             "entry_not_four", "entry_index_not_int", "unknown_boundary", "short_stencil",
+            "offset_boolean", "entry_index_boolean",
         ],
     )
     def test_config_error_named(self, capsys, tmp_path, config, message):

@@ -58,7 +58,7 @@ class TestWindow:
     def test_single_index_window(self):
         w = Window(0, 0)
         assert w.dim == 1
-        assert w.is_corner(0)
+        assert 0 in w.corners
 
     def test_window_off_the_origin(self):
         w = Window(-4882, 5118)
@@ -342,6 +342,28 @@ class TestFiniteHermitian:
         assert matrix.element(-1, -1) == 1.0
         with pytest.raises(IndexError, match="outside window"):
             matrix.element(2, 0)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32, np.int64, np.bool_, np.complex64, np.complex128]
+    )
+    def test_one_symmetrization_for_every_dtype(self, dtype):
+        # half + half.conj().T, bitwise as the real formula half + half.T on
+        # real input and as the complex one on complex input
+        rng = np.random.default_rng(7)
+        raw = rng.standard_normal((5, 5)) * 1e3
+        if np.issubdtype(dtype, np.complexfloating):
+            raw = raw + 1j * rng.standard_normal((5, 5))
+        arr = (raw > 0 if dtype is np.bool_ else raw).astype(dtype)
+        data = FiniteHermitian(Window(2, 2), arr).data
+        if np.iscomplexobj(arr):
+            half = np.asarray(arr, dtype=np.complex128) / 2.0
+            expected = half + half.conj().T
+        else:
+            half = np.asarray(arr, dtype=np.float64) / 2.0
+            expected = half + half.T
+        assert data.dtype == expected.dtype
+        assert data.dtype in (np.float64, np.complex128)
+        assert data.tobytes() == expected.tobytes()
 
 
 class TestValidateTruncation:

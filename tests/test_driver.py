@@ -17,7 +17,6 @@ from finpow import (
     MalformedSpecError,
     NotConvergedError,
     NumericalFailureError,
-    SingularOperatorError,
     SpectralEnvelope,
     Window,
     approximate_element,
@@ -834,6 +833,7 @@ class TestUnderflowingRatio:
         calls = [
             lambda: approximate_element(spec, zero_boundary, -0.5, 0, 0, 1e-6),
             lambda: local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-6),
+            lambda: local_solve(spec, zero_boundary, {0: 0.0}, [0], 1e-6),  # premise first
             lambda: convergence_table(spec, zero_boundary, -0.5, 0, 0, [window]),
             lambda: evaluate_window(spec, zero_boundary, -0.5, 0, 0, window),
         ]
@@ -917,8 +917,19 @@ class TestLocalSolve:
 
     def test_zero_c_rejected(self):
         spec = free_laplacian_spec()
-        with pytest.raises(SingularOperatorError):
+        with pytest.raises(DivergentSeriesError):
             local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-6)
+
+    @pytest.mark.parametrize(
+        "f, outs, tol",
+        [({0: 0.0}, [0], 1e-6), ({0: 1.0}, [0], -1.0), ({0.5: 1.0}, [0], 1e-6),
+         ({0: 1.0}, [0.5], 1e-6)],
+        ids=["zero-rhs", "bad-tol", "bad-key", "bad-out"],
+    )
+    def test_zero_c_rejected_before_any_argument(self, f, outs, tol):
+        # the premise, full_series_sum(-1, c, w), is the solve's first check
+        with pytest.raises(DivergentSeriesError, match="c = 0"):
+            local_solve(free_laplacian_spec(), zero_boundary, f, outs, tol)
 
     def test_one_region_no_eigensolve(self, unit_lattice, monkeypatch):
         # one sweep of J - 1 mat-vecs on one region serves every output, plus
@@ -1119,6 +1130,33 @@ class TestLocalSolve:
         _, spec, policy = unit_lattice
         result = local_solve(spec, policy, {0: 0.0}, [0, 1], 1e-6)
         assert result == {0: (0.0 + 0.0j, 0.0), 1: (0.0 + 0.0j, 0.0)}
+
+
+_HUGE = 10**400  # too large for a float
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [(a, v) for a in ("element alpha", "window alpha", "table alpha")
+     for v in ("0.5", None, 0.5j, _HUGE)]
+    + [(a, v) for a in ("element tol", "solve tol") for v in ("1e-6", None, _HUGE)]
+    + [("solve rhs", v) for v in ("x", None, _HUGE)],
+    ids=lambda v: "10**400" if v == _HUGE else None,
+)
+def test_a_value_that_is_not_a_number_is_a_domain_error(unit_lattice, argument, value):
+    # alpha at the premise's finiteness check, tol at _check_tol, a rhs value
+    # where local_solve converts it with complex()
+    _, spec, policy = unit_lattice
+    call = {
+        "element alpha": lambda: approximate_element(spec, policy, value, 0, 0, 1e-6),
+        "window alpha": lambda: evaluate_window(spec, policy, value, 0, 0, Window(4, 4)),
+        "table alpha": lambda: convergence_table(spec, policy, value, 0, 0, [Window(4, 4)]),
+        "element tol": lambda: approximate_element(spec, policy, 0.5, 0, 0, value),
+        "solve tol": lambda: local_solve(spec, policy, {0: 1.0}, [0], value),
+        "solve rhs": lambda: local_solve(spec, policy, {0: value}, [0], 1e-6),
+    }[argument]
+    with pytest.raises(DomainError, match=argument.split()[1]):
+        call()
 
 
 def _twins(offsets, stencil, envelope):
