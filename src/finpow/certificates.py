@@ -113,8 +113,8 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
         ``alpha < 0`` with ``c/w`` so small that it rounds to 0 (``x`` is 1,
         where the terms do not decay).
     """
-    try:
-        finite = math.isfinite(alpha)
+    try:  # a boolean is not a number here, though it converts to one
+        finite = not isinstance(alpha, (bool, np.bool_)) and math.isfinite(alpha)
     except (TypeError, OverflowError):  # not a real number, or too large for a float
         finite = False
     if not finite:

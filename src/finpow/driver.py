@@ -16,7 +16,10 @@ that window.  An element reads the series only at
 ``(max(m, n), min(m, n))``: the paths of length ``L`` between the two indices
 stay within ``floor(L / 2)`` steps of them, so it is swept on the smaller
 region those steps reach, inside the recorded window, and the same walk gives
-both.
+both.  A spec with a stencil (``banded_spec``) is a Laurent operator: where
+the power table of its symbol is small (``_TABLE_CAP``), an element is read
+with no sweep, as one exact periodic trapezoid rule of the same partial sum
+over the symbol (``_symbol_read``), its envelope checked on the samples.
 
 ``evaluate_window`` and ``convergence_table`` keep the paper's construction:
 truncate at a given window with a boundary correction, eigendecompose, and
@@ -64,10 +67,15 @@ from .series import SupportWalk, TruncationDepth, truncation_depth
 
 BoundaryPolicy = Callable[[Window], BoundarySpec]
 
-# Relative slack allowed when checking truncation eigenvalues, or the Rayleigh
-# quotients of a sweep, against the envelope, scaled by the envelope's upper
-# bound w (at least 1).
+# Relative slack allowed when checking truncation eigenvalues, the Rayleigh
+# quotients of a sweep, or the samples of a symbol against the envelope,
+# scaled by the envelope's upper bound w (at least 1).
 SPECTRUM_TOL = 1e-9
+
+# The largest power table J x N, in float64 entries (32 KB), from which an
+# element of a spec with a stencil is read (``_symbol_read``); a larger one
+# takes the sweep.
+_TABLE_CAP = 4096
 
 # Default cap on the region dimension and depth of a sweep; the command line
 # also caps the windows of `table` and `example` with it.
@@ -75,6 +83,7 @@ MAX_DIM = 2049
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+_BOOLS = (bool, np.bool_)  # they convert to numbers, but are none
 
 
 def zero_boundary(window: Window) -> BoundarySpec:
@@ -84,7 +93,7 @@ def zero_boundary(window: Window) -> BoundarySpec:
 
 def _check_tol(tol: float) -> None:
     try:
-        valid = math.isfinite(tol) and tol > 0.0
+        valid = not isinstance(tol, _BOOLS) and math.isfinite(tol) and tol > 0.0
     except (TypeError, OverflowError):  # not a real number, or too large for a float
         valid = False
     if not valid:
@@ -92,9 +101,10 @@ def _check_tol(tol: float) -> None:
 
 
 def _index(i, name: str = "an index") -> int:
-    """``i`` as an ``int``: an integral number becomes its ``int``."""
+    """``i`` as an ``int``: an integral number becomes its ``int``, a
+    boolean is not one."""
     try:
-        if int(i) == i:
+        if not isinstance(i, _BOOLS) and int(i) == i:
             return int(i)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -102,9 +112,11 @@ def _index(i, name: str = "an index") -> int:
 
 
 def _rhs_value(v) -> complex:
-    """A value of a right-hand side as a ``complex``."""
+    """A value of a right-hand side as a ``complex``; a string, which
+    ``complex()`` would parse, is not one."""
     try:
-        return complex(v)
+        if not isinstance(v, (str, bytes)):
+            return complex(v)
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"a rhs value must be a complex number, got {v!r}")
@@ -281,6 +293,107 @@ def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     return series, series[-1:] + ((-1.0) ** (terms - 1) * carries).tolist()
 
 
+def _sweep_read(
+    spec: InfiniteMatrixSpec,
+    walk: SupportWalk,
+    series: list[float],
+    carries: list[float],
+    lo: int,
+    hi: int,
+):
+    """``P^alpha[hi, lo]`` by the sweep of ``_element_certificate``: the
+    terms ``b**j e_lo`` on the region of ``min(J - 1, (J - 1 + k) // 2)``
+    steps of ``walk``, ``J = len(series)`` and ``k = len(carries)``.  The
+    caller owns the floating-point error state."""
+    terms, k = len(series), len(carries)
+    region = walk.window(min(terms - 1, (terms - 1 + k) // 2))
+    step = sparse_section(spec, region)
+    start = region.offset(lo)  # e_lo
+    read = 0.0
+    if not k and lo == hi:
+        sweep = _terms(spec, region, step, start, (terms + 1) // 2)
+        for i, (term, after) in zip(range(0, terms, 2), sweep):
+            read += series[i] * np.vdot(term, term).real
+            if i + 1 < terms:
+                read += series[i + 1] * np.vdot(term, after).real
+        return read
+    at = slice(None) if k else region.offset(hi)  # the identity steps all of P^beta e_lo
+    sweep = _terms(spec, region, step, start, terms)
+    for coefficient, (term, after) in zip(series, sweep):
+        read = read + coefficient * term[at]
+    for carry in carries:
+        read = read - step(read) + carry * after
+    return read[region.offset(hi)] if k else read
+
+
+def _symbol_read(
+    envelope: SpectralEnvelope,
+    stencil: tuple[np.ndarray, np.ndarray],
+    series: list[float],
+    carries: list[float],
+    nodes: int,
+    gap: int,
+) -> complex:
+    """``P^alpha[hi, lo]``, ``gap = hi - lo``, for a spec with a stencil, by
+    the periodic trapezoid rule on its symbol.
+
+    ``W`` is the Laurent operator of the stencil: ``(f(W))[hi, lo]`` is
+    ``(1/2pi) int f(sigma(theta)) e^{i gap theta} dtheta`` with
+    ``sigma(theta) = sum_o s_o e^{i o theta}``, real for a Hermitian stencil.
+    ``P^alpha`` is a polynomial of degree ``J - 1`` in
+    ``t = 1 - sigma/w``, so the integrand is a trigonometric polynomial of
+    degree ``(J - 1) l + gap``, ``l`` the largest offset, which the rule on
+    ``nodes = (J - 1) l + gap + 1`` nodes ``theta_k = 2 pi k / nodes``
+    integrates exactly.  The powers of ``t`` at the nodes are one
+    ``J x nodes`` table, the series one product with it, and the carries
+    act pointwise with the sweep's identity,
+    ``p <- (1 - t) p + carry t**J``.  The phases ``o k`` are reduced modulo
+    ``nodes`` in integers, so an offset at or past ``nodes`` (at ``J = 1``)
+    is summed at its alias.
+
+    The spectrum of a Laurent operator is the range of its symbol, so a
+    sample outside the envelope proves it wrong; this check takes the place
+    of the sweep's Rayleigh quotients.  The start quotient ``s_0`` is the
+    mean of the samples when ``nodes > l``; below that (``J = 1``) it is
+    checked with them.  A non-finite sample fails the check.  The caller
+    owns the floating-point error state.
+
+    Raises
+    ------
+    MalformedSpecError
+        A sample of the symbol, or ``s_0``, leaves the envelope.
+    """
+    offsets, values = stencil
+    node = np.arange(nodes)
+    roots = np.exp((2j * math.pi / nodes) * node)
+    samples = (values @ roots[(offsets % nodes)[:, None] * node % nodes]).real
+    checked = samples
+    if len(offsets) and nodes <= offsets[-1]:  # s_0 sits in the middle, if it is there
+        checked = np.append(samples, values[len(values) // 2].real if len(values) % 2 else 0.0)
+    low, high = checked.min(), checked.max()
+    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
+    if not (envelope.c - slack <= low and high <= envelope.norm_bound + slack):
+        raise MalformedSpecError(
+            f"the symbol of W takes values in [{low:.6g}, {high:.6g}] on {nodes} nodes, "
+            f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
+        )
+    ratio = samples / envelope.w  # 1 - t
+    t = 1.0 - ratio
+    table = np.empty((len(series), nodes))
+    table[0] = 1.0
+    table[1:] = t
+    np.multiply.accumulate(table, axis=0, out=table)
+    p = np.dot(series, table)
+    if carries:
+        last = table[-1] * t  # t**J
+        for carry in carries:
+            p = ratio * p + carry * last
+    phases = roots[gap * node % nodes]
+    if not values.imag.any():  # a real stencil: p is even in theta, the element real
+        phases = phases.real
+    return np.dot(p, phases) / nodes
+
+
 def _element_certificate(
     spec: InfiniteMatrixSpec,
     alpha: float,
@@ -324,11 +437,20 @@ def _element_certificate(
     The sweep starts at ``e_{min(m, n)}`` and reads the larger index, so
     ``(m, n)`` and ``(n, m)`` are exact conjugates; a diagonal element is
     real.
+
+    A spec with a stencil reads the same ``P^alpha[hi, lo]`` from its symbol
+    instead (``_symbol_read``) when the power table ``J x N``,
+    ``N = (J - 1) l + |m - n| + 1`` nodes and ``l`` the largest offset,
+    holds at most ``_TABLE_CAP`` entries: no section, no term loop and no
+    region walk, the samples of the symbol checked against the envelope in
+    place of the Rayleigh quotients, and the same conjugate and real reads.
+    The coefficients, the carries and the round-off guard are the sweep's;
+    the value agrees with the sweep's to round-off.  A longer series, or a
+    spec without a stencil, is swept (``_sweep_read``).
     """
     m, n, terms = depth.m, depth.n, depth.j_pq
     envelope = spec.envelope
     w = envelope.w
-    k = max(math.floor(alpha), 0)
     series, carries = _coefficients(alpha, terms)
     x = (w - envelope.c) / w
     # fails closed: 0 * inf, from x**terms underflowing, is NaN
@@ -339,26 +461,15 @@ def _element_certificate(
             f"certain digit"
         )
     lo, hi = min(m, n), max(m, n)
-    region = walk.window(min(terms - 1, (terms - 1 + k) // 2))
-    start = region.offset(lo)  # e_lo
-    read = 0.0
+    stencil, nodes = spec._stencil, 0
+    if stencil is not None:  # offsets come in pairs +-o: the last is the largest
+        band = int(stencil[0][-1]) if len(stencil[0]) else 0
+        nodes = (terms - 1) * band + hi - lo + 1
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
-        step = sparse_section(spec, region)
-        if not k and m == n:
-            sweep = _terms(spec, region, step, start, (terms + 1) // 2)
-            for i, (term, after) in zip(range(0, terms, 2), sweep):
-                read += series[i] * np.vdot(term, term).real
-                if i + 1 < terms:
-                    read += series[i + 1] * np.vdot(term, after).real
+        if nodes and terms * nodes <= _TABLE_CAP:
+            read = _symbol_read(envelope, stencil, series, carries, nodes, hi - lo)
         else:
-            at = slice(None) if k else region.offset(hi)  # the identity steps all of P^beta e_lo
-            sweep = _terms(spec, region, step, start, terms)
-            for coefficient, (term, after) in zip(series, sweep):
-                read = read + coefficient * term[at]
-            for carry in carries:
-                read = read - step(read) + carry * after
-            if k:
-                read = read[region.offset(hi)]
+            read = _sweep_read(spec, walk, series, carries, lo, hi)
     if m == n:
         read = read.real
     elif m < n:
@@ -394,7 +505,10 @@ def approximate_element(
     ``k = floor(alpha) >= 1``), inside ``R`` and found by the same walk (see
     ``_element_certificate``).  That takes ``J + k`` sparse mat-vecs over
     half of ``R``, ``ceil(J / 2)`` for a diagonal element with ``alpha < 1``,
-    and the Rayleigh-quotient envelope check of ``_terms``.  The walk stops
+    and the Rayleigh-quotient envelope check of ``_terms``.  A spec with a
+    stencil whose power table ``J x N``, ``N = (J - 1) l + |m - n| + 1``, is
+    small reads the same partial sum from its symbol instead, with the
+    envelope checked on the ``N`` samples (``_symbol_read``).  The walk stops
     once its window is wider than ``max_dim``.  Integer ``alpha`` and ``x = 0``
     give bound 0 through the tail.  Round-off is outside the bound.
     ``boundary_policy`` is not read; no window is truncated.
@@ -420,7 +534,8 @@ def approximate_element(
         overflows, or the round-off would leave no certain digit, both
         raised before the sweep; or the value overflows.
     MalformedSpecError
-        As ``_terms``.
+        As ``_terms``, or as ``_symbol_read``: a sample of the symbol leaves
+        the envelope.
     """
     _check_tol(tol)
     m, n = _index(m), _index(n)

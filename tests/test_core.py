@@ -448,23 +448,27 @@ def memo_grid():
 
 
 class Bits(NamedTuple):
-    """The float bits of a complex value."""
+    """The float bits of a complex value, and the scale of its round-off:
+    ``w**alpha`` for an element of ``W**alpha``, which bounds every one, or 0
+    for a value with no such bound."""
 
     real: str
     imag: str
+    scale: float = 0.0
 
     def value(self) -> complex:
         return complex(float.fromhex(self.real), float.fromhex(self.imag))
 
 
-def bits(value):
-    return Bits(complex(value).real.hex(), complex(value).imag.hex())
+def bits(value, scale=0.0):
+    return Bits(complex(value).real.hex(), complex(value).imag.hex(), scale)
 
 
 def certificate_bits(cert):
     if cert is None:
         return None
-    return bits(cert.value), cert.bound.hex(), cert.depth, cert.window
+    scale = cert.envelope_used.w ** cert.alpha
+    return bits(cert.value, scale), cert.bound.hex(), cert.depth, cert.window
 
 
 def outcomes(spec, calls):
@@ -708,18 +712,30 @@ def parity_outcomes(spec, calls):
     return out
 
 
-# The stencil step (a convolution) sums in another order than the COO step;
-# on the parity grid the values of the two paths differ by at most 2.8 units
-# in the last place of the larger (15 of 185 values differ at all).
+# A banded spec answers a short element from its symbol (driver._symbol_read)
+# and steps a solve by a convolution, a plain one sweeps by COO steps: the
+# sums run in other orders.  Two values agree to VALUE_ULPS units of eps times
+# their scale, w**alpha for an element (which bounds every element of
+# W**alpha), or times the larger of the two where there is no such scale.
 VALUE_ULPS = 16
+
+# The start of the message with which a banded spec's symbol path rejects an
+# envelope; the plain twin's sweep rejects it by a Rayleigh quotient.
+SYMBOL_MESSAGE = "the symbol of W takes values in ["
 
 
 def assert_agree_to_round_off(got, want):
     """``got == want``, except that two values (``Bits``) need only agree to
-    ``VALUE_ULPS`` units in the last place of the larger."""
+    ``VALUE_ULPS`` units of ``eps`` times their scale, and that a
+    ``MalformedSpecError`` (as ``parity_outcomes`` records it) may carry the
+    symbol path's message."""
     if isinstance(want, Bits):
         a, b = got.value(), want.value()
-        assert abs(a - b) <= VALUE_ULPS * EPS * max(abs(a), abs(b)), (got, want)
+        assert got.scale == want.scale, (got, want)
+        scale = want.scale or max(abs(a), abs(b))
+        assert abs(a - b) <= VALUE_ULPS * EPS * scale, (got, want)
+    elif isinstance(want, tuple) and want[:1] == ("MalformedSpecError",) and got != want:
+        assert got[0] == want[0] and got[1].startswith(SYMBOL_MESSAGE), (got, want)
     elif isinstance(want, (tuple, list)):
         assert type(got) is type(want) and len(got) == len(want), (got, want)
         for g, w in zip(got, want):
@@ -731,10 +747,11 @@ def assert_agree_to_round_off(got, want):
 class TestStencilPath:
     @pytest.mark.parametrize("name", list(STENCILS))
     def test_paths_agree(self, name):
-        # a banded spec walks and steps from its stencil; a plain
-        # spec over the same rows walks them and steps by COO arrays: windows,
-        # depths, bounds, errors and messages agree bitwise, and values to
-        # round-off, cold and warm
+        # a banded spec walks from its stencil, and answers a short element
+        # from its symbol or steps by a convolution; a plain spec over the
+        # same rows walks them and steps by COO arrays: windows, depths,
+        # bounds and errors agree bitwise, messages too but where the symbol
+        # rejects an envelope, and values to round-off, cold and warm
         calls = parity_grid()
         make = lambda: banded_spec(*STENCILS[name])  # noqa: E731
         rows = [parity_outcomes(plain_twin(make()), [call])[0] for call in calls]

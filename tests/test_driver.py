@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,8 +48,26 @@ from oracles import (
 
 EPS = float(np.finfo(float).eps)
 
+# A banded spec reads a short element from its symbol, its plain twin sweeps:
+# the two values agree to VALUE_ULPS units of eps times w**alpha, which bounds
+# every element of W**alpha.
+VALUE_ULPS = 16
+
 # Limits with no integer value; inf certified before the limit was checked.
 NON_INTEGRAL_MAX_DIMS = [100.5, 65.5, float("nan"), float("inf"), "7", None]
+
+
+def _plain(spec):
+    """The plain twin of a banded spec: its rows, presented by the generator
+    alone, which the sweep walks and steps."""
+    return InfiniteMatrixSpec(spec.row_generator, spec.sparsity_bound_k, spec.envelope)
+
+
+def _assert_same_certificate(got, want):
+    """Depth, window and bound bitwise equal, values to round-off."""
+    assert (got.depth, got.window, got.bound) == (want.depth, want.window, want.bound)
+    scale = want.envelope_used.w ** want.alpha
+    assert abs(got.value - want.value) <= VALUE_ULPS * EPS * scale, (got, want)
 
 
 def count_linalg(monkeypatch):
@@ -262,10 +282,13 @@ class TestApproximateElement:
             approximate_element(spec, policy, 0.5, 0, 0, tol)
 
     @pytest.mark.parametrize(
-        "m, n", [(0.5, 0), (0, 0.5), (0, float("nan")), (float("inf"), 0), (0, "1")]
+        "m, n",
+        [(0.5, 0), (0, 0.5), (0, float("nan")), (float("inf"), 0), (0, "1"), (True, 0),
+         (0, np.True_)],
     )
     def test_non_integral_index_rejected(self, unit_lattice, m, n):
-        # every entry point that takes an element, before it plans a window
+        # every entry point that takes an element, before it plans a window;
+        # a boolean is not an index, though int(True) is 1
         _, spec, policy = unit_lattice
         with pytest.raises(DomainError, match="integer"):
             approximate_element(spec, policy, 0.5, m, n, 1e-6)
@@ -299,15 +322,21 @@ class TestApproximateElement:
 
     def test_rayleigh_check_rejects_a_wrong_envelope(self):
         # the symbol 3 - 2 cos(theta) reaches down to 1, below the declared
-        # c = 2; e_0 passes (W_00 = 3), the last sweep term does not
-        spec = banded_spec([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(2.0, 5.0))
-        for tol in (1e-2, 1e-8):
-            with pytest.raises(MalformedSpecError, match="Rayleigh"):
-                approximate_element(spec, zero_boundary, 0.5, 0, 1, tol)
-        # a diagonal entry outside the envelope fails at the first vector
-        high = banded_spec([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(0.5, 2.5))
-        with pytest.raises(MalformedSpecError, match="is 3,"):
-            approximate_element(high, zero_boundary, 0.5, 0, 0, 1e-2)
+        # c = 2.  The plain twin sweeps: e_0 passes (W_00 = 3), the last
+        # sweep term does not.  The banded spec reads these short elements
+        # from its symbol, whose samples leave the envelope
+        twins = _twins([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(2.0, 5.0))
+        for spec, message in zip(twins, [r"^the symbol of W takes values in \[1, ", "Rayleigh"]):
+            for tol in (1e-2, 1e-8):
+                with pytest.raises(MalformedSpecError, match=message):
+                    approximate_element(spec, zero_boundary, 0.5, 0, 1, tol)
+        # a diagonal entry outside the envelope fails at the first vector of
+        # the sweep, and the symbol exceeds the envelope at 9 nodes (J = 9)
+        twins = _twins([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(0.5, 2.5))
+        symbol = r"^the symbol of W takes values in \[1, 4\.87939\] on 9 nodes, outside the envelope \[0\.5, 2\.5\]$"
+        for spec, message in zip(twins, [symbol, "is 3,"]):
+            with pytest.raises(MalformedSpecError, match=message):
+                approximate_element(spec, zero_boundary, 0.5, 0, 0, 1e-2)
 
     def test_hermitian_spot_check(self):
         def skewed(m):
@@ -430,8 +459,15 @@ class TestOneWindowPerCall:
         with pytest.raises(NotConvergedError) as err:
             approximate_element(spec, policy, 0.5, 3, -2, 1e-40, max_dim=101)
         best = err.value.best_certificate
-        # j_pq = 47 at [-50, 50]: the swept region holds 23 steps
+        # j_pq = 47 at [-50, 50]: J N = 47 * 52 is under the table's cap, so
+        # the lattice reads it from its symbol, on no region; its plain twin
+        # sweeps the region of 23 steps to the same certificate
         assert (best.window, best.depth.j_pq) == (Window(50, 50), 47)
+        assert regions[2:] == []
+        with pytest.raises(NotConvergedError) as swept:
+            approximate_element(_plain(spec), policy, 0.5, 3, -2, 1e-40, max_dim=101)
+        assert str(swept.value) == str(err.value)
+        _assert_same_certificate(best, swept.value.best_certificate)
         assert regions[2:] == [Window(26, 27)]
         assert truncated == []
         assert calls == {"eigh": 0, "eigvalsh": 0}
@@ -642,7 +678,10 @@ class TestSweptRegion:
         # no walk of the rows (a lattice spec answers from its stencil), cold
         # or warm, a region inside the window, and J // 2 + 1 mat-vecs at most
         # for a diagonal element below alpha = 1 (J off the diagonal; J + k at
-        # alpha >= 1)
+        # alpha >= 1).  An element whose power table J N is under the cap
+        # (here the tol 1e-6 ones) is read from the symbol, with no region and
+        # no mat-vec; there the plain twin's sweep is held to all of the above
+        # and gives the same certificate
         from finpow import series
 
         params, _, _ = unit_lattice
@@ -678,6 +717,10 @@ class TestSweptRegion:
                             first = cert
                         assert cert == first
                         terms = cert.depth.j_pq
+                        if terms * (terms + abs(m - n)) <= driver._TABLE_CAP:  # l = 1
+                            assert regions == [] and matvecs == []
+                            _assert_same_certificate(
+                                cert, _certificate(_plain(spec), alpha, m, n, tol, max_dim))
                         steps = min(terms - 1, (terms - 1 + k) // 2)
                         region = SupportWalk(lattice_spec(params), {m, n}).window(steps)
                         assert regions == [region]
@@ -708,6 +751,154 @@ class TestSweptRegion:
             local_solve(spec, zero_boundary, {0: 1.0}, [0], 1e-40)
         assert err.value.best_certificate is None
         assert len(rows) <= MAX_DIM + len(offsets)  # rows are cached on the spec
+
+
+def record_sections(monkeypatch):
+    """The specs of every ``sparse_section`` the driver builds from here on."""
+    built = []
+    real = driver.sparse_section
+
+    def recording(spec, window):
+        built.append(spec)
+        return real(spec, window)
+
+    monkeypatch.setattr(driver, "sparse_section", recording)
+    return built
+
+
+class TestSymbolPath:
+    """An element of a banded spec whose power table J x N, N = (J - 1) l +
+    |m - n| + 1, holds at most driver._TABLE_CAP entries is read from the
+    symbol (driver._symbol_read): no section, no sweep, the same J, bound and
+    window, and the envelope checked on the samples of the symbol."""
+
+    def test_cap_boundary(self, unit_lattice, monkeypatch):
+        # J = 64 on the lattice (l = 1): (0, 0) has N = 64, J N = 4096, the
+        # cap; (0, 1) has N = 65 and takes the sweep, with one section
+        _, spec, _ = unit_lattice
+        tol = tail_bound(-0.5, 1.0, 5.0, 64) / 2.0
+        built = record_sections(monkeypatch)
+        at_cap = approximate_element(spec, zero_boundary, -0.5, 0, 0, tol)
+        assert at_cap.depth.j_pq == 64 and 64 * 64 == driver._TABLE_CAP
+        assert built == []
+        above = approximate_element(spec, zero_boundary, -0.5, 0, 1, tol)
+        assert above.depth.j_pq == 64
+        assert len(built) == 1 and built[0] is spec
+        for cert, (m, n) in [(at_cap, (0, 0)), (above, (0, 1))]:
+            _assert_same_certificate(cert, approximate_element(_plain(spec), zero_boundary, -0.5, m, n, tol))
+
+    def test_wrong_envelopes_rejected_as_the_sweep_does(self, monkeypatch):
+        # 399 random stencils (l = 1 to 3, real and complex, c/w of 0.4 to
+        # 0.7) with an envelope made wrong: c raised, or norm_bound lowered,
+        # by 1e-6 to 0.3 of the symbol's range.  Every one is read from the
+        # symbol; every envelope the plain twin's sweep rejects, the samples
+        # reject too, and where neither rejects the certificates agree
+        rng = np.random.default_rng(20261021)
+        theta = 2.0 * np.pi * np.arange(8192) / 8192
+        built = record_sections(monkeypatch)
+        outcomes = []
+        for _ in range(399):
+            l = int(rng.integers(1, 4))
+            upper = rng.normal(size=l) + (1j * rng.normal(size=l) if rng.random() < 0.5 else 0.0)
+            offsets = list(range(-l, l + 1))
+            stencil = [complex(v).conjugate() for v in upper[::-1]] + [0.0] + [complex(v) for v in upper]
+            symbol = sum(v * np.exp(1j * o * theta) for o, v in zip(offsets, stencil)).real
+            ratio = rng.uniform(0.4, 0.7)
+            stencil[l] = (ratio * symbol.max() - symbol.min()) / (1.0 - ratio)
+            lo, hi = symbol.min() + stencil[l].real, symbol.max() + stencil[l].real
+            shift = 10.0 ** rng.uniform(-6.0, math.log10(0.3)) * (hi - lo)
+            c, norm_bound = (lo + shift, hi) if rng.random() < 0.5 else (lo, hi - shift)
+            banded, plain = _twins(offsets, stencil, SpectralEnvelope(c, norm_bound))
+            alpha = float(rng.choice([-1.0, -0.5, 0.5, 1.5]))
+            tol = float(10.0 ** rng.uniform(-8.0, -4.0))
+            m, n = (int(i) for i in rng.integers(-3, 4, size=2))
+            answers = []
+            for spec in (banded, plain):
+                try:
+                    answers.append(approximate_element(spec, zero_boundary, alpha, m, n, tol))
+                except MalformedSpecError as exc:
+                    answers.append(str(exc))
+            assert not any(spec is banded for spec in built)
+            if isinstance(answers[1], str):
+                assert answers[0].startswith("the symbol of W takes values in ["), answers
+            elif not isinstance(answers[0], str):
+                _assert_same_certificate(*answers)
+            outcomes.append(tuple(isinstance(a, str) for a in answers))
+        # both reject, only the samples do, neither does; never the sweep alone
+        assert {(True, True), (True, False), (False, False)} == set(outcomes)
+
+    def test_unit_lattice_against_the_dispersion_integral(self, unit_lattice, monkeypatch):
+        params, spec, _ = unit_lattice
+        built = record_sections(monkeypatch)
+        read = 0
+        for alpha in (-1.0, -0.5, 0.5, 1.5, 2.5):
+            for tol in (1e-4, 1e-6):
+                for m in range(-3, 4):
+                    for n in range(-3, 4):
+                        before = len(built)
+                        cert = approximate_element(spec, zero_boundary, alpha, m, n, tol)
+                        terms = cert.depth.j_pq
+                        if terms * (terms + abs(m - n)) > driver._TABLE_CAP:
+                            continue
+                        assert len(built) == before
+                        read += 1
+                        reference = dispersion_integral_element(params, alpha, m, n)
+                        roundoff = VALUE_ULPS * EPS * 5.0**alpha
+                        assert abs(cert.value - reference) <= cert.bound + roundoff, (alpha, tol, m, n)
+        assert read > 5 * 49
+
+    def test_conjugates_and_real_diagonal(self, monkeypatch):
+        # (m, n) and (n, m) are bitwise conjugates, a diagonal element and
+        # every element of a real stencil real, as on the sweep
+        built = record_sections(monkeypatch)
+        complex_spec = banded_spec(
+            [-2, -1, 0, 1, 2],
+            [0.1 + 0.2j, 0.5 - 0.25j, 3.0, 0.5 + 0.25j, 0.1 - 0.2j],
+            SpectralEnvelope(1.0, 5.0),
+        )
+        real_spec = banded_spec([-2, 0, 2], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0))
+        for spec in (complex_spec, real_spec):
+            for alpha in (-1.0, -0.5, 0.5, 1.5):
+                for m, n in [(0, 1), (-2, 3), (5, -6), (4, 4)]:
+                    upper = approximate_element(spec, zero_boundary, alpha, m, n, 1e-4)
+                    lower = approximate_element(spec, zero_boundary, alpha, n, m, 1e-4)
+                    assert upper.value == lower.value.conjugate()
+                    if m == n or spec is real_spec:
+                        assert upper.value.imag == 0.0
+                    _assert_same_certificate(
+                        upper, approximate_element(_plain(spec), zero_boundary, alpha, m, n, 1e-4))
+        assert not any(spec is complex_spec or spec is real_spec for spec in built)
+
+    def test_one_term_on_a_gapped_stencil(self, monkeypatch):
+        # symbol 1 - 0.2 cos(5 theta), in [0.8, 1.2]; at J = 1 the grid has
+        # |m - n| + 1 nodes, fewer than l = 5, so the taps alias onto them.
+        # At alpha = 1.5 (one carry) the partial sum is the identity
+        envelope = SpectralEnvelope(0.8, 1.2)
+        spec = banded_spec([-5, 0, 5], [-0.1, 1.0, -0.1], envelope)
+        tol = tail_bound(1.5, 0.8, 1.2, 1) / 2.0
+        built = record_sections(monkeypatch)
+        for m, n in [(0, 0), (0, 2), (3, -1)]:
+            cert = approximate_element(spec, zero_boundary, 1.5, m, n, tol)
+            assert cert.depth.j_pq == 1
+            exact = 1.2**1.5 if m == n else 0.0
+            assert abs(cert.value - exact) <= VALUE_ULPS * EPS * 1.2**1.5
+            _assert_same_certificate(cert, approximate_element(_plain(spec), zero_boundary, 1.5, m, n, tol))
+        assert not any(s is spec for s in built)
+        # the one node's sample, s_0 + 2 s_5 = 0.8, lies in [0.7, 0.9], but
+        # s_0 = 1, the start quotient, does not: it is checked with the sample
+        wrong = SpectralEnvelope(0.7, 0.9)
+        for one in _twins([-5, 0, 5], [-0.1, 1.0, -0.1], wrong):
+            with pytest.raises(MalformedSpecError, match=r"(\[0\.8, 1\] on 1 nodes,|is 1,) outside"):
+                approximate_element(one, zero_boundary, 1.5, 0, 0, tail_bound(1.5, 0.7, 0.9, 1) / 2.0)
+
+    def test_huge_tap_fails_closed(self):
+        # taps of 1e308 sum to inf at the nodes: a MalformedSpecError, and
+        # no overflow warning escapes
+        spec = banded_spec([-1, 0, 1], [1e308, 0.5, 1e308], SpectralEnvelope(0.4, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedSpecError, match=r"takes values in \[-?inf, inf\]"):
+                approximate_element(spec, zero_boundary, 0.5, 0, 1, 1e-4)
 
 
 class TestEvaluateWindow:
@@ -1113,7 +1304,8 @@ class TestLocalSolve:
     @pytest.mark.parametrize(
         "f, outs",
         [({0.5: 1.0}, [0]), ({0: 1.0}, [0.5]), ({0.5: 0.0}, [0]), ({0: 0.0}, [1.5]),
-         ({0: 1.0}, [float("nan")]), ({"0": 1.0}, [0])],
+         ({0: 1.0}, [float("nan")]), ({"0": 1.0}, [0]), ({True: 1.0}, [0]), ({0: 1.0}, [True]),
+         ({np.True_: 1.0}, [0])],
     )
     def test_non_integral_index_rejected(self, unit_lattice, f, outs):
         _, spec, policy = unit_lattice
@@ -1138,14 +1330,15 @@ _HUGE = 10**400  # too large for a float
 @pytest.mark.parametrize(
     "argument, value",
     [(a, v) for a in ("element alpha", "window alpha", "table alpha")
-     for v in ("0.5", None, 0.5j, _HUGE)]
-    + [(a, v) for a in ("element tol", "solve tol") for v in ("1e-6", None, _HUGE)]
-    + [("solve rhs", v) for v in ("x", None, _HUGE)],
-    ids=lambda v: "10**400" if v == _HUGE else None,
+     for v in ("0.5", None, 0.5j, _HUGE, True, np.True_)]
+    + [(a, v) for a in ("element tol", "solve tol") for v in ("1e-6", None, _HUGE, True, np.True_)]
+    + [("solve rhs", v) for v in ("x", None, _HUGE, "1", b"1")],
+    ids=lambda v: "10**400" if v is _HUGE else None,
 )
 def test_a_value_that_is_not_a_number_is_a_domain_error(unit_lattice, argument, value):
     # alpha at the premise's finiteness check, tol at _check_tol, a rhs value
-    # where local_solve converts it with complex()
+    # where local_solve converts it with complex(); a boolean, which converts
+    # to a number, is none, nor is a string that complex() would parse
     _, spec, policy = unit_lattice
     call = {
         "element alpha": lambda: approximate_element(spec, policy, value, 0, 0, 1e-6),
@@ -1163,7 +1356,7 @@ def _twins(offsets, stencil, envelope):
     """A banded spec and its plain twin, the same rows presented by the
     generator alone."""
     spec = banded_spec(offsets, stencil, envelope)
-    return spec, InfiniteMatrixSpec(spec.row_generator, spec.sparsity_bound_k, envelope)
+    return spec, _plain(spec)
 
 
 class TestStartQuotient:
@@ -1185,14 +1378,25 @@ class TestStartQuotient:
         ],
     )
     def test_diagonal_outside_the_envelope(self, envelope, alpha, m, n, region):
-        # diagonal, off-diagonal and alpha = 1.5 elements, on a banded spec
-        # and its plain twin: the same error and message, the quotient of e_lo
+        # diagonal, off-diagonal and alpha = 1.5 elements.  The plain twin
+        # sweeps, and fails at the quotient of e_lo; the banded spec reads
+        # them from its symbol (J N under the cap: J = 17, 17, 16, 59, 59,
+        # 49), whose samples on (J - 1) + |m - n| + 1 nodes reach down to 1,
+        # below c or above 3
+        terms = required_depth(alpha, envelope, 1e-8, 1.0, MAX_DIM)[0]
+        assert terms in (16, 17, 49, 59)
+        nodes = terms + abs(m - n)
+        assert terms * nodes <= driver._TABLE_CAP
         bounds = f"[{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
         message = f"a Rayleigh quotient of W on the region {region} is 3, outside the envelope {bounds}"
-        for spec in _twins([-1, 0, 1], [-1.0, 3.0, -1.0], envelope):
-            with pytest.raises(MalformedSpecError) as err:
-                approximate_element(spec, zero_boundary, alpha, m, n, 1e-8)
-            assert str(err.value) == message
+        symbol = (rf"^the symbol of W takes values in \[1, [0-9.]+\] on {nodes} nodes, "
+                  rf"outside the envelope {re.escape(bounds)}$")
+        banded, plain = _twins([-1, 0, 1], [-1.0, 3.0, -1.0], envelope)
+        with pytest.raises(MalformedSpecError) as err:
+            approximate_element(plain, zero_boundary, alpha, m, n, 1e-8)
+        assert str(err.value) == message
+        with pytest.raises(MalformedSpecError, match=symbol):
+            approximate_element(banded, zero_boundary, alpha, m, n, 1e-8)
 
     @pytest.mark.parametrize(
         "envelope,region", [(LOW, "[-18, 24]"), (HIGH, "[-86, 92]")]
@@ -1240,7 +1444,9 @@ class TestStartQuotient:
             ([-1, 0, 1], 0.05, 0, 1, 1e-8),
             ([-1, 0, 1], 0.5, 0, 1, 1e-8),
             # one term, on the region [-1, 1]: from 0 the taps +-2 reach past
-            # it, so the entry (b e_0)[0] alone is finite, and in the envelope
+            # it, so the entry (b e_0)[0] alone is finite, and in the envelope.
+            # The banded spec reads it from its symbol at one node, where the
+            # taps sum to inf, and checks s_0 = 0.05 with it
             ([-2, 0, 2], 0.05, 0, 0, 0.99),
         ],
     )
@@ -1249,10 +1455,13 @@ class TestStartQuotient:
         # meets 0 * inf, so the quotient reads nan whether or not the
         # diagonal lies in the envelope, as the scaled check's does; the
         # step is built under the sweep's error state, so no overflow
-        # warning escapes (the suite turns one into an error)
+        # warning escapes (the suite turns one into an error).  The symbol
+        # path runs under the same error state
         envelope = SpectralEnvelope(0.01, 0.1)
-        for spec in _twins(offsets, [1e308, diagonal, 1e308], envelope):
-            with pytest.raises(MalformedSpecError, match=r"is nan, outside"):
+        banded, plain = _twins(offsets, [1e308, diagonal, 1e308], envelope)
+        symbol = r"takes values in \[0\.05, inf\] on 1 nodes, outside" if tol == 0.99 else None
+        for spec, message in [(banded, symbol or r"is nan, outside"), (plain, r"is nan, outside")]:
+            with pytest.raises(MalformedSpecError, match=message):
                 approximate_element(spec, zero_boundary, 0.5, m, n, tol)
 
     @pytest.mark.parametrize("f", [{0: 1.0}, {0: 1j, 2: 1.0}])

@@ -19,10 +19,21 @@ It needs only numpy and whichever ``finpow`` is on ``PYTHONPATH``.  Run it
 from the root of each checkout and diff the two outputs::
 
     PYTHONPATH=src python tools/answers.py > answers.txt
+
+or let it compare the other checkout's output with its own answers::
+
+    PYTHONPATH=src python tools/answers.py --compare answers.txt
+
+``--compare FILE`` exits 1 and prints the pair of lines wherever the two
+differ in id, bound, ``j_pq``, ``P``, ``Q`` or error class, or in a value by
+more than ``VALUE_ULPS`` units of ``eps`` times the value's scale: ``w**alpha``
+for an element of ``W**alpha`` (it bounds every one), ``sum |f_n| / w`` for a
+local-solve component.  Error messages may differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 import numpy as np
@@ -34,6 +45,8 @@ ALPHAS = (-1.0, -0.5, 0.5, 1.5, 2.5)
 TOLS = (1e-6, 1e-12, 1e-40)
 ELEMENTS = ((0, 0), (-2, 3))
 SEED = 20261020
+VALUE_ULPS = 16
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _hex(x) -> str:
@@ -50,26 +63,35 @@ def _error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _emit(out, name: str, call) -> None:
-    """One line for the answer of ``call()``, or for the error it raised."""
+def _scale(cert) -> float:
+    return cert.envelope_used.w ** cert.alpha
+
+
+def _emit(out, name: str, call, scale: float = 0.0) -> None:
+    """``(id, answer, scale)`` for the answer of ``call()``, or for the error
+    it raised: one per certificate, local-solve component (of scale
+    ``scale``) or table row."""
     try:
         answer = call()
     except Exception as exc:  # a bare exception is an answer too
-        out.append(f"{name} {_error(exc)}")
+        out.append((name, _error(exc), 0.0))
         best = getattr(exc, "best_certificate", None)
         if best is not None:
-            out.append(f"{name}.best {_certificate(best)}")
+            out.append((f"{name}.best", _certificate(best), _scale(best)))
         return
     if isinstance(answer, dict):  # a local solve, one line per component
         for m, (value, bound) in answer.items():
             value = complex(value)
-            out.append(f"{name}[{m}] {_hex(value.real)} {_hex(value.imag)} {_hex(bound)}")
+            out.append((f"{name}[{m}]", f"{_hex(value.real)} {_hex(value.imag)} {_hex(bound)}",
+                        scale))
     elif isinstance(answer, list):  # a convergence table, one line per window
         for i, row in enumerate(answer):
-            text = _error(row) if isinstance(row, Exception) else _certificate(row)
-            out.append(f"{name}[{i}] {text}")
+            if isinstance(row, Exception):
+                out.append((f"{name}[{i}]", _error(row), 0.0))
+            else:
+                out.append((f"{name}[{i}]", _certificate(row), _scale(row)))
     else:
-        out.append(f"{name} {_certificate(answer)}")
+        out.append((name, _certificate(answer), _scale(answer)))
 
 
 def _random_banded(rng, halfband: int, is_complex: bool):
@@ -97,8 +119,9 @@ def _from_config(data: dict):
     return fp.evaluate_window(model.spec, model.boundary_policy, 0.5, 0, 0, fp.Window(4, 1))
 
 
-def answers() -> list[str]:
-    out: list[str] = []
+def _grid() -> list[tuple[str, str, float]]:
+    """``(id, answer, scale)`` of every answer of the grid, in order."""
+    out: list[tuple[str, str, float]] = []
     params = fp.LatticeModelParams(1.0, 1.0)
     unit, periodic = fp.lattice_spec(params), fp.periodic_policy(params)
     for alpha in ALPHAS:
@@ -128,7 +151,8 @@ def answers() -> list[str]:
                 _emit(out, f"{kind}.element {label} alpha={alpha} tol={tol:.3e} ({m},{n})",
                       lambda: fp.approximate_element(s, fp.zero_boundary, alpha, m, n, tol))
                 _emit(out, f"{kind}.solve {label} tol={tol:.3e}",
-                      lambda: fp.local_solve(s, fp.zero_boundary, f, outs, tol))
+                      lambda: fp.local_solve(s, fp.zero_boundary, f, outs, tol),
+                      sum(map(abs, f.values())) / spec.envelope.w)
 
     windows = [fp.Window(g, g) for g in (1, 4, 8, 16)] + [fp.Window(2, 6)]
     _emit(out, "unit.table periodic alpha=0.5 (1,-1)",
@@ -183,10 +207,53 @@ def answers() -> list[str]:
     return out
 
 
-def main() -> int:
-    print("\n".join(answers()))
-    return 0
+def answers() -> list[str]:
+    return [f"{name} {answer}" for name, answer, _ in _grid()]
+
+
+def _agree(answer: str, other: str, scale: float) -> bool:
+    """Whether ``other``, an answer of another checkout, is ``answer`` up to
+    round-off: an error of the same class, or the same fields, of which the
+    value's two parts (the first two) may differ by ``VALUE_ULPS`` units of
+    ``eps`` times ``scale``."""
+    ours, theirs = answer.split(), other.split()
+    if not answer.startswith(("0x", "-0x")):  # an error: its class, "Name:"
+        return theirs[:1] == ours[:1]
+    if len(theirs) != len(ours) or theirs[2:] != ours[2:]:
+        return False
+    try:
+        a, b = (complex(float.fromhex(x[0]), float.fromhex(x[1])) for x in (ours, theirs))
+    except ValueError:
+        return False
+    return a == b or abs(a - b) <= VALUE_ULPS * _EPS * scale
+
+
+def compare(lines: list[str]) -> list[str]:
+    """A report of every line of ``lines``, another checkout's output, that
+    differs from this grid's answer beyond round-off; empty if none does."""
+    grid = _grid()
+    report = []
+    if len(lines) != len(grid):
+        report.append(f"{len(lines)} lines, {len(grid)} answers")
+    for (name, answer, scale), other in zip(grid, lines):
+        if not (other.startswith(name + " ") and _agree(answer, other[len(name) + 1:], scale)):
+            report += [f"- {other}", f"+ {name} {answer}"]
+    return report
+
+
+def main(argv: list[str] | tuple[str, ...] = ()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="compare FILE, another checkout's output, with these answers")
+    args = parser.parse_args(list(argv))
+    if args.compare is None:
+        print("\n".join(answers()))
+        return 0
+    with open(args.compare, encoding="utf-8") as handle:
+        report = compare(handle.read().splitlines())
+    print("\n".join(report) if report else "every answer agrees")
+    return 1 if report else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
