@@ -194,13 +194,19 @@ def _check_rayleigh(
     _check_quotient(envelope, region, np.vdot(u, b_u).real / np.vdot(u, u).real)
 
 
+def _holds(envelope: SpectralEnvelope, low, high) -> bool:
+    """Whether ``[c, norm_bound]``, widened by the slack, holds ``[low, high]``
+    (never for a NaN)."""
+    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
+    return envelope.c - slack <= low and high <= envelope.norm_bound + slack
+
+
 def _check_quotient(envelope: SpectralEnvelope, region: Window, ratio) -> None:
     """Reject an envelope ``[c, norm_bound]`` that excludes the Rayleigh
     quotient ``w (1 - ratio)`` of ``W`` on ``region``, ``ratio`` that of
     ``b``."""
     quotient = envelope.w * (1.0 - ratio)
-    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
-    if not envelope.c - slack <= quotient <= envelope.norm_bound + slack:
+    if not _holds(envelope, quotient, quotient):
         raise MalformedSpecError(
             f"a Rayleigh quotient of W on the region {region} is {quotient:.6g}, "
             f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
@@ -371,8 +377,7 @@ def _symbol_read(
     if len(offsets) and nodes <= offsets[-1]:  # s_0 sits in the middle, if it is there
         checked = np.append(samples, values[len(values) // 2].real if len(values) % 2 else 0.0)
     low, high = checked.min(), checked.max()
-    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
-    if not (envelope.c - slack <= low and high <= envelope.norm_bound + slack):
+    if not _holds(envelope, low, high):
         raise MalformedSpecError(
             f"the symbol of W takes values in [{low:.6g}, {high:.6g}] on {nodes} nodes, "
             f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
