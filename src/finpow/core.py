@@ -33,6 +33,8 @@ HERMITIAN_SPOT_TOL = 1e-12
 
 # The largest offset a banded spec records: its offsets are np.intp.
 _INTP_MAX = int(np.iinfo(np.intp).max)
+_BOOLS = (bool, np.bool_)  # they convert to numbers, but are none
+_NOT_NUMBERS = (str, bytes, *_BOOLS)  # no numbers, though complex() parses a str
 
 RowGenerator = Callable[[int], Sequence[tuple[int, complex]]]
 
@@ -193,9 +195,10 @@ def banded_spec(
 
     ``offsets[i]`` is the column offset from the diagonal carrying the value
     ``stencil[i]`` in every row; an offset is an integral number (``2`` or
-    ``2.0``, not ``2.5``).  Every value must be finite as a complex number
-    (``10**400`` is not).  Zero stencil values are dropped, so the declared
-    sparsity bound counts actual nonzeros.  The stencil must be Hermitian:
+    ``2.0``, not ``2.5`` or ``True``).  Every value must be a number (not a
+    string, which ``complex()`` would parse, nor a boolean or ``None``), and
+    finite as a complex number (``10**400`` is not).  Zero stencil values
+    are dropped, so the declared sparsity bound counts actual nonzeros.  The stencil must be Hermitian:
     the value at offset ``-o``, as a complex number, equal to the conjugate
     of the value at ``o``.  Each check is exact, so every row passes
     ``row``'s checks and every section the Hermitian spot-check; a stencil
@@ -213,7 +216,7 @@ def banded_spec(
     for o in offsets:
         try:
             shift = int(o)
-            integral = shift == o
+            integral = shift == o and not isinstance(o, _BOOLS)
         except (TypeError, ValueError, OverflowError):
             integral = False
         if not integral:
@@ -223,8 +226,12 @@ def banded_spec(
     band, nonzero = {}, 0  # offset -> (value, complex value), for the nonzero values
     for o, v in zip(offsets, stencil):
         try:
+            if isinstance(v, _NOT_NUMBERS):
+                raise TypeError
             z = complex(v)
             finite = cmath.isfinite(z)
+        except TypeError:
+            raise ValueError(f"stencil offset {int(o)} has the value {v!r}, not a number") from None
         except OverflowError:
             finite = False
         if not finite:

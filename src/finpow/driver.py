@@ -10,16 +10,21 @@ sparsity structure (``SupportWalk``) fixes the window that ``J - 1`` support
 steps from the requested indices reach.  There ``W`` acts as its restriction
 on every term, so the terms ``b**j v`` that one generator steps (``_terms``,
 one sparse mat-vec each) give the infinite matrix's partial sum, whose error
-is that one tail.  Local solutions of ``W x = f`` are the case
-``alpha = -1``, with every component read off one sweep of ``J`` terms on
-that window.  An element reads the series only at
-``(max(m, n), min(m, n))``: the paths of length ``L`` between the two indices
-stay within ``floor(L / 2)`` steps of them, so it is swept on the smaller
-region those steps reach, inside the recorded window, and the same walk gives
-both.  A spec with a stencil (``banded_spec``) is a Laurent operator: where
-the power table of its symbol is small (``_TABLE_CAP``), an element is read
-with no sweep, as one exact periodic trapezoid rule of the same partial sum
-over the symbol (``_symbol_read``), its envelope checked on the samples.
+is that one tail.
+
+Each answer's partial sum is one series plan (``_plan``): ``J``, the bound,
+the coefficients and the carries, built once, with the carry-overflow check
+and the round-off guard.  One plan is read three ways.  ``_sweep_read``
+sweeps it from a start vector and reads it at given positions: an element
+from ``e_min(m, n)`` at ``max(m, n)`` (the paths of length ``L`` between
+the two indices stay within ``floor(L / 2)`` steps of them, so it is swept
+on the smaller region those steps reach, inside the recorded window, and the
+same walk gives both), and a local solution of ``W x = f`` from ``f`` at the
+outputs, the plan at ``alpha = -1``.  A spec with a stencil (``banded_spec``)
+is a Laurent operator: where the power table of its symbol is small
+(``_TABLE_CAP``), ``_symbol_read`` reads an element's plan with no sweep, as
+one exact periodic trapezoid rule over the symbol, its envelope checked on
+the samples.
 
 ``evaluate_window`` and ``convergence_table`` keep the paper's construction:
 truncate at a given window with a boundary correction, eigendecompose, and
@@ -29,7 +34,7 @@ bound the error by the two tails ``tail_bound``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from .certificates import (
     tail_bound,
 )
 from .core import (
+    _BOOLS,
     BoundarySpec,
     InfiniteMatrixSpec,
     SpectralEnvelope,
@@ -83,7 +89,6 @@ MAX_DIM = 2049
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-_BOOLS = (bool, np.bool_)  # they convert to numbers, but are none
 
 
 def zero_boundary(window: Window) -> BoundarySpec:
@@ -258,24 +263,41 @@ def _terms(
         term = after
 
 
-def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
-    """The series ``C(beta, j) (-1)**j``, ``j < terms``, of an element sweep,
-    ``beta = alpha - k`` with ``k = floor(alpha)`` (0 for ``alpha < 0``), and
-    its ``k`` carries ``C(beta + r, terms - 1) (-1)**(terms - 1)``, ``r < k``
-    (see ``_element_certificate``), as floats.
+class _Plan(NamedTuple):
+    """One answer's series plan: the partial sum ``P`` of ``terms`` terms of
+    ``(I - b)**alpha`` whose one tail is ``bound``, as the series
+    ``C(beta, j) (-1)**j``, ``j < terms``, and the carries
+    ``C(beta + r, terms - 1) (-1)**(terms - 1)``, ``r < k``, that raise it
+    from ``beta = alpha - k`` to ``alpha`` (see ``_element_certificate``),
+    ``k = floor(alpha)`` (0 for ``alpha < 0``).  A reader evaluates it."""
+
+    terms: int
+    bound: float
+    series: list[float]
+    carries: list[float]
+
+
+def _plan(alpha: float, envelope: SpectralEnvelope, terms: int, bound: float) -> _Plan:
+    """The series plan of an answer of ``terms`` terms and bound ``bound``:
+    the one builder of every element, best certificate and solve (at
+    ``alpha = -1``, where every coefficient is exactly 1.0 and there is no
+    carry).
 
     The series runs the recurrence ``C(beta, j - 1) (beta - (j - 1)) / j``
-    one float at a time, in order; a sweep has only ``terms`` of them.  Carry
-    0 is the series' last term.  The others run the same recurrence at
-    ``beta + r``, as one vector over ``r`` multiplied once per ``j``, in the
-    same order.  The largest, ``r = k - 1``, is run first, one float at a
-    time: ``|C(a, j)|`` is at most 1 for ``0 <= a <= j`` and grows with ``a``
-    above ``j``, so when it is finite every carry is, at every ``j``.
+    one float at a time, in order.  Carry 0 is the series' last term.  The
+    others run the same recurrence at ``beta + r``, as one vector over ``r``
+    multiplied once per ``j``, in the same order.  The largest,
+    ``r = k - 1``, is run first, one float at a time: ``|C(a, j)|`` is at
+    most 1 for ``0 <= a <= j`` and grows with ``a`` above ``j``, so when it
+    is finite every carry is, at every ``j``.  Then the round-off guard of
+    ``_element_certificate``: ``terms eps (2 + x**terms sum|carries|)``,
+    ``x = (w - c)/w``, must stay below 1.
 
     Raises
     ------
     NumericalFailureError
-        A carry overflows (``C(beta + r, terms - 1)`` grows with ``r``).
+        A carry overflows (``C(beta + r, terms - 1)`` grows with ``r``), or
+        the round-off would reach ``w**alpha`` (the guard).
     """
     k = max(math.floor(alpha), 0)
     beta = alpha - k
@@ -283,65 +305,79 @@ def _coefficients(alpha: float, terms: int) -> tuple[list[float], list[float]]:
     for j in range(1, terms):
         coefficient *= (beta - (j - 1)) / j
         series.append(-coefficient if j % 2 else coefficient)
-    if k < 2:
-        return series, series[-1:] if k else []
-    largest, top = 1.0, beta + (k - 1)
-    for j in range(1, terms):
-        largest *= (top - (j - 1)) / j
-    if not math.isfinite(largest):
+    carries = series[-1:] if k else []
+    if k > 1:
+        largest, top = 1.0, beta + (k - 1)
+        for j in range(1, terms):
+            largest *= (top - (j - 1)) / j
+        if not math.isfinite(largest):
+            raise NumericalFailureError(
+                f"at alpha={alpha} the sweep's carries C({beta:g} + r, {terms - 1}), "
+                f"r < {k}, overflow a float"
+            )
+        top, rest = beta + np.arange(1.0, k), np.ones(k - 1)
+        for j in range(1, terms):
+            rest *= (top - (j - 1)) / j
+        carries += ((-1.0) ** (terms - 1) * rest).tolist()
+    w = envelope.w
+    x = (w - envelope.c) / w
+    # fails closed: 0 * inf, from x**terms underflowing, is NaN
+    if not terms * _EPS * (2.0 + x ** terms * sum(map(abs, carries))) < 1.0:
         raise NumericalFailureError(
-            f"at alpha={alpha} the sweep's carries C({beta:g} + r, {terms - 1}), "
-            f"r < {k}, overflow a float"
+            f"at alpha={alpha} the round-off of the sweep's {terms} terms "
+            f"reaches w**alpha, which bounds every element: it would leave no "
+            f"certain digit"
         )
-    top, carries = beta + np.arange(1.0, k), np.ones(k - 1)
-    for j in range(1, terms):
-        carries *= (top - (j - 1)) / j
-    return series, series[-1:] + ((-1.0) ** (terms - 1) * carries).tolist()
+    return _Plan(terms, bound, series, carries)
 
 
 def _sweep_read(
     spec: InfiniteMatrixSpec,
-    walk: SupportWalk,
-    series: list[float],
-    carries: list[float],
-    lo: int,
-    hi: int,
+    region: Window,
+    plan: _Plan,
+    start: np.ndarray | int,
+    at: np.ndarray | int,
 ):
-    """``P^alpha[hi, lo]`` by the sweep of ``_element_certificate``: the
-    terms ``b**j e_lo`` on the region of ``min(J - 1, (J - 1 + k) // 2)``
-    steps of ``walk``, ``J = len(series)`` and ``k = len(carries)``.  The
-    caller owns the floating-point error state."""
-    terms, k = len(series), len(carries)
-    region = walk.window(min(terms - 1, (terms - 1 + k) // 2))
+    """``(P start)[at]`` for the plan's partial sum ``P`` on ``region``: the
+    sweep of ``_terms`` from ``start`` (a vector, or the position of a unit
+    vector), each term read at ``at`` (everywhere, when there are carries)
+    and weighted by its coefficient, then the carries applied to the whole
+    vector, one step each.  An element
+    starts at ``e_lo`` and reads the position of ``hi``; a solve starts at
+    its scaled right-hand side and reads the output positions.  A diagonal
+    element with no carries reads ``<v_i, v_i>`` and ``<v_i, v_{i+1}>``
+    instead, in ``ceil(J / 2)`` steps.  The caller owns the floating-point
+    error state."""
+    terms, series, carries = plan.terms, plan.series, plan.carries
     step = sparse_section(spec, region)
-    start = region.offset(lo)  # e_lo
     read = 0.0
-    if not k and lo == hi:
+    if not carries and isinstance(start, int) and start == at:
         sweep = _terms(spec, region, step, start, (terms + 1) // 2)
         for i, (term, after) in zip(range(0, terms, 2), sweep):
             read += series[i] * np.vdot(term, term).real
             if i + 1 < terms:
                 read += series[i + 1] * np.vdot(term, after).real
         return read
-    at = slice(None) if k else region.offset(hi)  # the identity steps all of P^beta e_lo
+    span = slice(None) if carries else at  # the identity steps all of P^beta start
     sweep = _terms(spec, region, step, start, terms)
     for coefficient, (term, after) in zip(series, sweep):
-        read = read + coefficient * term[at]
+        # a coefficient 1.0 (every one of a solve's) scales nothing: skip the product
+        read = read + (term[span] if coefficient == 1.0 else coefficient * term[span])
     for carry in carries:
         read = read - step(read) + carry * after
-    return read[region.offset(hi)] if k else read
+    return read[at] if carries else read
 
 
 def _symbol_read(
     envelope: SpectralEnvelope,
     stencil: tuple[np.ndarray, np.ndarray],
-    series: list[float],
-    carries: list[float],
+    plan: _Plan,
     nodes: int,
     gap: int,
 ) -> complex:
-    """``P^alpha[hi, lo]``, ``gap = hi - lo``, for a spec with a stencil, by
-    the periodic trapezoid rule on its symbol.
+    """``P^alpha[hi, lo]``, ``gap = hi - lo``, for the plan's partial sum
+    and a spec with a stencil, by the periodic trapezoid rule on its symbol:
+    the plan read at the nodes.
 
     ``W`` is the Laurent operator of the stencil: ``(f(W))[hi, lo]`` is
     ``(1/2pi) int f(sigma(theta)) e^{i gap theta} dtheta`` with
@@ -384,14 +420,14 @@ def _symbol_read(
         )
     ratio = samples / envelope.w  # 1 - t
     t = 1.0 - ratio
-    table = np.empty((len(series), nodes))
+    table = np.empty((plan.terms, nodes))
     table[0] = 1.0
     table[1:] = t
     np.multiply.accumulate(table, axis=0, out=table)
-    p = np.dot(series, table)
-    if carries:
+    p = np.dot(plan.series, table)
+    if plan.carries:
         last = table[-1] * t  # t**J
-        for carry in carries:
+        for carry in plan.carries:
             p = ratio * p + carry * last
     phases = roots[gap * node % nodes]
     if not values.imag.any():  # a real stencil: p is even in theta, the element real
@@ -402,12 +438,12 @@ def _symbol_read(
 def _element_certificate(
     spec: InfiniteMatrixSpec,
     alpha: float,
+    plan: _Plan,
     depth: TruncationDepth,
-    bound: float,
     walk: SupportWalk,
 ) -> Certificate:
-    """Certificate of the partial sum of ``J = depth.j_pq`` terms of
-    ``(W**alpha)[m, n]``, recorded at ``depth.window`` and swept on a region
+    """Certificate of the plan's partial sum of ``J = depth.j_pq`` terms of
+    ``(W**alpha)[m, n]``, recorded at ``depth.window`` and read on a region
     inside it, which ``walk`` (from ``{m, n}``) gives.
 
     With ``b = I - W/w``, the partial sum ``P^alpha`` of ``(I - b)**alpha``
@@ -421,9 +457,9 @@ def _element_certificate(
     step.  Every factor there has norm at most 1.  Its round-off is about
     ``J eps w**alpha (2 + x**J sum|a_r|)``, ``a_r = C(beta + r, J - 1)``;
     ``w**alpha`` bounds every element of ``W**alpha``, so when that round-off
-    reaches it (or the estimate is NaN) the call fails rather than certify a
-    value with no certain digit (``NumericalFailureError``, as for a carry or
-    a value that overflows).
+    reaches it (or the estimate is NaN) the plan's guard fails the call
+    before any read rather than certify a value with no certain digit
+    (``NumericalFailureError``, as for a carry or a value that overflows).
 
     Each piece of the read is a polynomial of degree at most
     ``L = J - 1 + k`` in ``W`` at ``(max(m, n), min(m, n))``: a sum over
@@ -449,22 +485,13 @@ def _element_certificate(
     holds at most ``_TABLE_CAP`` entries: no section, no term loop and no
     region walk, the samples of the symbol checked against the envelope in
     place of the Rayleigh quotients, and the same conjugate and real reads.
-    The coefficients, the carries and the round-off guard are the sweep's;
-    the value agrees with the sweep's to round-off.  A longer series, or a
-    spec without a stencil, is swept (``_sweep_read``).
+    Both read one plan (``_plan``), which holds the coefficients and the
+    carries and has run the round-off guard; the symbol's value agrees with
+    the sweep's to round-off.  A longer series, or a spec without a stencil,
+    is swept (``_sweep_read``, the reader of ``local_solve`` too).
     """
-    m, n, terms = depth.m, depth.n, depth.j_pq
+    m, n, terms = depth.m, depth.n, plan.terms
     envelope = spec.envelope
-    w = envelope.w
-    series, carries = _coefficients(alpha, terms)
-    x = (w - envelope.c) / w
-    # fails closed: 0 * inf, from x**terms underflowing, is NaN
-    if not terms * _EPS * (2.0 + x ** terms * sum(map(abs, carries))) < 1.0:
-        raise NumericalFailureError(
-            f"at alpha={alpha} the round-off of the sweep's {terms} terms "
-            f"reaches w**alpha, which bounds every element: it would leave no "
-            f"certain digit"
-        )
     lo, hi = min(m, n), max(m, n)
     stencil, nodes = spec._stencil, 0
     if stencil is not None:  # offsets come in pairs +-o: the last is the largest
@@ -472,17 +499,18 @@ def _element_certificate(
         nodes = (terms - 1) * band + hi - lo + 1
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
         if nodes and terms * nodes <= _TABLE_CAP:
-            read = _symbol_read(envelope, stencil, series, carries, nodes, hi - lo)
+            read = _symbol_read(envelope, stencil, plan, nodes, hi - lo)
         else:
-            read = _sweep_read(spec, walk, series, carries, lo, hi)
+            region = walk.window(min(terms - 1, (terms - 1 + len(plan.carries)) // 2))
+            read = _sweep_read(spec, region, plan, region.offset(lo), region.offset(hi))
     if m == n:
         read = read.real
     elif m < n:
         read = np.conj(read)
-    value = w ** alpha * complex(read)
+    value = envelope.w ** alpha * complex(read)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NumericalFailureError(f"the element ({m}, {n}) of W**{alpha} overflows")
-    return Certificate(value, depth.window, depth, bound, envelope, alpha)
+    return Certificate(value, depth.window, depth, plan.bound, envelope, alpha)
 
 
 def approximate_element(
@@ -551,21 +579,20 @@ def approximate_element(
     lo, hi = min(m, n), max(m, n)
     walk = SupportWalk(spec, {m, n})
     if hi - lo < max_dim:  # else no window holds the indices: skip the bound work
-        depth, bound = required_depth(alpha, envelope, tol, 1.0, max_dim)
+        terms, bound = required_depth(alpha, envelope, tol, 1.0, max_dim)
         if bound <= tol:
-            window = walk.window(depth - 1, max_dim)
+            window = walk.window(terms - 1, max_dim)
             if window.dim <= max_dim:
-                return _element_certificate(
-                    spec, alpha, TruncationDepth(depth, window, m, n), bound, walk
-                )
+                plan = _plan(alpha, envelope, terms, bound)
+                depth = TruncationDepth(terms, window, m, n)
+                return _element_certificate(spec, alpha, plan, depth, walk)
     message = _not_converged(max_dim, tol)
     radius, centre = (max_dim - 1) // 2, (lo + hi) // 2
     if not centre - radius <= lo <= hi <= centre + radius:
         raise NotConvergedError(message)
     depth = walk.depth(Window(radius - centre, centre + radius), m, n)
-    best = _element_certificate(
-        spec, alpha, depth, tail_bound(alpha, c, w, depth.j_pq) / 2.0, walk
-    )
+    plan = _plan(alpha, envelope, depth.j_pq, tail_bound(alpha, c, w, depth.j_pq) / 2.0)
+    best = _element_certificate(spec, alpha, plan, depth, walk)
     message += f"; best bound {best.bound:g} at window {best.window}"
     raise NotConvergedError(message, best_certificate=best)
 
@@ -612,7 +639,10 @@ def local_solve(
     ``J - 1`` support steps from ``supp f`` reach: there ``W`` acts as ``W_R``
     on every term, so ``x`` is the infinite matrix's partial sum and its
     error is one tail, ``sum |f_n| * tail_bound(-1, c, w, J) / 2``, the bound
-    of every component.  A component outside ``R`` is exactly 0 in the
+    of every component.  The sum is the element's plan at ``alpha = -1``
+    (``_plan``: every coefficient 1.0, no carry), read by the element's
+    reader ``_sweep_read`` from ``f`` (scaled by its largest ``|f_n|``) at
+    the outputs inside ``R``.  A component outside ``R`` is exactly 0 in the
     partial sum.  The work is ``J`` sparse mat-vecs over ``R``, the last one
     for the envelope check of ``_terms``.  The walk stops once its window is
     wider than ``max_dim``.  ``boundary_policy`` is not read; no truncation is
@@ -652,10 +682,11 @@ def local_solve(
     weight = sum(abs(v) for v in support.values())
     if not math.isfinite(weight):
         raise DomainError(f"rhs must be finite with a finite sum of |f_n|, got {weight}")
-    depth, bound = required_depth(-1.0, envelope, tol, weight, max_dim)
-    region = SupportWalk(spec, support).window(depth - 1, max_dim) if bound <= tol else None
+    terms, bound = required_depth(-1.0, envelope, tol, weight, max_dim)
+    region = SupportWalk(spec, support).window(terms - 1, max_dim) if bound <= tol else None
     if region is None or region.dim > max_dim:
         raise NotConvergedError(_not_converged(max_dim, tol))
+    plan = _plan(-1.0, envelope, terms, bound)
 
     scale = max(abs(v) for v in support.values())
     rhs = np.zeros(region.dim, dtype=np.complex128)
@@ -666,10 +697,8 @@ def local_solve(
     inside = [m for m in outs if region.contains(m)]
     at = np.array([region.offset(m) for m in inside], dtype=np.intp)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
-        step = sparse_section(spec, region)
-        x = sum(term[at] for term, _ in _terms(spec, region, step, rhs, depth))
-        x = x / envelope.w * scale
+        x = _sweep_read(spec, region, plan, rhs, at) / envelope.w * scale
     if not np.isfinite(x).all():
         raise NumericalFailureError("a component of the local solution overflows")
     values = dict(zip(inside, (complex(v) for v in x)))
-    return {m: (values.get(m, 0.0 + 0.0j), bound) for m in outs}
+    return {m: (values.get(m, 0.0 + 0.0j), plan.bound) for m in outs}

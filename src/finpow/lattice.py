@@ -24,6 +24,8 @@ from .core import (
     Window,
     banded_spec,
 )
+from .certificates import _check_alpha
+from .driver import _index
 from .errors import DegenerateWindowError, DomainError, NumericalFailureError
 
 # Constants of dispersion_integral_element's periodic trapezoid rule: the
@@ -116,10 +118,16 @@ def dispersion_integral_element(
 
     Raises
     ------
+    DomainError
+        ``alpha`` not a finite real number, or ``m`` or ``n`` not an
+        integer, checked as the entry points check them, before any
+        quadrature.
     NumericalFailureError
         If ``QUADRATURE_MAX_REFINEMENTS`` estimates pass with no two
         successive ones agreeing.
     """
+    _check_alpha(alpha)
+    m, n = _index(m), _index(n)
     points, previous = QUADRATURE_POINTS, math.inf  # the first estimate cannot agree
     for _ in range(QUADRATURE_MAX_REFINEMENTS):
         kappa = np.arange(points) / points

@@ -188,7 +188,9 @@ class TestRowGenerator:
             banded_spec([-1, 0, 1], stencil, SpectralEnvelope(1.0, 5.0))
         assert "not Hermitian" not in str(err.value)
 
-    @pytest.mark.parametrize("offset", [1.5, -0.5, 1e-9, float("nan"), float("inf"), None, "1", 1j])
+    @pytest.mark.parametrize(
+        "offset", [1.5, -0.5, 1e-9, float("nan"), float("inf"), None, "1", 1j, True, np.bool_(True)]
+    )
     def test_non_integral_offset_rejected(self, offset):
         # an offset is rejected, never truncated to a neighbouring column
         with pytest.raises(ValueError, match="offset .* is not an integer"):
@@ -199,8 +201,22 @@ class TestRowGenerator:
         with pytest.raises(ValueError, match="offset -1.5 is not an integer"):
             banded_spec([-1.5, 0, 1.5], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0))
 
+    @pytest.mark.parametrize(
+        "value", ["3", b"3", True, np.bool_(True), None], ids=["str", "bytes", "bool", "np_bool", "none"]
+    )
+    def test_non_numeric_stencil_value_rejected(self, value):
+        # complex('3') would parse, and a boolean converts to a number: the
+        # config reader and the entry points reject both, and so does the
+        # spec, with the ValueError of its other checks (None as well)
+        with pytest.raises(ValueError, match="stencil offset 0 has the value .*, not a number"):
+            banded_spec([-1, 0, 1], [-1.0, value, -1.0], SpectralEnvelope(1.0, 5.0))
+        with pytest.raises(ValueError, match="stencil offset -1 has the value .*, not a number"):
+            banded_spec([-1, 0, 1], [value, 3.0, value], SpectralEnvelope(1.0, 5.0))
+
     def test_integral_offsets_of_any_type_accepted(self):
-        spec = banded_spec([np.int64(-1), 0.0, True], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0))
+        # numpy numbers are numbers, as offsets and as values
+        values = [np.float64(-1.0), np.complex128(3.0), -1.0]
+        spec = banded_spec([np.int64(-1), 0.0, np.int32(1)], values, SpectralEnvelope(1.0, 5.0))
         assert spec.row(4) == {3: -1.0, 4: 3.0, 5: -1.0}
         assert all(type(col) is int for col in spec.row(4))
 

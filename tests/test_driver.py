@@ -248,6 +248,37 @@ class TestApproximateElement:
         with pytest.raises(NumericalFailureError, match="no certain digit"):
             approximate_element(spec, policy, 100.5, 0, 0, 1e-30, max_dim=65)
 
+    def test_no_certain_digit_fails_where_tol_is_met(self, unit_lattice):
+        # the same guard on the path that meets tol, here at J = 69
+        _, spec, policy = unit_lattice
+        with pytest.raises(NumericalFailureError, match="sweep's 69 terms .* no certain digit"):
+            approximate_element(spec, policy, 100.5, 0, 0, 1e90)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, policy: approximate_element(spec, policy, 0.5, 0, 1, 1e-6),
+            lambda spec, policy: approximate_element(spec, policy, 0.5, 0, 1, 1e-6, max_dim=9),
+            lambda spec, policy: local_solve(spec, policy, {0: 1.0}, [0, 1], 1e-6),
+        ],
+        ids=["element", "best", "solve"],
+    )
+    def test_every_path_runs_the_one_guard(self, unit_lattice, monkeypatch, call):
+        # the element, its best certificate and the solve all build their
+        # series from one plan, which runs the round-off guard: with a
+        # machine epsilon of 1/2 no depth passes it, on any path
+        _, spec, policy = unit_lattice
+        monkeypatch.setattr(driver, "_EPS", 0.5)
+        with pytest.raises(NumericalFailureError, match="no certain digit"):
+            call(spec, policy)
+
+    def test_overflowing_carries_fail_on_the_best_path(self):
+        # no depth under max_dim meets tol, and the carries at the best
+        # window's depth, 128 terms, overflow: the best certificate's plan
+        # raises as the element's does
+        with pytest.raises(NumericalFailureError, match=r"carries C\(0.5 \+ r, 127\)"):
+            approximate_element(tight_spec(), zero_boundary, 50000.5, 0, 0, 1e-300, max_dim=257)
+
     def test_many_carries_on_a_tight_envelope(self):
         # k = 20000 carries of J = 65 terms, all finite
         cert = approximate_element(tight_spec(), zero_boundary, 20000.5, 0, 0, 1e-6)

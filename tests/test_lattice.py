@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from finpow import (
     NumericalFailureError,
     SingularityError,
     Window,
+    approximate_element,
     dispersion_integral_element,
     lattice_spec,
 )
@@ -201,6 +204,29 @@ class TestDispersionIntegral:
         monkeypatch.setattr(lattice, "QUADRATURE_MAX_REFINEMENTS", 1)
         with pytest.raises(NumericalFailureError, match="did not reach tol"):
             dispersion_integral_element(params, 1.0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "alpha, m, n, message",
+        [
+            (True, 0, 0, "alpha must be finite, got True"),
+            ("0.5", 0, 0, "alpha must be finite, got '0.5'"),
+            (float("nan"), 0, 0, "alpha must be finite, got nan"),
+            (float("inf"), 0, 0, "alpha must be finite, got inf"),
+            (0.5, 0.5, 0, "an index must be an integer, got 0.5"),
+            (0.5, 0, 0.5, "an index must be an integer, got 0.5"),
+            (0.5, True, 0, "an index must be an integer, got True"),
+        ],
+        ids=["alpha_bool", "alpha_str", "alpha_nan", "alpha_inf", "m_half", "n_half", "m_bool"],
+    )
+    def test_rejects_what_the_entry_points_reject(self, unit_lattice, monkeypatch, alpha, m, n,
+                                                  message):
+        # with the entry points' message, before any sample of the symbol
+        params, spec, policy = unit_lattice
+        with pytest.raises(DomainError, match=re.escape(message)):
+            approximate_element(spec, policy, alpha, m, n, 1e-6)
+        monkeypatch.setattr(lattice, "fourier_symbol", None)  # calling it would fail
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dispersion_integral_element(params, alpha, m, n)
 
     def test_circulant_converges_to_integral(self):
         # a narrow spectral gap slows convergence enough to see the trend;

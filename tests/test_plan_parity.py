@@ -12,9 +12,9 @@ past it.
 import numpy as np
 import pytest
 
-from finpow import NumericalFailureError
-from finpow.certificates import _FIRST_CHUNK, _abs_terms, _closed_sum, _tails
-from finpow.driver import _coefficients
+from finpow import NumericalFailureError, SpectralEnvelope
+from finpow.certificates import _FIRST_CHUNK, MAX_DEPTH, _abs_terms, _closed_sum, _tails
+from finpow.driver import _plan
 from oracles import (
     numpy_abs_terms,
     numpy_closed_sum,
@@ -42,16 +42,30 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+# x = 0: the plan's round-off guard holds at every depth
+EXACT = SpectralEnvelope(1.0, 1.0)
+
+
 class TestBinomials:
     @pytest.mark.parametrize("alpha", ALPHAS + (-0.0, 0.0, 1.0, 2.0, 3.0, 400.5))
     def test_series_and_carries(self, alpha):
         # an element sweep's series as floats; its carries from the series
         # and one table of rows C(beta + r, .)
         for terms in (*range(1, 300), 1000, 2049) if alpha < 50 else (1, 2, 3, 17, 102, 299):
-            series, carries = _coefficients(alpha, terms)
+            _, _, series, carries = _plan(alpha, EXACT, terms, 0.0)
             want_series, want_carries = numpy_series_and_carries(alpha, terms)
             assert [c.hex() for c in series] == [c.hex() for c in want_series.tolist()], terms
             assert [c.hex() for c in carries] == [float(c).hex() for c in want_carries], terms
+
+    def test_solve_series_is_exactly_one(self):
+        # a local solve reads the plan at alpha = -1 with the element's
+        # reader: every coefficient is 1.0, so its sum is the plain sum of
+        # the terms; there is no carry, and the guard 2 J eps < 1 holds at
+        # every depth, even where x rounds to 1
+        for terms in range(1, 2050):
+            plan = _plan(-1.0, EXACT, terms, 0.0)
+            assert plan.series == [1.0] * terms and plan.carries == [], terms
+        assert _plan(-1.0, SpectralEnvelope(1e-300, 1.0), MAX_DEPTH, 0.0).carries == []
 
 
 class TestTerms:

@@ -11,7 +11,7 @@ from finpow import (
 )
 from finpow.certificates import tail_bound
 from finpow.core import FiniteHermitian, truncate
-from finpow.driver import _coefficients
+from finpow.driver import _plan
 from finpow.lattice import periodic_boundary
 from finpow.powers import finite_power
 
@@ -53,7 +53,7 @@ class TestBinomialCoefficient:
         assert mine == pytest.approx(oracle, rel=1e-12, abs=1e-30)
 
     def test_vectorized_matches_scalar(self):
-        series = _coefficients(-0.5, 12)[0]
+        series = _plan(-0.5, SpectralEnvelope(1.0, 1.0), 12, 0.0).series
         for j in range(12):
             assert series[j] == (-1.0) ** j * binomial_coefficient(-0.5, j)
 

@@ -204,6 +204,10 @@ def _grid() -> list[tuple[str, str, float]]:
     _emit(out, "config corner [-4, true, -1.0, 0.0]", lambda: _from_config({
         "kind": "lattice", "a": 1.0, "b": 1.0,
         "boundary": {"kind": "corners", "entries": [[-4, True, -1.0, 0.0]]}}))
+    _emit(out, "unit.dispersion alpha=True",
+          lambda: fp.dispersion_integral_element(params, True, 0, 0))
+    _emit(out, "unit.dispersion index 0.5",
+          lambda: fp.dispersion_integral_element(params, 0.5, 0.5, 0))
     return out
 
 
