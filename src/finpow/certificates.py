@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BOOLS, SpectralEnvelope, Window
+from .core import SpectralEnvelope, Window, _number
 from .errors import DivergentSeriesError, DomainError, NumericalFailureError
 from .series import TruncationDepth
 
@@ -90,16 +90,6 @@ def _is_nonneg_integer(alpha: float) -> bool:
     return alpha >= 0.0 and float(alpha) == int(alpha)
 
 
-def _check_alpha(alpha: float) -> None:
-    """Raise ``DomainError`` unless ``alpha`` is a finite real number."""
-    try:  # a boolean is not a number here, though it converts to one
-        finite = not isinstance(alpha, _BOOLS) and math.isfinite(alpha)
-    except (TypeError, OverflowError):  # not a real number, or too large for a float
-        finite = False
-    if not finite:
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
-
-
 def full_series_sum(alpha: float, c: float, w: float) -> float:
     """Closed form of ``sum_{j>=0} |C(alpha, j)| ((w - c)/w)**j``.
 
@@ -123,7 +113,7 @@ def full_series_sum(alpha: float, c: float, w: float) -> float:
         ``alpha < 0`` with ``c/w`` so small that it rounds to 0 (``x`` is 1,
         where the terms do not decay).
     """
-    _check_alpha(alpha)
+    _number(alpha, "alpha must be finite, got {!r}", real=True, finite=True)
     if not (w > 0.0) or not math.isfinite(w):
         raise DomainError(f"series shift w must be positive and finite, got {w}")
     if c < 0.0 or not math.isfinite(c):

@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     InvalidBoundaryError,
     MalformedSpecError,
     NumericalFailureError,
@@ -34,9 +35,46 @@ HERMITIAN_SPOT_TOL = 1e-12
 # The largest offset a banded spec records: its offsets are np.intp.
 _INTP_MAX = int(np.iinfo(np.intp).max)
 _BOOLS = (bool, np.bool_)  # they convert to numbers, but are none
-_NOT_NUMBERS = (str, bytes, *_BOOLS)  # no numbers, though complex() parses a str
 
 RowGenerator = Callable[[int], Sequence[tuple[int, complex]]]
+
+
+def _integer(x, message: str = "an index must be an integer, got {!r}") -> int:
+    """``x`` as an ``int``: an integral number (``2``, ``2.0``, ``np.int64(2)``)
+    gives its ``int``.  A boolean, which converts to one, is none.  Anything
+    else raises ``DomainError(message.format(x))``.
+
+    The one integer check of every index, size and offset a user passes."""
+    if type(x) is int:
+        return x
+    try:
+        if not isinstance(x, _BOOLS) and int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(message.format(x))
+
+
+def _number(x, message: str, *, real: bool = False, finite: bool = False) -> float | complex:
+    """``x`` as a ``float`` (``real``) or a ``complex``, and finite if
+    ``finite``.  A ``str`` or ``bytes``, which ``complex()`` would parse, a
+    boolean, which converts to a number, and ``None`` are none, and neither
+    is a complex number where a real one is due: each raises
+    ``DomainError(message.format(x))``.  An int too large for a float reads
+    as infinite, so a finiteness check rejects it.
+
+    The one number check of every value a user passes."""
+    number = x if type(x) is float else None
+    if number is None and not isinstance(x, (str, bytes, *_BOOLS)):
+        try:
+            number = float(x) if real else complex(x)
+        except OverflowError:
+            number = math.inf
+        except (TypeError, ValueError):
+            pass
+    if number is None or finite and not cmath.isfinite(number):
+        raise DomainError(message.format(x))
+    return number if real else complex(number)
 
 
 @dataclass(frozen=True)
@@ -46,6 +84,10 @@ class SpectralEnvelope:
     ``c`` is a lower bound on the spectrum, ``norm_bound`` an upper bound on
     the operator norm, and ``d`` the allowed inflation of the norm bound by
     boundary corrections.  The derived series shift is ``w = norm_bound + d``.
+    Each is a real number, stored as a ``float``, with
+    ``0 <= c <= norm_bound < inf`` and ``0 <= d < inf``; anything else
+    (a boolean, a string, ``None``, ``nan``, ``10**400``) raises
+    ``DomainError``.
     """
 
     c: float
@@ -53,15 +95,21 @@ class SpectralEnvelope:
     d: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.c <= self.norm_bound):
-            raise ValueError(
+        message = "a spectral envelope holds real numbers, got {!r}"
+        c = _number(self.c, message, real=True)
+        norm_bound = _number(self.norm_bound, message, real=True)
+        d = _number(self.d, message, real=True)
+        if not (0.0 <= c <= norm_bound):
+            raise DomainError(
                 f"spectral envelope requires 0 <= c <= norm_bound, "
                 f"got c={self.c}, norm_bound={self.norm_bound}"
             )
-        if not math.isfinite(self.norm_bound):
-            raise ValueError("norm_bound must be finite")
-        if self.d < 0.0 or not math.isfinite(self.d):
-            raise ValueError(f"boundary inflation d must be >= 0, got {self.d}")
+        if not math.isfinite(norm_bound):
+            raise DomainError("norm_bound must be finite")
+        if d < 0.0 or not math.isfinite(d):
+            raise DomainError(f"boundary inflation d must be >= 0, got {self.d}")
+        if c is not self.c or norm_bound is not self.norm_bound or d is not self.d:
+            vars(self).update(c=c, norm_bound=norm_bound, d=d)  # frozen: past its __setattr__
 
     @property
     def w(self) -> float:
@@ -72,14 +120,20 @@ class SpectralEnvelope:
 @dataclass(frozen=True)
 class Window:
     """Truncation index range [-P, Q] of dimension P + Q + 1; any non-empty
-    range, so it need not contain the origin."""
+    range, so it need not contain the origin.  ``P`` and ``Q`` are integers,
+    stored as ``int``s; an integral float counts as its ``int``, and anything
+    else (``0.5``, a boolean, a string) raises ``DomainError``."""
 
     P: int
     Q: int
 
     def __post_init__(self):
-        if self.P + self.Q < 0:
-            raise ValueError(f"window requires P + Q >= 0, got P={self.P}, Q={self.Q}")
+        P = _integer(self.P, "window P must be an integer, got {!r}")
+        Q = _integer(self.Q, "window Q must be an integer, got {!r}")
+        if P + Q < 0:
+            raise DomainError(f"window requires P + Q >= 0, got P={P}, Q={Q}")
+        if P is not self.P or Q is not self.Q:
+            vars(self).update(P=P, Q=Q)  # frozen: past its __setattr__
 
     @property
     def dim(self) -> int:
@@ -116,7 +170,8 @@ class InfiniteMatrixSpec:
         describe a Hermitian matrix; both properties are spot-checked lazily
         on the touched index set, never globally.
     sparsity_bound_k : int
-        Declared maximum number of nonzero entries per row.
+        Declared maximum number of nonzero entries per row: a positive
+        integer, stored as an ``int`` (``DomainError`` otherwise).
     envelope : SpectralEnvelope
         Spectral bracket of the matrix as an operator on square-summable
         sequences.
@@ -145,10 +200,10 @@ class InfiniteMatrixSpec:
     _stencil: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        message = "sparsity_bound_k must be a positive integer, got {!r}"
+        self.sparsity_bound_k = _integer(self.sparsity_bound_k, message)
         if self.sparsity_bound_k < 1:
-            raise ValueError(
-                f"sparsity_bound_k must be a positive integer, got {self.sparsity_bound_k}"
-            )
+            raise DomainError(message.format(self.sparsity_bound_k))
 
     def row(self, m: int) -> Mapping[int, complex]:
         """Validated row ``m`` as a mapping column -> value (cached)."""
@@ -194,57 +249,42 @@ def banded_spec(
     """Translation-invariant banded matrix from a stencil.
 
     ``offsets[i]`` is the column offset from the diagonal carrying the value
-    ``stencil[i]`` in every row; an offset is an integral number (``2`` or
-    ``2.0``, not ``2.5`` or ``True``).  Every value must be a number (not a
-    string, which ``complex()`` would parse, nor a boolean or ``None``), and
-    finite as a complex number (``10**400`` is not).  Zero stencil values
-    are dropped, so the declared sparsity bound counts actual nonzeros.  The stencil must be Hermitian:
-    the value at offset ``-o``, as a complex number, equal to the conjugate
-    of the value at ``o``.  Each check is exact, so every row passes
-    ``row``'s checks and every section the Hermitian spot-check; a stencil
-    that fails one raises ``ValueError`` here.
+    ``stencil[i]`` in every row.  An offset is an integer and a value a
+    complex number, finite as one, both by the package's number rule (see
+    ``_integer`` and ``_number``).  Zero stencil values are dropped, so the
+    declared sparsity bound counts actual nonzeros.  The stencil must be
+    Hermitian: the value at offset ``-o``, as a complex number, equal to the
+    conjugate of the value at ``o``.  Each check is exact, so every row
+    passes ``row``'s checks and every section the Hermitian spot-check; a
+    stencil that fails one raises ``DomainError`` here.
 
     The spec records the stencil, as read-only sorted offsets and complex
     values, so the support walk and the series step are computed from it in
     closed form (see ``InfiniteMatrixSpec``).  An offset must therefore be a
     machine integer (``np.intp``).  The checks run on Python numbers: each
-    value is converted by ``complex()`` once, and compared with its mirror by
+    value is converted to a ``complex`` once, and compared with its mirror by
     ``complex.conjugate()``.
     """
     if len(offsets) != len(stencil):
-        raise ValueError("offsets and stencil must have equal length")
-    for o in offsets:
-        try:
-            shift = int(o)
-            integral = shift == o and not isinstance(o, _BOOLS)
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ValueError(f"stencil offset {o!r} is not an integer")
+        raise DomainError("offsets and stencil must have equal length")
+    shifts = [_integer(o, "stencil offset {!r} is not an integer") for o in offsets]
+    for o, shift in zip(offsets, shifts):
         if abs(shift) > _INTP_MAX:
-            raise ValueError(f"stencil offset {o!r} is outside the machine-integer range")
+            raise DomainError(f"stencil offset {o!r} is outside the machine-integer range")
     band, nonzero = {}, 0  # offset -> (value, complex value), for the nonzero values
-    for o, v in zip(offsets, stencil):
-        try:
-            if isinstance(v, _NOT_NUMBERS):
-                raise TypeError
-            z = complex(v)
-            finite = cmath.isfinite(z)
-        except TypeError:
-            raise ValueError(f"stencil offset {int(o)} has the value {v!r}, not a number") from None
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"stencil offset {int(o)} has the non-finite value {v}")
+    for o, v in zip(shifts, stencil):
+        z = _number(v, f"stencil offset {o} has the value {{!r}}, not a number")
+        if not cmath.isfinite(z):
+            raise DomainError(f"stencil offset {o} has the non-finite value {v}")
         if v != 0:
-            band[int(o)] = (v, z)
+            band[o] = (v, z)
             nonzero += 1
     if len(band) != nonzero:
-        raise ValueError("duplicate offsets in stencil")
+        raise DomainError("duplicate offsets in stencil")
     for o, (v, z) in band.items():
         mirror, conjugate = band.get(-o, (None, None))
         if conjugate != z.conjugate():
-            raise ValueError(
+            raise DomainError(
                 f"stencil is not Hermitian: offset {o} has value {v}, "
                 f"offset {-o} has {mirror}"
             )
@@ -267,7 +307,10 @@ def banded_spec(
 class BoundarySpec:
     """Hermitian correction supported on the window corners {-P, Q}.
 
-    Entries are keyed by ``(row, col)`` pairs of logical indices.  Missing
+    Entries are keyed by ``(row, col)`` pairs of logical indices, integers
+    stored as ``int``s, with values that are complex numbers, finite as
+    one, stored as ``complex``; anything else (an index ``0.5``, a boolean,
+    a string, ``nan``, ``10**400``) raises ``DomainError``.  Missing
     conjugate partners are filled in on construction; inconsistent pairs or
     non-real diagonal values are rejected.
     """
@@ -276,9 +319,9 @@ class BoundarySpec:
 
     def __post_init__(self):
         completed = {}
+        value = "a boundary value must be a finite complex number, got {!r}"
         for (i, j), v in self.entries.items():
-            key = (int(i), int(j))
-            completed[key] = complex(v)
+            completed[(_integer(i), _integer(j))] = _number(v, value, finite=True)
         for (i, j), v in list(completed.items()):
             if i == j:
                 if v.imag != 0.0:

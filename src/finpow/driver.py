@@ -47,11 +47,12 @@ from .certificates import (
     tail_bound,
 )
 from .core import (
-    _BOOLS,
     BoundarySpec,
     InfiniteMatrixSpec,
     SpectralEnvelope,
     Window,
+    _integer,
+    _number,
     sparse_section,
     truncate,
     validate_truncation,  # noqa: F401 - perfbench/tracer.py wraps it by this name
@@ -97,34 +98,9 @@ def zero_boundary(window: Window) -> BoundarySpec:
 
 
 def _check_tol(tol: float) -> None:
-    try:
-        valid = not isinstance(tol, _BOOLS) and math.isfinite(tol) and tol > 0.0
-    except (TypeError, OverflowError):  # not a real number, or too large for a float
-        valid = False
-    if not valid:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-
-
-def _index(i, name: str = "an index") -> int:
-    """``i`` as an ``int``: an integral number becomes its ``int``, a
-    boolean is not one."""
-    try:
-        if not isinstance(i, _BOOLS) and int(i) == i:
-            return int(i)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{name} must be an integer, got {i!r}")
-
-
-def _rhs_value(v) -> complex:
-    """A value of a right-hand side as a ``complex``; a string, which
-    ``complex()`` would parse, is not one."""
-    try:
-        if not isinstance(v, (str, bytes)):
-            return complex(v)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"a rhs value must be a complex number, got {v!r}")
+    message = "tol must be positive and finite, got {!r}"
+    if not _number(tol, message, real=True, finite=True) > 0.0:
+        raise DomainError(message.format(tol))
 
 
 def evaluate_window(
@@ -150,7 +126,7 @@ def evaluate_window(
     NumericalFailureError
         The eigendecomposition failed.
     """
-    m, n = _index(m), _index(n)
+    m, n = _integer(m), _integer(n)
     envelope = spec.envelope
     full_series_sum(alpha, envelope.c, envelope.w)
     if not (window.contains(m) and window.contains(n)):
@@ -571,8 +547,8 @@ def approximate_element(
         the envelope.
     """
     _check_tol(tol)
-    m, n = _index(m), _index(n)
-    max_dim = _index(max_dim, "max_dim")
+    m, n = _integer(m), _integer(n)
+    max_dim = _integer(max_dim, "max_dim must be an integer, got {!r}")
     envelope = spec.envelope
     c, w = envelope.c, envelope.w
     full_series_sum(alpha, c, w)
@@ -612,7 +588,7 @@ def convergence_table(
     before any window: a non-integral index (``DomainError``), or what
     ``full_series_sum`` raises.
     """
-    m, n = _index(m), _index(n)
+    m, n = _integer(m), _integer(n)
     full_series_sum(alpha, spec.envelope.c, spec.envelope.w)
     rows = []
     for window in windows:
@@ -673,9 +649,10 @@ def local_solve(
     envelope = spec.envelope
     full_series_sum(-1.0, envelope.c, envelope.w)
     _check_tol(tol)
-    max_dim = _index(max_dim, "max_dim")
-    outs = [_index(m) for m in out_indices]
-    support = {_index(k): _rhs_value(v) for k, v in f.items()}
+    max_dim = _integer(max_dim, "max_dim must be an integer, got {!r}")
+    outs = [_integer(m) for m in out_indices]
+    message = "a rhs value must be a complex number, got {!r}"
+    support = {_integer(k): _number(v, message) for k, v in f.items()}
     support = {k: v for k, v in support.items() if v != 0}
     if not support:
         return {m: (0.0 + 0.0j, 0.0) for m in outs}

@@ -22,10 +22,10 @@ from .core import (
     InfiniteMatrixSpec,
     SpectralEnvelope,
     Window,
+    _integer,
+    _number,
     banded_spec,
 )
-from .certificates import _check_alpha
-from .driver import _index
 from .errors import DegenerateWindowError, DomainError, NumericalFailureError
 
 # Constants of dispersion_integral_element's periodic trapezoid rule: the
@@ -38,21 +38,27 @@ QUADRATURE_MAX_REFINEMENTS = 18
 
 @dataclass(frozen=True)
 class LatticeModelParams:
-    """Mass-like coefficient ``a`` and nearest-neighbour coupling ``b``."""
+    """Mass-like coefficient ``a`` and nearest-neighbour coupling ``b``: real
+    numbers, stored as ``float``s, with ``a, b > 0`` and a finite
+    ``a + 4b``; anything else (a boolean, a string, ``nan``, ``10**400``)
+    raises ``DomainError``."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
+        message = "lattice model coefficients must be real numbers, got {!r}"
+        a, b = _number(self.a, message, real=True), _number(self.b, message, real=True)
+        if not (a > 0.0 and b > 0.0):
             raise DomainError(
                 f"lattice model requires a > 0 and b > 0, got a={self.a}, b={self.b}"
             )
-        if not math.isfinite(self.a + 4.0 * self.b):
+        if not math.isfinite(a + 4.0 * b):
             raise DomainError(
                 f"lattice model requires a finite norm bound a + 4b, got "
                 f"a={self.a}, b={self.b}"
             )
+        vars(self).update(a=a, b=b)  # frozen: past its __setattr__
 
 
 def lattice_spec(params: LatticeModelParams) -> InfiniteMatrixSpec:
@@ -126,8 +132,8 @@ def dispersion_integral_element(
         If ``QUADRATURE_MAX_REFINEMENTS`` estimates pass with no two
         successive ones agreeing.
     """
-    _check_alpha(alpha)
-    m, n = _index(m), _index(n)
+    _number(alpha, "alpha must be finite, got {!r}", real=True, finite=True)
+    m, n = _integer(m), _integer(n)
     points, previous = QUADRATURE_POINTS, math.inf  # the first estimate cannot agree
     for _ in range(QUADRATURE_MAX_REFINEMENTS):
         kappa = np.arange(points) / points

@@ -72,17 +72,37 @@ def test_compare_exits_1_on_a_difference(tmp_path, capsys):
     same.write_text("\n".join(lines) + "\n")
     assert answers.main(["--compare", str(same)]) == 0
     assert capsys.readouterr().out == "every answer agrees\n"
-    # a renamed id, a bound moved by one ulp, and a missing last line
-    changed = list(lines[:-1])
+    # a renamed id, a bound moved by one ulp, and a line this grid dropped;
+    # the answers the other output lacks are this grid's new ones
+    changed = list(lines)
     changed[0] = changed[0].replace("unit.element", "unit.elements", 1)
     i = next(i for i, line in enumerate(changed) if line.startswith("banded.element"))
     fields = changed[i].split()
     bound = float.fromhex(fields[-4])
     fields[-4] = (bound + bound * answers._EPS).hex()
     changed[i] = " ".join(fields)
+    dropped = "unit.dropped alpha=0.5 DomainError: an answer only the other output has"
+    changed.append(dropped)
     different = tmp_path / "different.txt"
     different.write_text("\n".join(changed) + "\n")
     assert answers.main(["--compare", str(different)]) == 1
     report = capsys.readouterr().out.splitlines()
-    assert report[0] == f"{len(lines) - 1} lines, {len(lines)} answers"
-    assert report[1:] == [f"- {changed[0]}", f"+ {lines[0]}", f"- {changed[i]}", f"+ {lines[i]}"]
+    assert report == [f"- {changed[0]}", f"- {changed[i]}", f"+ {lines[i]}", f"- {dropped}",
+                      f"new {lines[0]}"]
+
+
+def test_compare_lists_new_answers_without_failing(tmp_path, capsys):
+    # an answer appended to the grid, and one inserted mid-grid: every line
+    # after the inserted one still pairs with its own answer, by id
+    lines = answers.answers()
+    # the id "... (0,0)" is the start of "... (0,0) max_dim=65", the next
+    # one: with the first gone, the second still pairs with its own answer
+    ids = [name for name, _, _ in answers._grid()]
+    k = next(k for k, name in enumerate(ids) if name.endswith(" max_dim=65"))
+    assert ids[k] == ids[k - 1] + " max_dim=65"
+    older = [line for j, line in enumerate(lines) if j not in (k - 1, len(lines) - 1)]
+    path = tmp_path / "older.txt"
+    path.write_text("\n".join(older) + "\n")
+    assert answers.main(["--compare", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"new {lines[k - 1]}", f"new {lines[-1]}", "every shared answer agrees"]

@@ -12,6 +12,7 @@ from finpow import core, series
 from finpow import (
     BoundarySpec,
     Certificate,
+    DomainError,
     FinpowError,
     InfiniteMatrixSpec,
     InvalidBoundaryError,
@@ -23,6 +24,7 @@ from finpow import (
     Window,
     approximate_element,
     banded_spec,
+    convergence_table,
     evaluate_window,
     lattice_spec,
     local_solve,
@@ -260,6 +262,86 @@ class TestBoundarySpec:
         bad = BoundarySpec({(0, 3): -1.0})
         with pytest.raises(InvalidBoundaryError):
             truncate(spec, Window(3, 3), bad)
+
+
+_NOT_NUMBERS = (True, np.True_, "1", b"1", None, float("nan"), float("inf"))
+_HUGE = 10**400  # too large for a float, though an integer
+
+
+def _gen(m):
+    return [(m, 2.0)]
+
+
+# each argument of a constructor that reads a user's number, as a call with
+# the bad value in its place; an integer slot is also fed 0.5, a number slot
+# 10**400
+_INTEGER_SLOTS = {
+    "Window P": lambda v: Window(v, 2),
+    "Window Q": lambda v: Window(2, v),
+    "InfiniteMatrixSpec sparsity_bound_k": lambda v: InfiniteMatrixSpec(_gen, v, IDENTITY_ENV),
+    "BoundarySpec row": lambda v: BoundarySpec({(v, 1): 1.0}),
+    "BoundarySpec column": lambda v: BoundarySpec({(0, v): 1.0}),
+    "banded_spec offset": lambda v: banded_spec(
+        [-1, 0, 1, v], [-1.0, 3.0, -1.0, 0.0], SpectralEnvelope(1.0, 5.0)),
+}
+_NUMBER_SLOTS = {
+    "SpectralEnvelope c": lambda v: SpectralEnvelope(v, 5.0),
+    "SpectralEnvelope norm_bound": lambda v: SpectralEnvelope(1.0, v),
+    "SpectralEnvelope d": lambda v: SpectralEnvelope(1.0, 5.0, v),
+    "BoundarySpec value": lambda v: BoundarySpec({(0, 1): v}),
+    "LatticeModelParams a": lambda v: LatticeModelParams(v, 1.0),
+    "LatticeModelParams b": lambda v: LatticeModelParams(1.0, v),
+    "banded_spec value": lambda v: banded_spec(
+        [-1, 0, 1], [-1.0, v, -1.0], SpectralEnvelope(1.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "slot, value",
+    [(slot, v) for slot in _INTEGER_SLOTS for v in (*_NOT_NUMBERS, 0.5)]
+    + [(slot, v) for slot in _NUMBER_SLOTS for v in (*_NOT_NUMBERS, _HUGE)],
+    ids=lambda v: "10**400" if v is _HUGE else None,
+)
+def test_a_bad_number_in_a_constructor_is_a_domain_error(slot, value):
+    # never a TypeError or an OverflowError, never an index truncated to a
+    # neighbour: pytest.raises lets any other exception through
+    call = {**_INTEGER_SLOTS, **_NUMBER_SLOTS}[slot]
+    with pytest.raises(DomainError):
+        call(value)
+
+
+class TestNumberRule:
+    """The constructors store what they read: integers as ``int``s, real
+    numbers as ``float``s, boundary values as ``complex`` numbers."""
+
+    def test_numbers_of_any_type_are_stored_as_python_numbers(self):
+        window = Window(2.0, np.int64(3))
+        assert (window.P, window.Q) == (2, 3) and type(window.P) is type(window.Q) is int
+        envelope = SpectralEnvelope(1, np.float64(5.0), np.int32(0))
+        assert envelope == SpectralEnvelope(1.0, 5.0, 0.0)
+        assert all(type(x) is float for x in (envelope.c, envelope.norm_bound, envelope.d))
+        params = LatticeModelParams(np.float32(0.5), 2)
+        assert (params.a, params.b) == (0.5, 2.0) and type(params.a) is type(params.b) is float
+        spec = InfiniteMatrixSpec(_gen, np.int64(1), IDENTITY_ENV)
+        assert type(spec.sparsity_bound_k) is int
+        boundary = BoundarySpec({(np.int64(-2), 3.0): 1})
+        assert boundary.entries == {(-2, 3): 1 + 0j, (3, -2): 1 + 0j}
+        assert all(type(i) is int for key in boundary.entries for i in key)
+        assert all(type(v) is complex for v in boundary.entries.values())
+
+    def test_a_fractional_boundary_index_is_not_truncated(self):
+        # int(0.5) would make this the entry (0, 1)
+        with pytest.raises(DomainError, match="an index must be an integer, got 0.5"):
+            BoundarySpec({(0.5, 1): 1})
+
+    def test_a_fractional_window_is_rejected_before_any_table(self, unit_lattice):
+        # it reached evaluate_window, whose TypeError the table's per-row
+        # FinpowError catch did not catch
+        _, spec, policy = unit_lattice
+        with pytest.raises(DomainError, match="window P must be an integer, got 0.5"):
+            convergence_table(spec, policy, 0.5, 0, 0, [Window(0.5, 2)])
+        with pytest.raises(DomainError, match="window P must be an integer, got 0.5"):
+            evaluate_window(spec, zero_boundary, 0.5, 0, 0, Window(0.5, 2))
 
 
 class TestTruncate:

@@ -1363,7 +1363,7 @@ _HUGE = 10**400  # too large for a float
     [(a, v) for a in ("element alpha", "window alpha", "table alpha")
      for v in ("0.5", None, 0.5j, _HUGE, True, np.True_)]
     + [(a, v) for a in ("element tol", "solve tol") for v in ("1e-6", None, _HUGE, True, np.True_)]
-    + [("solve rhs", v) for v in ("x", None, _HUGE, "1", b"1")],
+    + [("solve rhs", v) for v in ("x", None, _HUGE, "1", b"1", True, np.True_)],
     ids=lambda v: "10**400" if v is _HUGE else None,
 )
 def test_a_value_that_is_not_a_number_is_a_domain_error(unit_lattice, argument, value):

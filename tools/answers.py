@@ -24,11 +24,16 @@ or let it compare the other checkout's output with its own answers::
 
     PYTHONPATH=src python tools/answers.py --compare answers.txt
 
-``--compare FILE`` exits 1 and prints the pair of lines wherever the two
-differ in id, bound, ``j_pq``, ``P``, ``Q`` or error class, or in a value by
-more than ``VALUE_ULPS`` units of ``eps`` times the value's scale: ``w**alpha``
-for an element of ``W**alpha`` (it bounds every one), ``sum |f_n| / w`` for a
-local-solve component.  Error messages may differ.
+``--compare FILE`` pairs each line of FILE with the answer whose id is the
+longest that the line starts with (an id may be the start of another, as
+``... (0,0)`` is of ``... (0,0) max_dim=65``), so an answer added anywhere in
+the grid moves no other.  It exits 1 and prints the pair of lines wherever
+an answer differs in bound, ``j_pq``, ``P``, ``Q`` or error class, or in a
+value by more than ``VALUE_ULPS`` units of ``eps`` times the value's scale:
+``w**alpha`` for an element of ``W**alpha`` (it bounds every one),
+``sum |f_n| / w`` for a local-solve component.  Error messages may differ.
+A line of FILE whose id this grid lacks (or repeats one) also exits 1.  An
+id that only this grid has is listed as new, and does not fail.
 """
 
 from __future__ import annotations
@@ -208,6 +213,26 @@ def _grid() -> list[tuple[str, str, float]]:
           lambda: fp.dispersion_integral_element(params, True, 0, 0))
     _emit(out, "unit.dispersion index 0.5",
           lambda: fp.dispersion_integral_element(params, 0.5, 0.5, 0))
+    _emit(out, "unit.solve rhs=True", lambda: fp.local_solve(unit, periodic, {0: True}, [0], 1e-6))
+    # a constructor given a boolean, a string, a number too large for a float
+    # or a fractional index, read by an element of what it builds
+    numbers = (("True", True), ("'1'", "1"), huge)
+    indices = (("True", True), ("'1'", "1"), ("0.5", 0.5))
+    for label, value in numbers:
+        _emit(out, f"SpectralEnvelope norm_bound={label}", lambda: fp.approximate_element(
+            fp.banded_spec([0], [2.0], fp.SpectralEnvelope(1.0, value)), zero, 0.5, 0, 0, 1e-6))
+        _emit(out, f"LatticeModelParams a={label}", lambda: fp.approximate_element(
+            fp.lattice_spec(fp.LatticeModelParams(value, 1.0)), zero, 0.5, 0, 0, 1e-6))
+        _emit(out, f"BoundarySpec value={label}", lambda: fp.evaluate_window(
+            unit, lambda w: fp.BoundarySpec({(-4, 4): value}), 0.5, 0, 0, fp.Window(4, 4)))
+    for label, value in indices:
+        _emit(out, f"Window P={label}",
+              lambda: fp.evaluate_window(unit, periodic, 0.5, 0, 0, fp.Window(value, 4)))
+        _emit(out, f"InfiniteMatrixSpec k={label}", lambda: fp.approximate_element(
+            fp.InfiniteMatrixSpec(unit.row_generator, value, unit.envelope), zero, 0.5, 0, 0,
+            1e-6))
+        _emit(out, f"BoundarySpec index={label}", lambda: fp.evaluate_window(
+            unit, lambda w: fp.BoundarySpec({(value, 4): -1.0}), 0.5, 0, 0, fp.Window(4, 4)))
     return out
 
 
@@ -232,17 +257,35 @@ def _agree(answer: str, other: str, scale: float) -> bool:
     return a == b or abs(a - b) <= VALUE_ULPS * _EPS * scale
 
 
-def compare(lines: list[str]) -> list[str]:
-    """A report of every line of ``lines``, another checkout's output, that
-    differs from this grid's answer beyond round-off; empty if none does."""
-    grid = _grid()
-    report = []
-    if len(lines) != len(grid):
-        report.append(f"{len(lines)} lines, {len(grid)} answers")
-    for (name, answer, scale), other in zip(grid, lines):
-        if not (other.startswith(name + " ") and _agree(answer, other[len(name) + 1:], scale)):
-            report += [f"- {other}", f"+ {name} {answer}"]
-    return report
+def _id(line: str, ids) -> str | None:
+    """The longest of ``ids`` that ``line`` starts with, followed by a space."""
+    found = None
+    for end, char in enumerate(line):
+        if char == " " and line[:end] in ids:
+            found = line[:end]
+    return found
+
+
+def compare(lines: list[str]) -> tuple[list[str], list[str]]:
+    """The differences and the new answers of this grid against ``lines``,
+    another checkout's output.  A difference is a line of ``lines`` whose id
+    this grid lacks or repeats (``- line``), or whose answer differs from
+    this grid's beyond round-off (``- line``, then ``+`` this grid's line).
+    A new answer is one whose id no line has (``new`` and this grid's
+    line)."""
+    grid = {name: (answer, scale) for name, answer, scale in _grid()}
+    differences, seen = [], set()
+    for other in lines:
+        name = _id(other, grid)
+        if name is None or name in seen:
+            differences.append(f"- {other}")
+            continue
+        seen.add(name)
+        answer, scale = grid[name]
+        if not _agree(answer, other[len(name) + 1:], scale):
+            differences += [f"- {other}", f"+ {name} {answer}"]
+    new = [f"new {name} {answer}" for name, (answer, _) in grid.items() if name not in seen]
+    return differences, new
 
 
 def main(argv: list[str] | tuple[str, ...] = ()) -> int:
@@ -254,9 +297,12 @@ def main(argv: list[str] | tuple[str, ...] = ()) -> int:
         print("\n".join(answers()))
         return 0
     with open(args.compare, encoding="utf-8") as handle:
-        report = compare(handle.read().splitlines())
-    print("\n".join(report) if report else "every answer agrees")
-    return 1 if report else 0
+        differences, new = compare(handle.read().splitlines())
+    report = differences + new
+    if not differences:
+        report.append("every shared answer agrees" if new else "every answer agrees")
+    print("\n".join(report))
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":
