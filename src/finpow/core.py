@@ -174,7 +174,7 @@ class InfiniteMatrixSpec:
         integer, stored as an ``int`` (``DomainError`` otherwise).
     envelope : SpectralEnvelope
         Spectral bracket of the matrix as an operator on square-summable
-        sequences.
+        sequences (``DomainError`` for any other type).
 
     A spec that ``banded_spec`` builds also records its stencil, checked in
     full there, in a private field no constructor sets: the support walk
@@ -204,9 +204,18 @@ class InfiniteMatrixSpec:
         self.sparsity_bound_k = _integer(self.sparsity_bound_k, message)
         if self.sparsity_bound_k < 1:
             raise DomainError(message.format(self.sparsity_bound_k))
+        if not isinstance(self.envelope, SpectralEnvelope):
+            raise DomainError(f"envelope must be a SpectralEnvelope, got {self.envelope!r}")
 
     def row(self, m: int) -> Mapping[int, complex]:
-        """Validated row ``m`` as a mapping column -> value (cached)."""
+        """Validated row ``m`` as a mapping column -> value (cached).
+
+        Each column is an integer, stored as an ``int``, and each value a
+        complex number, finite as one, stored as a ``complex``: the package's
+        number rule (``_integer``, ``_number``), so a boolean, a string or
+        ``None`` is neither.  Any other entry raises ``MalformedSpecError``,
+        as do a repeated column and more than ``sparsity_bound_k`` entries.
+        """
         cached = self._rows.get(m)
         if cached is not None:
             return cached
@@ -214,18 +223,18 @@ class InfiniteMatrixSpec:
         entries = {}
         try:
             for col, value in raw:
-                key = int(col)
-                if key != col:
-                    raise MalformedSpecError(f"row {m} has the non-integral column {col!r}")
+                # DomainError is a ValueError: it reads as a malformed entry
+                key = _integer(col, "the non-integral column {!r}")
                 if key in entries:
                     raise MalformedSpecError(
                         f"row {m} lists column {col} more than once"
                     )
-                if not cmath.isfinite(value):
+                number = _number(value, f"the non-numeric value {{!r}} at column {key}")
+                if not cmath.isfinite(number):
                     raise MalformedSpecError(
                         f"row {m} has the non-finite entry {value} at column {col}"
                     )
-                entries[key] = value
+                entries[key] = number
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedSpecError(f"row {m} has a malformed entry: {exc}") from exc
         if len(entries) > self.sparsity_bound_k:
@@ -307,10 +316,11 @@ def banded_spec(
 class BoundarySpec:
     """Hermitian correction supported on the window corners {-P, Q}.
 
-    Entries are keyed by ``(row, col)`` pairs of logical indices, integers
-    stored as ``int``s, with values that are complex numbers, finite as
-    one, stored as ``complex``; anything else (an index ``0.5``, a boolean,
-    a string, ``nan``, ``10**400``) raises ``DomainError``.  Missing
+    ``entries`` is a mapping keyed by ``(row, col)`` pairs of logical
+    indices, integers stored as ``int``s, with values that are complex
+    numbers, finite as one, stored as ``complex``; anything else (a list of
+    pairs, a key ``0`` or ``(0, 1, 2)``, an index ``0.5``, a boolean, a
+    string, ``nan``, ``10**400``) raises ``DomainError``.  Missing
     conjugate partners are filled in on construction; inconsistent pairs or
     non-real diagonal values are rejected.
     """
@@ -318,10 +328,14 @@ class BoundarySpec:
     entries: dict[tuple[int, int], complex] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.entries, Mapping):
+            raise DomainError(f"boundary entries must be a mapping, got {self.entries!r}")
         completed = {}
         value = "a boundary value must be a finite complex number, got {!r}"
-        for (i, j), v in self.entries.items():
-            completed[(_integer(i), _integer(j))] = _number(v, value, finite=True)
+        for key, v in self.entries.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise DomainError(f"a boundary key must be a (row, col) pair, got {key!r}")
+            completed[(_integer(key[0]), _integer(key[1]))] = _number(v, value, finite=True)
         for (i, j), v in list(completed.items()):
             if i == j:
                 if v.imag != 0.0:

@@ -137,9 +137,8 @@ def evaluate_window(
         evals, vecs = np.linalg.eigh(matrix.data)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
     lo, hi = float(evals[0]), float(evals[-1])
-    if not (envelope.c - slack <= lo and hi <= envelope.w + slack):
+    if not _holds(envelope, lo, hi, envelope.w):
         raise InvalidBoundaryError(
             f"truncation at window {window} violates the envelope: eigenvalues in "
             f"[{lo:.6g}, {hi:.6g}], required [{envelope.c:.6g}, {envelope.w:.6g}]"
@@ -156,38 +155,36 @@ def _not_converged(max_dim: int, tol: float) -> str:
     return f"{limit} reached before the bound fell below tol={tol:g}"
 
 
+def _holds(envelope: SpectralEnvelope, low, high, top: float) -> bool:
+    """Whether ``[c, top]``, widened by the slack ``SPECTRUM_TOL max(w, 1)``,
+    holds ``[low, high]`` (never for a NaN): the one envelope comparison.
+    A test of ``W`` itself, a Rayleigh quotient or a sample of the symbol,
+    passes ``top = norm_bound``; a boundary-corrected truncation's
+    eigenvalues (``evaluate_window``) pass ``top = w = norm_bound + d``."""
+    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
+    return envelope.c - slack <= low and high <= top + slack
+
+
 def _check_rayleigh(
     envelope: SpectralEnvelope, region: Window, u: np.ndarray, b_u: np.ndarray
 ) -> None:
-    """Reject an envelope ``[c, norm_bound]`` that excludes ``<u, W u> / <u, u>``,
-    read as ``w (1 - <u, b u> / <u, u>)`` (``_check_quotient``).
+    """Reject an envelope ``[c, norm_bound]`` that excludes the Rayleigh
+    quotient ``<u, W u> / <u, u>``, read as ``w (1 - <u, b u> / <u, u>)``
+    with ``u`` and ``b u`` scaled by the largest ``|u_i|``.
 
     ``u`` is supported on ``region``, where ``b_u`` is ``b u``; so this is the
     quadratic form of the infinite matrix, which any sound envelope holds.  A
     ``u`` whose entries all lie below the normal floats (zero included) has
-    too few bits for a quotient and passes unchecked.  ``_terms`` checks a
-    unit start vector without this scaling (see there).
+    too few bits for a quotient and passes unchecked.  A unit vector ``e_p``
+    is scaled by 1.0 and divided by ``<e_p, e_p> = 1.0``, both exact, so its
+    quotient is that of the one dot product ``<e_p, b e_p>``.
     """
     largest = np.abs(u).max()
     if largest < _TINY:
         return
     u, b_u = u / largest, b_u / largest
-    _check_quotient(envelope, region, np.vdot(u, b_u).real / np.vdot(u, u).real)
-
-
-def _holds(envelope: SpectralEnvelope, low, high) -> bool:
-    """Whether ``[c, norm_bound]``, widened by the slack, holds ``[low, high]``
-    (never for a NaN)."""
-    slack = SPECTRUM_TOL * max(envelope.w, 1.0)
-    return envelope.c - slack <= low and high <= envelope.norm_bound + slack
-
-
-def _check_quotient(envelope: SpectralEnvelope, region: Window, ratio) -> None:
-    """Reject an envelope ``[c, norm_bound]`` that excludes the Rayleigh
-    quotient ``w (1 - ratio)`` of ``W`` on ``region``, ``ratio`` that of
-    ``b``."""
-    quotient = envelope.w * (1.0 - ratio)
-    if not _holds(envelope, quotient, quotient):
+    quotient = envelope.w * (1.0 - np.vdot(u, b_u).real / np.vdot(u, u).real)
+    if not _holds(envelope, quotient, quotient, envelope.norm_bound):
         raise MalformedSpecError(
             f"a Rayleigh quotient of W on the region {region} is {quotient:.6g}, "
             f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
@@ -207,13 +204,10 @@ def _terms(
     is a vector on ``R``, or the array position ``p`` of the unit vector
     ``e_p``.
 
-    The Rayleigh quotients of ``start`` and of the last term must lie in the
-    envelope (``_check_rayleigh``).  For ``e_p`` the quotient of ``b`` is
-    ``<e_p, b e_p> / <e_p, e_p> = (b e_p)[p]``, which the one dot product
-    ``<e_p, b e_p>`` gives bitwise as the scaled check does (``e_p`` has
-    norm 1, so it scales nothing), a non-finite entry of ``b e_p`` included.
-    The last is checked before it is yielded, so a consumer that takes
-    exactly ``count`` pairs has run both checks.  The caller owns the
+    The Rayleigh quotients of ``start``, ``e_p`` included, and of the last
+    term must lie in the envelope: one check, ``_check_rayleigh``, for every
+    start.  The last is checked before it is yielded, so a consumer that
+    takes exactly ``count`` pairs has run both checks.  The caller owns the
     floating-point error state: an overflow shows as a non-finite sum.
 
     Raises
@@ -223,17 +217,13 @@ def _terms(
         it too, when a row breaks the spec's contract or the entries on ``R``
         fail the Hermitian spot-check.)
     """
-    unit = isinstance(start, int)
-    if unit:
+    term = start
+    if isinstance(start, int):
         term = np.zeros(region.dim)
         term[start] = 1.0
-    else:
-        term = start
     for j in range(count):
         after = step(term)
-        if j == 0 and unit:
-            _check_quotient(spec.envelope, region, np.vdot(term, after).real)
-        elif j == 0 or j == count - 1:
+        if j == 0 or j == count - 1:
             _check_rayleigh(spec.envelope, region, term, after)
         yield term, after
         term = after
@@ -389,7 +379,7 @@ def _symbol_read(
     if len(offsets) and nodes <= offsets[-1]:  # s_0 sits in the middle, if it is there
         checked = np.append(samples, values[len(values) // 2].real if len(values) % 2 else 0.0)
     low, high = checked.min(), checked.max()
-    if not _holds(envelope, low, high):
+    if not _holds(envelope, low, high, envelope.norm_bound):
         raise MalformedSpecError(
             f"the symbol of W takes values in [{low:.6g}, {high:.6g}] on {nodes} nodes, "
             f"outside the envelope [{envelope.c:.6g}, {envelope.norm_bound:.6g}]"
@@ -469,13 +459,10 @@ def _element_certificate(
     m, n, terms = depth.m, depth.n, plan.terms
     envelope = spec.envelope
     lo, hi = min(m, n), max(m, n)
-    stencil, nodes = spec._stencil, 0
-    if stencil is not None:  # offsets come in pairs +-o: the last is the largest
-        band = int(stencil[0][-1]) if len(stencil[0]) else 0
-        nodes = (terms - 1) * band + hi - lo + 1
+    nodes = 0 if walk.band is None else (terms - 1) * walk.band + hi - lo + 1
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value below
         if nodes and terms * nodes <= _TABLE_CAP:
-            read = _symbol_read(envelope, stencil, plan, nodes, hi - lo)
+            read = _symbol_read(envelope, spec._stencil, plan, nodes, hi - lo)
         else:
             region = walk.window(min(terms - 1, (terms - 1 + len(plan.carries)) // 2))
             read = _sweep_read(spec, region, plan, region.offset(lo), region.offset(hi))

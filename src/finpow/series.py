@@ -72,18 +72,18 @@ class SupportWalk:
     On a spec with a stencil (``banded_spec``) both answers are closed
     forms, read from the stencil, and no row is read: ``s`` steps reach
     ``(min(starts) - s l, max(starts) + s l)``, ``l`` the largest offset,
-    and with ``l = 0`` the reach closes after one step.
+    and with ``l = 0`` the reach closes after one step.  ``band`` is that
+    ``l``, the last of the sorted offsets (they come in pairs ``+-o``), and
+    ``None`` for a spec that walks its rows.
     """
 
     def __init__(self, spec: InfiniteMatrixSpec, starts: Iterable[int]):
         starts = set(starts)
         self.extents = [(min(starts), max(starts))]
-        # the stencil's largest offset, the last of its sorted offsets (they
-        # come in pairs +-o); None for a spec that walks its rows
         stencil = spec._stencil
-        self._band = None
+        self.band = None
         if stencil is not None:
-            self._band = int(stencil[0][-1]) if len(stencil[0]) else 0
+            self.band = int(stencil[0][-1]) if len(stencil[0]) else 0
         self._steps = _extents(spec, starts) if stencil is None else None
 
     def _walk(self, steps: int, widest: float = math.inf) -> list[tuple[int, int]]:
@@ -112,7 +112,7 @@ class SupportWalk:
         lo, hi = self.extents[0]
         if steps < 1 or hi - lo > widest:  # no step to take
             return Window(1 - lo, hi + 1)
-        band = self._band
+        band = self.band
         if band is None:
             extents = self._walk(steps, widest)
             lo, hi = extents[min(steps, len(extents) - 1)]
@@ -129,7 +129,7 @@ class SupportWalk:
         if m in window.corners or n in window.corners:
             return TruncationDepth(1, window, m, n)
         inner_lo, inner_hi = -window.P + 1, window.Q - 1
-        band = self._band
+        band = self.band
         if band == 0:
             return TruncationDepth(1, window, m, n, saturated=True)
         if band is not None:  # the first step that leaves the strict interior

@@ -139,17 +139,32 @@ class TestRowGenerator:
         with pytest.raises(MalformedSpecError, match="non-integral column 0.5"):
             spec.row(0)
 
-    @pytest.mark.parametrize("col", [float("nan"), float("inf"), None, "1", 1 + 0j])
+    @pytest.mark.parametrize("col", [float("nan"), float("inf"), None, "1", 1 + 0j, True, np.True_])
     def test_non_numeric_column_rejected(self, col):
+        # a boolean converts to 1, but is no column (it was stored as column 1)
         spec = InfiniteMatrixSpec(lambda m: [(m, 1.0), (col, 1.0)], 2, IDENTITY_ENV)
         with pytest.raises(MalformedSpecError, match="row 0 has .*(non-integral|malformed)"):
             spec.row(0)
 
-    @pytest.mark.parametrize("entry", [(1, 1.0, 0.0), (1, "x")])
+    @pytest.mark.parametrize("entry", [(1, 1.0, 0.0), (1, "x"), (1, True), (1, np.True_)])
     def test_malformed_entry_rejected(self, entry):
+        # a boolean value converts to 1.0, but is no number (it was read as 1)
         spec = InfiniteMatrixSpec(lambda m: [(m, 1.0), entry], 2, IDENTITY_ENV)
         with pytest.raises(MalformedSpecError, match="malformed entry"):
             spec.row(0)
+
+    def test_a_non_integral_column_names_the_row(self):
+        spec = InfiniteMatrixSpec(lambda m: [(m, 1.0), (m + 0.5, 0.0)], 2, IDENTITY_ENV)
+        with pytest.raises(MalformedSpecError) as err:
+            spec.row(2)
+        assert str(err.value) == "row 2 has a malformed entry: the non-integral column 2.5"
+
+    def test_row_stores_int_columns_and_complex_values(self):
+        spec = InfiniteMatrixSpec(lambda m: [(np.int64(m), 2), (m + 1.0, np.float32(0.5))], 2,
+                                  IDENTITY_ENV)
+        assert spec.row(3) == {3: 2.0, 4: 0.5}
+        assert all(type(col) is int for col in spec.row(3))
+        assert all(type(v) is complex for v in spec.row(3).values())
 
     def test_integral_float_column_accepted(self):
         spec = InfiniteMatrixSpec(lambda m: [(float(m), 1.0)], 1, IDENTITY_ENV)
@@ -308,6 +323,37 @@ def test_a_bad_number_in_a_constructor_is_a_domain_error(slot, value):
     call = {**_INTEGER_SLOTS, **_NUMBER_SLOTS}[slot]
     with pytest.raises(DomainError):
         call(value)
+
+
+_ENVELOPE_SLOTS = {
+    "InfiniteMatrixSpec": lambda v: InfiniteMatrixSpec(_gen, 1, v),
+    "banded_spec": lambda v: banded_spec([0], [2.0], v),
+}
+
+
+@pytest.mark.parametrize("value", [(1.0, 5.0), None])
+@pytest.mark.parametrize("slot", _ENVELOPE_SLOTS)
+def test_an_envelope_that_is_no_spectral_envelope_is_a_domain_error(slot, value):
+    # a tuple built, then ended in AttributeError: 'tuple' object has no attribute 'c'
+    with pytest.raises(DomainError, match="envelope must be a SpectralEnvelope"):
+        _ENVELOPE_SLOTS[slot](value)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({0: 1.0}, "a boundary key must be a (row, col) pair, got 0"),
+        ({(0, 1, 2): 1.0}, "a boundary key must be a (row, col) pair, got (0, 1, 2)"),
+        ({"01": 1.0}, "a boundary key must be a (row, col) pair, got '01'"),
+        ([((0, 1), 1.0)], "boundary entries must be a mapping, got [((0, 1), 1.0)]"),
+    ],
+    ids=["int key", "triple key", "string key", "list of pairs"],
+)
+def test_a_boundary_key_that_is_no_pair_is_a_domain_error(entries, message):
+    # a TypeError, a ValueError and an AttributeError, unchecked
+    with pytest.raises(DomainError) as err:
+        BoundarySpec(entries)
+    assert str(err.value) == message
 
 
 class TestNumberRule:

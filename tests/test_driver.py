@@ -1391,8 +1391,9 @@ def _twins(offsets, stencil, envelope):
 
 
 class TestStartQuotient:
-    """An element sweep checks the quotient of its unit start vector from one
-    dot product; the errors are those of the scaled check on that vector."""
+    """An element sweep checks its unit start vector by the scaled check, as
+    a solve checks its rhs; the quotient is that of the one dot product
+    ``<e_p, b e_p>``."""
 
     LOW = SpectralEnvelope(3.5, 6.0)  # the diagonal 3 lies below c
     HIGH = SpectralEnvelope(0.5, 2.5)  # and above norm_bound
@@ -1468,6 +1469,53 @@ class TestStartQuotient:
             want = failure(lambda: driver._check_rayleigh(envelope, region, unit, step(unit)))
             got = failure(lambda: next(driver._terms(spec, region, step, p, 2)))
             assert got == want
+
+    def test_every_start_takes_the_scaled_check(self, monkeypatch):
+        # the unit start e_lo of an element, and the last term, go through
+        # _check_rayleigh: there is no second check of a unit vector
+        starts = []
+        check = driver._check_rayleigh
+
+        def spy(envelope, region, u, b_u):
+            starts.append(u.copy())
+            check(envelope, region, u, b_u)
+
+        monkeypatch.setattr(driver, "_check_rayleigh", spy)
+        plain = _plain(banded_spec([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0)))
+        cert = approximate_element(plain, zero_boundary, 0.5, 2, 0, 1e-8)
+        region = SupportWalk(plain, {0, 2}).window((cert.depth.j_pq - 1) // 2)
+        unit = np.zeros(region.dim)
+        unit[region.offset(0)] = 1.0
+        assert len(starts) == 2 and np.array_equal(starts[0], unit)
+
+
+class TestOneEnvelopeComparison:
+    """``_holds`` is the one comparison with the envelope: the quotients and
+    the samples test ``W``, up to ``norm_bound``; a truncation's eigenvalues
+    test a boundary-corrected section, up to ``w = norm_bound + d``."""
+
+    def test_every_reader_compares_through_holds(self, monkeypatch):
+        tops = []
+        holds = driver._holds
+
+        def spy(envelope, low, high, top):
+            tops.append(top)
+            return holds(envelope, low, high, top)
+
+        monkeypatch.setattr(driver, "_holds", spy)
+        banded, plain = _twins([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0, 0.5))
+        approximate_element(banded, zero_boundary, 0.5, 0, 1, 1e-6)  # the symbol's samples
+        assert tops == [5.0]
+        approximate_element(plain, zero_boundary, 0.5, 0, 1, 1e-6)  # the first and last quotients
+        assert tops == [5.0] * 3
+        evaluate_window(plain, zero_boundary, 0.5, 0, 1, Window(4, 4))  # the eigenvalues
+        assert tops == [5.0] * 3 + [5.5]
+
+    @pytest.mark.parametrize("top, holds", [(5.0, False), (5.5, True)])
+    def test_the_top_is_an_argument(self, top, holds):
+        # 5.25 lies above norm_bound, below w, outside the slack of either
+        envelope = SpectralEnvelope(1.0, 5.0, 0.5)
+        assert driver._holds(envelope, 1.0, 5.25, top) is holds
 
     @pytest.mark.parametrize(
         "offsets,diagonal,m,n,tol",

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from finpow import (
     BoundarySpec,
     DomainError,
+    InfiniteMatrixSpec,
     LatticeModelParams,
     SpectralEnvelope,
     Window,
@@ -171,6 +172,14 @@ class TestMinimalWindow:
 
 
 class TestBandedClosedForm:
+    def test_band_is_the_largest_offset(self):
+        # read by the symbol path's node count; None where the rows are walked
+        envelope = SpectralEnvelope(0.0, 20.0)
+        gapped = banded_spec([-3, -1, 0, 1, 3], [0.5, -1.0, 6.0, -1.0, 0.5], envelope)
+        diagonal = banded_spec([0], [2.0], envelope)
+        plain = InfiniteMatrixSpec(gapped.row_generator, 5, envelope)
+        assert [SupportWalk(s, {0, 2}).band for s in (gapped, diagonal, plain)] == [3, 0, None]
+
     def test_paper_reference_values(self):
         assert banded_depth_closed_form(1, Window(5, 5), 0, 0) == 5
         assert banded_depth_closed_form(1, Window(1, 1), 0, 0) == 1

@@ -233,6 +233,20 @@ def _grid() -> list[tuple[str, str, float]]:
             1e-6))
         _emit(out, f"BoundarySpec index={label}", lambda: fp.evaluate_window(
             unit, lambda w: fp.BoundarySpec({(value, 4): -1.0}), 0.5, 0, 0, fp.Window(4, 4)))
+    # a boolean in a generated row, a boundary key that is no (row, col)
+    # pair, boundary entries that are no mapping, an envelope that is a tuple
+    one = fp.SpectralEnvelope(1.0, 1.0)
+    _emit(out, "InfiniteMatrixSpec row column=True", lambda: fp.approximate_element(
+        fp.InfiniteMatrixSpec(lambda m: [(True, 1.0)] if m == 1 else [(m, 1.0)], 1, one),
+        zero, 0.5, 1, 1, 1e-6))
+    _emit(out, "InfiniteMatrixSpec row value=True", lambda: fp.approximate_element(
+        fp.InfiniteMatrixSpec(lambda m: [(m, True)], 1, one), zero, 0.5, 0, 0, 1e-6))
+    for label, entries in (("key=4", {4: -1.0}), ("key=(-4, 4, 4)", {(-4, 4, 4): -1.0}),
+                           ("entries=[((-4, 4), -1.0)]", [((-4, 4), -1.0)])):
+        _emit(out, f"BoundarySpec {label}", lambda: fp.evaluate_window(
+            unit, lambda w: fp.BoundarySpec(entries), 0.5, 0, 0, fp.Window(4, 4)))
+    _emit(out, "banded_spec envelope=(1.0, 5.0)", lambda: fp.approximate_element(
+        fp.banded_spec([0], [2.0], (1.0, 5.0)), zero, 0.5, 0, 0, 1e-6))
     return out
 
 
