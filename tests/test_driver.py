@@ -1488,35 +1488,6 @@ class TestStartQuotient:
         unit[region.offset(0)] = 1.0
         assert len(starts) == 2 and np.array_equal(starts[0], unit)
 
-
-class TestOneEnvelopeComparison:
-    """``_holds`` is the one comparison with the envelope: the quotients and
-    the samples test ``W``, up to ``norm_bound``; a truncation's eigenvalues
-    test a boundary-corrected section, up to ``w = norm_bound + d``."""
-
-    def test_every_reader_compares_through_holds(self, monkeypatch):
-        tops = []
-        holds = driver._holds
-
-        def spy(envelope, low, high, top):
-            tops.append(top)
-            return holds(envelope, low, high, top)
-
-        monkeypatch.setattr(driver, "_holds", spy)
-        banded, plain = _twins([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0, 0.5))
-        approximate_element(banded, zero_boundary, 0.5, 0, 1, 1e-6)  # the symbol's samples
-        assert tops == [5.0]
-        approximate_element(plain, zero_boundary, 0.5, 0, 1, 1e-6)  # the first and last quotients
-        assert tops == [5.0] * 3
-        evaluate_window(plain, zero_boundary, 0.5, 0, 1, Window(4, 4))  # the eigenvalues
-        assert tops == [5.0] * 3 + [5.5]
-
-    @pytest.mark.parametrize("top, holds", [(5.0, False), (5.5, True)])
-    def test_the_top_is_an_argument(self, top, holds):
-        # 5.25 lies above norm_bound, below w, outside the slack of either
-        envelope = SpectralEnvelope(1.0, 5.0, 0.5)
-        assert driver._holds(envelope, 1.0, 5.25, top) is holds
-
     @pytest.mark.parametrize(
         "offsets,diagonal,m,n,tol",
         [
@@ -1551,3 +1522,32 @@ class TestOneEnvelopeComparison:
         for spec in _twins([-1, 0, 1], [1e308, 0.05, 1e308], envelope):
             with pytest.raises(MalformedSpecError, match=r"is nan, outside"):
                 local_solve(spec, zero_boundary, f, [0, 1], 1e-8)
+
+
+class TestOneEnvelopeComparison:
+    """``_holds`` is the one comparison with the envelope: the quotients and
+    the samples test ``W``, up to ``norm_bound``; a truncation's eigenvalues
+    test a boundary-corrected section, up to ``w = norm_bound + d``."""
+
+    def test_every_reader_compares_through_holds(self, monkeypatch):
+        tops = []
+        holds = driver._holds
+
+        def spy(envelope, low, high, top):
+            tops.append(top)
+            return holds(envelope, low, high, top)
+
+        monkeypatch.setattr(driver, "_holds", spy)
+        banded, plain = _twins([-1, 0, 1], [-1.0, 3.0, -1.0], SpectralEnvelope(1.0, 5.0, 0.5))
+        approximate_element(banded, zero_boundary, 0.5, 0, 1, 1e-6)  # the symbol's samples
+        assert tops == [5.0]
+        approximate_element(plain, zero_boundary, 0.5, 0, 1, 1e-6)  # the first and last quotients
+        assert tops == [5.0] * 3
+        evaluate_window(plain, zero_boundary, 0.5, 0, 1, Window(4, 4))  # the eigenvalues
+        assert tops == [5.0] * 3 + [5.5]
+
+    @pytest.mark.parametrize("top, holds", [(5.0, False), (5.5, True)])
+    def test_the_top_is_an_argument(self, top, holds):
+        # 5.25 lies above norm_bound, below w, outside the slack of either
+        envelope = SpectralEnvelope(1.0, 5.0, 0.5)
+        assert driver._holds(envelope, 1.0, 5.25, top) is holds
